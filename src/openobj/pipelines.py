@@ -27,6 +27,7 @@ from .learning import (
 from .representations import (
     Dictionary,
     TopicModel,
+    _assign,
     build_dictionary,
     lda_infer,
     lda_update,
@@ -115,7 +116,12 @@ class ExperimentConfig:
 
 class _FeatureCache:
     """Spin-image feature sets are by far the slowest extraction; cache
-    them per cloud object so cross-validation folds share the work."""
+    them per cloud object so cross-validation folds share the work.
+
+    Entries are keyed on id(cloud) and hold the cloud itself: while an
+    entry lives its cloud cannot be freed, so no other cloud can take over
+    its id and be served its features.
+    """
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
@@ -124,14 +130,15 @@ class _FeatureCache:
     def get(self, cloud):
         key = id(cloud)
         if key not in self._store:
-            self._store[key] = compute_feature_set(
+            features = compute_feature_set(
                 cloud,
                 voxel=self.config.voxel,
                 image_width=self.config.image_width,
                 support_length=self.config.support_length,
                 support_angle=self.config.support_angle,
             )
-        return self._store[key]
+            self._store[key] = (cloud, features)
+        return self._store[key][1]
 
 
 def collect_feature_pool(feature_sets, cap: int, seed: int) -> np.ndarray:
@@ -141,16 +148,6 @@ def collect_feature_pool(feature_sets, cap: int, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
         pool = pool[rng.choice(len(pool), size=cap, replace=False)]
     return pool
-
-
-def _words(feature_set, dictionary: Dictionary) -> np.ndarray:
-    feats = feature_set.as_matrix()
-    d = (
-        np.sum(feats**2, axis=1)[:, None]
-        - 2 * feats @ dictionary.words.T
-        + np.sum(dictionary.words**2, axis=1)[None, :]
-    )
-    return np.argmin(d, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +243,7 @@ class BowInstanceLearner:
         self._index: dict[str, InstanceCategory] = {}
 
     def _vector(self, cloud):
-        words = _words(self.features.get(cloud), self.dictionary)
+        words = _assign(self.features.get(cloud).as_matrix(), self.dictionary.words)
         return np.bincount(words, minlength=self.dictionary.size).astype(np.float64)
 
     def teach(self, category, cloud):
@@ -275,7 +272,7 @@ class BowBayesLearner:
         self.memory = BayesMemory()
 
     def _vector(self, cloud):
-        words = _words(self.features.get(cloud), self.dictionary)
+        words = _assign(self.features.get(cloud).as_matrix(), self.dictionary.words)
         return np.bincount(words, minlength=self.dictionary.size)
 
     def teach(self, category, cloud):
@@ -302,7 +299,7 @@ class _LdaBase:
         )
 
     def _doc(self, cloud):
-        return _words(self.features.get(cloud), self.dictionary)
+        return _assign(self.features.get(cloud).as_matrix(), self.dictionary.words)
 
 
 class LdaInstanceLearner(_LdaBase):
@@ -359,7 +356,7 @@ class _LocalLdaBase:
         self.models: dict[str, TopicModel] = {}
 
     def _doc(self, cloud):
-        return _words(self.features.get(cloud), self.dictionary)
+        return _assign(self.features.get(cloud).as_matrix(), self.dictionary.words)
 
     def _update(self, category, doc):
         local_lda_update(

@@ -7,7 +7,10 @@ from __future__ import annotations
 
 import json
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import mul, truediv
 
 import numpy as np
 
@@ -247,22 +250,60 @@ def _gibbs_sweeps(n_wk, n_k, doc, z, m_k, alpha, beta, iters, rng):
     n_wk / n_k must already contain the document's current assignments;
     m_k is the doc-topic count vector. The document-topic denominator is
     dropped (it does not depend on the candidate topic).
+
+    Stream contract: the caller draws the initial topics from ``rng``
+    first; this function then draws every sweep's uniforms in one block,
+    token-major within a sweep, so token i of sweep s uses the
+    (s * len(doc) + i)-th double after the initial topics. That is the
+    order of one ``rng.random()`` per token, and a serialized TopicModel
+    resumes with the same samples.
+
+    The loop runs over Python lists: at K of a few dozen the per-call cost
+    of small numpy operations outweighs the O(K) arithmetic. Each weight is
+    (m_k + alpha) * (n_wk[w] + beta) / (n_k + V beta) in float64, summed
+    left to right as np.cumsum does, and bisect_right picks the topic as
+    searchsorted(side="right") would, so the samples are bit-identical to
+    the per-token numpy formulation.
     """
-    v = n_wk.shape[0]
-    vbeta = v * beta
-    for _ in range(iters):
-        for i, w in enumerate(doc):
-            k_old = z[i]
-            n_wk[w, k_old] -= 1
-            n_k[k_old] -= 1
-            m_k[k_old] -= 1
-            weights = (m_k + alpha) * (n_wk[w] + beta) / (n_k + vbeta)
-            cumulative = np.cumsum(weights)
-            k_new = int(np.searchsorted(cumulative, rng.random() * cumulative[-1], side="right"))
-            z[i] = k_new
-            n_wk[w, k_new] += 1
-            n_k[k_new] += 1
-            m_k[k_new] += 1
+    n = len(doc)
+    vbeta = n_wk.shape[0] * beta
+    words = doc.tolist()
+    topics = z.tolist()
+    topic_n = n_k.tolist()
+    doc_n = m_k.tolist()
+    rows = {w: n_wk[w].tolist() for w in set(words)}
+    # float factors of the weight, refreshed from the integer counts at the
+    # two topics a token leaves and joins
+    word_factor = {w: [c + beta for c in row] for w, row in rows.items()}
+    doc_factor = [c + alpha for c in doc_n]
+    topic_denom = [c + vbeta for c in topic_n]
+    uniforms = rng.random(iters * n).tolist()
+    for sweep in range(iters):
+        base = sweep * n
+        for i, w in enumerate(words):
+            row = rows[w]
+            factor = word_factor[w]
+            k = topics[i]
+            row[k] -= 1
+            topic_n[k] -= 1
+            doc_n[k] -= 1
+            factor[k] = row[k] + beta
+            doc_factor[k] = doc_n[k] + alpha
+            topic_denom[k] = topic_n[k] + vbeta
+            cumulative = list(accumulate(map(truediv, map(mul, doc_factor, factor), topic_denom)))
+            k = bisect_right(cumulative, uniforms[base + i] * cumulative[-1])
+            topics[i] = k
+            row[k] += 1
+            topic_n[k] += 1
+            doc_n[k] += 1
+            factor[k] = row[k] + beta
+            doc_factor[k] = doc_n[k] + alpha
+            topic_denom[k] = topic_n[k] + vbeta
+    for w, row in rows.items():
+        n_wk[w] = row
+    n_k[:] = topic_n
+    m_k[:] = doc_n
+    z[:] = topics
 
 
 def _validate_doc(doc, v: int) -> np.ndarray:

@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .pointcloud import PointCloud, PointCloudError
@@ -182,6 +183,10 @@ def euclidean_cluster_indices(
     lowest contained point index, so the result does not depend on
     traversal order.
     """
+    # imported here: scipy.sparse.csgraph loads scipy.sparse.linalg, about
+    # 3 MB that the paths which never segment a scene should not carry
+    from scipy.sparse.csgraph import connected_components
+
     if link_dist <= 0:
         raise SegmentationError("link_dist must be positive")
     m = len(cloud)
@@ -192,26 +197,17 @@ def euclidean_cluster_indices(
     if len(pairs):
         gap = np.linalg.norm(cloud.points[pairs[:, 0]] - cloud.points[pairs[:, 1]], axis=1)
         pairs = pairs[gap < link_dist]  # strict inequality
-    parent = np.arange(m)
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    roots = np.array([find(i) for i in range(m)])
-    clusters = []
-    for root in np.unique(roots):
-        members = np.flatnonzero(roots == root)
-        size = len(members)
-        if size < min_pts or (max_pts is not None and size > max_pts):
-            continue
-        clusters.append(members)
+    graph = coo_matrix(
+        (np.ones(len(pairs), dtype=bool), (pairs[:, 0], pairs[:, 1])), shape=(m, m)
+    )
+    n_components, labels = connected_components(graph, directed=False)
+    sizes = np.bincount(labels, minlength=n_components)
+    # members of each component in ascending point order
+    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
+    keep = sizes >= min_pts
+    if max_pts is not None:
+        keep &= sizes <= max_pts
+    clusters = [members[c] for c in np.flatnonzero(keep)]
     clusters.sort(key=lambda idx: idx[0])
     return clusters
 

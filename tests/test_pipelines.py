@@ -111,3 +111,26 @@ class TestCvPipeline:
         )
         cm = kfold(tiny_dataset, k=3, pipeline=make_cv_pipeline(cfg), seed=0)
         assert cm.total == 30
+
+
+class TestFeatureCache:
+    def test_freed_cloud_id_never_serves_stale_features(self, tiny_dataset):
+        # Each view is copied into a fresh cloud that is dropped right after
+        # use, so CPython readily hands a later copy the same id. The cache
+        # must still return each copy's own spin images.
+        from openobj.descriptors import compute_feature_set
+        from openobj.pipelines import _FeatureCache
+        from openobj.pointcloud import PointCloud
+
+        config = ExperimentConfig()
+        cache = _FeatureCache(config)
+        views = [v for views in tiny_dataset.views.values() for v in views[:3]]
+        for view in views:
+            cloud = PointCloud(view.points.copy())
+            got = cache.get(cloud).as_matrix()
+            want = compute_feature_set(
+                cloud, voxel=config.voxel, image_width=config.image_width,
+                support_length=config.support_length, support_angle=config.support_angle,
+            ).as_matrix()
+            assert np.array_equal(got, want)
+            del cloud

@@ -1,8 +1,13 @@
 """Dictionary building, BoW encoding and the incremental topic models."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from openobj import representations
 from openobj.representations import (
     BowHistogram,
     Dictionary,
@@ -260,3 +265,69 @@ class TestSerialization:
             np.testing.assert_array_equal(back[name].n_wk, models[name].n_wk)
             assert back[name].rng_seed == models[name].rng_seed
             assert back[name].n_updates == models[name].n_updates
+
+
+def reference_sweeps(n_wk, n_k, doc, z, m_k, alpha, beta, iters, rng):
+    """Per-token numpy formulation of the collapsed Gibbs sweep: one
+    rng.random() per token, cumsum and searchsorted over the K weights."""
+    v = n_wk.shape[0]
+    vbeta = v * beta
+    for _ in range(iters):
+        for i, w in enumerate(doc):
+            k_old = z[i]
+            n_wk[w, k_old] -= 1
+            n_k[k_old] -= 1
+            m_k[k_old] -= 1
+            weights = (m_k + alpha) * (n_wk[w] + beta) / (n_k + vbeta)
+            cumulative = np.cumsum(weights)
+            k_new = int(np.searchsorted(cumulative, rng.random() * cumulative[-1], side="right"))
+            z[i] = k_new
+            n_wk[w, k_new] += 1
+            n_k[k_new] += 1
+            m_k[k_new] += 1
+
+
+@st.composite
+def gibbs_runs(draw):
+    k = draw(st.integers(1, 12))
+    v = draw(st.integers(1, 20))
+    alpha = draw(st.floats(0.01, 5.0))
+    beta = draw(st.floats(0.01, 2.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    ops = draw(st.lists(
+        st.tuples(
+            st.sampled_from(["update", "infer"]),
+            st.lists(st.integers(0, v - 1), max_size=30),
+            st.integers(1, 5),
+        ),
+        min_size=1, max_size=6,
+    ))
+    return TopicModel(k=k, v=v, alpha=alpha, beta=beta, rng_seed=seed), ops
+
+
+def assert_same_model(a, b):
+    assert np.array_equal(a.n_wk, b.n_wk)
+    assert np.array_equal(a.n_k, b.n_k)
+    assert a.n_updates == b.n_updates
+
+
+class TestGibbsKernelStream:
+    @settings(max_examples=60, deadline=None)
+    @given(gibbs_runs())
+    def test_matches_per_token_reference(self, run):
+        model, ops = run
+        ref = TopicModel.from_json_dict(model.to_json_dict())
+        for kind, doc, iters in ops:
+            if kind == "update":
+                lda_update(model, doc, iters)
+                with mock.patch.object(representations, "_gibbs_sweeps", reference_sweeps):
+                    lda_update(ref, doc, iters)
+            else:
+                before = TopicModel.from_json_dict(model.to_json_dict())
+                got = lda_infer(model, doc, iters)
+                with mock.patch.object(representations, "_gibbs_sweeps", reference_sweeps):
+                    want = lda_infer(ref, doc, iters)
+                assert np.array_equal(got.counts, want.counts)
+                assert np.array_equal(got.theta, want.theta)
+                assert_same_model(model, before)
+            assert_same_model(model, ref)

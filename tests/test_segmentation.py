@@ -149,13 +149,12 @@ class TestEuclideanCluster:
         rng = np.random.default_rng(7)
         for trial in range(5):
             pts = rng.uniform(0, 0.3, size=(120, 3))
-            link = 0.06
-            got = euclidean_cluster_indices(PointCloud(pts), link)
+            link = (0.03, 0.045, 0.06)[trial % 3]
             # O(m^2) oracle over the full distance matrix
             dist = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
             adj = dist < link
             seen = np.zeros(len(pts), dtype=bool)
-            expected = []
+            components = []
             for start in range(len(pts)):
                 if seen[start]:
                     continue
@@ -168,9 +167,16 @@ class TestEuclideanCluster:
                         if not seen[v]:
                             seen[v] = True
                             stack.append(v)
-                expected.append(sorted(comp))
-            expected.sort(key=lambda c: c[0])
-            assert [sorted(g.tolist()) for g in got] == expected
+                components.append(sorted(comp))
+            components.sort(key=lambda c: c[0])
+            sizes = sorted({len(c) for c in components})
+            # no filter, then bounds that cut both ends of the size range
+            for min_pts, max_pts in [(1, None), (2, None), (1, sizes[-1] - 1),
+                                     (sizes[len(sizes) // 2], sizes[-1])]:
+                got = euclidean_cluster_indices(PointCloud(pts), link, min_pts, max_pts)
+                expected = [c for c in components if len(c) >= min_pts
+                            and (max_pts is None or len(c) <= max_pts)]
+                assert [g.tolist() for g in got] == expected
 
     def test_partition_property(self):
         rng = np.random.default_rng(8)
