@@ -30,8 +30,8 @@ features = {
     for name, views in data.items()
 }
 sample = features["box"][0]
-print(f"box view 0: {len(sample)} spin images of shape "
-      f"{sample.spin_images[0].histogram.shape}")
+print(f"box view 0: {len(sample)} keypoints, one flattened spin image each: "
+      f"feature matrix {sample.as_matrix().shape}")
 
 pool = collect_feature_pool(
     [fs for sets in features.values() for fs in sets], cap=4000, seed=0

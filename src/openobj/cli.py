@@ -30,6 +30,7 @@ from .nbv import CameraPose, load_poses, render_virtual, SegmentedScene, select_
 from .pipelines import (
     ConfigError,
     ExperimentConfig,
+    _FeatureCache,
     build_dictionary_from_clouds,
     build_learner,
     make_cv_pipeline,
@@ -254,10 +255,13 @@ def cmd_protocol(args) -> int:
     config, _ = build_config(args)
     dataset = load_dataset(args.dataset)
     all_clouds = [cloud for views in dataset.views.values() for cloud in views]
+    # one cache, so the dictionary pool and the learner share each view's
+    # spin images
+    features = _FeatureCache(config)
     dictionary = None
     if config.representation in ("bow", "lda", "local_lda"):
-        dictionary = build_dictionary_from_clouds(all_clouds, config)
-    learner = build_learner(config, dictionary)
+        dictionary = build_dictionary_from_clouds(all_clouds, config, features)
+    learner = build_learner(config, dictionary, features)
     if args.context_change:
         if dataset.contexts is None:
             raise CliError("dataset has no context map; regenerate with --context-split")

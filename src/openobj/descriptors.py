@@ -22,7 +22,6 @@ from .pointcloud import (
 
 __all__ = [
     "GoodDescriptor",
-    "SpinImage",
     "FeatureSet",
     "project_distribution",
     "projection_entropy",
@@ -47,6 +46,10 @@ DEFAULT_KEYPOINT_VOXEL = 0.01
 DEFAULT_IMAGE_WIDTH = 4
 DEFAULT_SUPPORT_LENGTH = 0.05
 DEFAULT_SUPPORT_ANGLE = 90.0
+
+# Most (keypoint, neighbor) pairs one spin-image block may hold: about
+# 70 bytes of temporaries each, so about 9 MB per block.
+_BLOCK_PAIRS = 1 << 17
 
 
 class DescriptorError(ValueError):
@@ -88,34 +91,28 @@ class GoodDescriptor:
 
 
 @dataclass(frozen=True)
-class SpinImage:
-    """2D histogram of (radial, elevation) neighbor offsets about a
-    keypoint normal; raw counts, (IW+1) x (2 IW + 1)."""
+class FeatureSet:
+    """The spin images of one object view.
 
-    histogram: np.ndarray
-    keypoint: np.ndarray
-    normal: np.ndarray
+    Row i of the read-only (k, d) ``matrix`` is the flattened spin image of
+    keypoint i; ``keypoints`` and ``normals`` are (k, 3).
+    """
+
+    matrix: np.ndarray
+    keypoints: np.ndarray
+    normals: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "histogram", np.asarray(self.histogram, dtype=np.float64))
-        object.__setattr__(self, "keypoint", np.asarray(self.keypoint, dtype=np.float64))
-        object.__setattr__(self, "normal", np.asarray(self.normal, dtype=np.float64))
-
-    def flatten(self) -> np.ndarray:
-        return self.histogram.ravel()
-
-
-@dataclass(frozen=True)
-class FeatureSet:
-    """The spin images of one object view (one per keypoint)."""
-
-    spin_images: tuple
+        for name in ("matrix", "keypoints", "normals"):
+            view = np.asarray(getattr(self, name), dtype=np.float64).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     def __len__(self) -> int:
-        return len(self.spin_images)
+        return len(self.matrix)
 
     def as_matrix(self) -> np.ndarray:
-        return np.stack([s.flatten() for s in self.spin_images])
+        return self.matrix
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +273,9 @@ def compute_spin_image(
     support_length: float = DEFAULT_SUPPORT_LENGTH,
     support_angle: float = DEFAULT_SUPPORT_ANGLE,
     point_normals: np.ndarray | None = None,
-) -> SpinImage:
-    """Raw-count spin image around a keypoint.
+) -> np.ndarray:
+    """Raw-count spin images around one keypoint (shape (3,)) or a stack
+    of keypoints (shape (k, 3)), with unit normals of the same shape.
 
     Neighbors inside the support cylinder (radius SL, height 2 SL around
     the tangent plane) contribute the pair alpha = radial distance to the
@@ -285,30 +283,61 @@ def compute_spin_image(
     an (IW+1) x (2 IW + 1) histogram. When per-point normals are given,
     neighbors whose normal deviates from the keypoint normal by more than
     the support angle are skipped; without them the angle test is off.
+    Returns one (IW+1, 2 IW + 1) histogram, or (k, IW+1, 2 IW + 1) for a
+    stack.
+
+    Every (keypoint, neighbor) pair of a block of keypoints is binned by
+    one bincount over the flat index (keypoint, row, col); a block holds
+    at most _BLOCK_PAIRS pairs (at least one keypoint), which bounds the
+    temporaries for large clouds.
     """
-    keypoint = np.asarray(keypoint, dtype=np.float64).reshape(3)
-    normal = np.asarray(normal, dtype=np.float64).reshape(3)
-    if abs(np.linalg.norm(normal) - 1.0) > 1e-9:
+    keypoints = np.asarray(keypoint, dtype=np.float64)
+    normals = np.asarray(normal, dtype=np.float64)
+    if keypoints.shape[-1:] != (3,) or keypoints.ndim > 2 or normals.shape != keypoints.shape:
+        raise DescriptorError("need keypoints and normals of matching shape (3,) or (k, 3)")
+    if np.any(np.abs(np.linalg.norm(normals, axis=-1) - 1.0) > 1e-9):
         raise DescriptorError("keypoint normal must be unit length")
     if support_length <= 0:
         raise DescriptorError("support length must be positive")
     iw = int(image_width)
     sl = float(support_length)
-
-    delta = cloud.points - keypoint
-    beta = delta @ normal
-    alpha_sq = np.maximum(np.einsum("ij,ij->i", delta, delta) - beta**2, 0.0)
-    alpha = np.sqrt(alpha_sq)
-    keep = (alpha <= sl) & (np.abs(beta) <= sl)
+    n_rows, n_cols = iw + 1, 2 * iw + 1
+    points = cloud.points
     if point_normals is not None:
         point_normals = np.asarray(point_normals, dtype=np.float64)
-        cos_limit = np.cos(np.radians(support_angle))
-        keep &= point_normals @ normal >= cos_limit - 1e-12
-    rows = np.minimum(np.floor(alpha[keep] * iw / sl).astype(np.int64), iw)
-    cols = np.clip(np.floor((beta[keep] + sl) * iw / sl).astype(np.int64), 0, 2 * iw)
-    histogram = np.zeros((iw + 1, 2 * iw + 1))
-    np.add.at(histogram, (rows, cols), 1.0)
-    return SpinImage(histogram=histogram, keypoint=keypoint, normal=normal)
+        cos_limit = np.cos(np.radians(support_angle)) - 1e-12
+
+    stack_k = keypoints.reshape(-1, 3)
+    stack_n = normals.reshape(-1, 3)
+    m = len(points)
+    histograms = np.empty((len(stack_k), n_rows * n_cols))
+    step = max(1, _BLOCK_PAIRS // max(m, 1))
+    for start in range(0, len(stack_k), step):
+        block_k = stack_k[start:start + step]
+        block_n = stack_n[start:start + step, :, None]  # (b, 3, 1)
+        b = len(block_k)
+        delta = np.empty((b, m, 3))
+        for axis in range(3):  # broadcasting over the 3-wide last axis is slower
+            np.subtract(points[:, axis], block_k[:, axis, None], out=delta[..., axis])
+        # batched matrix-vector products and einsum keep the arithmetic of
+        # the one-keypoint computation, so the bins equal its bins
+        beta = (delta @ block_n)[..., 0]
+        alpha = np.einsum("kij,kij->ki", delta, delta)
+        alpha -= beta**2
+        np.sqrt(np.maximum(alpha, 0.0, out=alpha), out=alpha)
+        keep = (alpha <= sl) & (np.abs(beta) <= sl)
+        if point_normals is not None:
+            keep &= (point_normals @ block_n)[..., 0] >= cos_limit
+        pairs = np.flatnonzero(keep)
+        rows = np.minimum(np.floor(alpha.ravel()[pairs] * iw / sl).astype(np.int64), iw)
+        cols = np.clip(
+            np.floor((beta.ravel()[pairs] + sl) * iw / sl).astype(np.int64), 0, 2 * iw
+        )
+        flat = (pairs // m * n_rows + rows) * n_cols + cols
+        histograms[start:start + b] = np.bincount(
+            flat, minlength=b * n_rows * n_cols
+        ).reshape(b, -1)
+    return histograms.reshape(keypoints.shape[:-1] + (n_rows, n_cols))
 
 
 def compute_feature_set(
@@ -326,16 +355,16 @@ def compute_feature_set(
         raise DescriptorError("empty cloud")
     key_idx = _keypoint_indices(cloud.points, voxel)
     normals = estimate_normals(cloud, k=10, viewpoint=viewpoint)
-    images = tuple(
-        compute_spin_image(
-            cloud,
-            cloud.points[i],
-            normals[i],
-            image_width,
-            support_length,
-            support_angle,
-            point_normals=normals,
-        )
-        for i in key_idx
+    keypoints = cloud.points[key_idx]
+    images = compute_spin_image(
+        cloud,
+        keypoints,
+        normals[key_idx],
+        image_width,
+        support_length,
+        support_angle,
+        point_normals=normals,
     )
-    return FeatureSet(spin_images=images)
+    return FeatureSet(
+        matrix=images.reshape(len(key_idx), -1), keypoints=keypoints, normals=normals[key_idx]
+    )

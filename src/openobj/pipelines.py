@@ -224,7 +224,10 @@ class SpinsetInstanceLearner:
             scores = {
                 c.label: learning.ocd_min(target, c) for c in self.memory if c.instances
             }
-            return min(scores, key=scores.get)
+            best = min(scores, key=scores.get)
+            if self.config.ct is not None and scores[best] > self.config.ct:
+                return UNKNOWN
+            return best
         return classify_instances(
             target, ready, mode=self.config.nocd_mode, ct=self.config.ct
         ).label

@@ -183,14 +183,18 @@ def _kmeans_pp_init(pool: np.ndarray, v: int, rng: np.random.Generator) -> np.nd
     return centers
 
 
+def _sq_distances(pool: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, V) squared distances (|p|^2 - 2 p.c) + |c|^2, built in one
+    (n, V) buffer."""
+    d = 2 * pool @ centers.T
+    np.subtract(np.sum(pool**2, axis=1)[:, None], d, out=d)
+    d += np.sum(centers**2, axis=1)[None, :]
+    return d
+
+
 def _assign(pool: np.ndarray, centers: np.ndarray) -> np.ndarray:
     # ties go to the lowest center index (argmin)
-    d = (
-        np.sum(pool**2, axis=1)[:, None]
-        - 2 * pool @ centers.T
-        + np.sum(centers**2, axis=1)[None, :]
-    )
-    return np.argmin(d, axis=1)
+    return np.argmin(_sq_distances(pool, centers), axis=1)
 
 
 def build_dictionary(

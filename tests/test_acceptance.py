@@ -251,7 +251,7 @@ def test_criterion_04_oracle_equivalence():
                 row = min(int(np.floor(alpha * iw / sl)), iw)
                 col = min(max(int(np.floor((beta + sl) * iw / sl)), 0), 2 * iw)
                 expected[row, col] += 1
-            assert np.array_equal(img.histogram, expected)
+            assert np.array_equal(img, expected)
 
         for _ in range(50):  # global-descriptor projection binning
             pts = rng.uniform(-0.4, 0.4, size=(int(rng.integers(5, 80)), 3))

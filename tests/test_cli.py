@@ -1,5 +1,6 @@
 """Command-line interface: file contracts, determinism and exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -180,6 +181,34 @@ class TestProtocol:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert "ALC1" in summary and "ALC2" in summary
+
+    def test_each_view_described_once(self, small_dataset, tmp_path, monkeypatch):
+        # The dictionary pool and the learner share one feature cache, so a
+        # bow/bayes run computes each view's spin images exactly once.
+        from openobj import pipelines
+
+        calls = []
+        original = pipelines.compute_feature_set
+
+        def counted(cloud, *args, **kwargs):
+            calls.append(cloud)
+            return original(cloud, *args, **kwargs)
+
+        monkeypatch.setattr(pipelines, "compute_feature_set", counted)
+        out = tmp_path / "bow"
+        assert run_cli(
+            "protocol", str(small_dataset), "--out-dir", str(out), "--seed", "3",
+            "--representation", "bow", "--learner", "bayes", "--voxel", "0.02",
+            "--dictionary-size", "20",
+        ) == 0
+        views = sum(1 for _ in small_dataset.rglob("*.pcd"))
+        assert len(calls) == len({id(c) for c in calls}) == views
+        # the same log as with one cache for the dictionary and another for
+        # the learner
+        log = (out / "protocol_log.jsonl").read_bytes()
+        assert hashlib.sha256(log).hexdigest() == (
+            "f20de6467b0ad614885f261caadc464c728117eb08d9e166b8cc0e7d70ffa87b"
+        )
 
 
 class TestNbv:

@@ -1,20 +1,32 @@
 """Global descriptor and spin-image feature extraction."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from openobj import descriptors
 from openobj.descriptors import (
     DescriptorError,
     compute_feature_set,
     compute_good,
     compute_spin_image,
+    estimate_normals,
     extract_keypoints,
     project_distribution,
     projection_entropy,
     projection_variance,
 )
 from openobj.pointcloud import PointCloud
-from openobj.synthgen import ShapeSpec, generate_view, random_rotation
+from openobj.synthgen import (
+    CategorySpec,
+    ShapeSpec,
+    generate_dataset,
+    generate_view,
+    random_rotation,
+)
 
 
 def skewed_object(seed=0, m=800):
@@ -199,18 +211,18 @@ class TestSpinImage:
         cloud = PointCloud([[0, 0, 0.03]])
         img = compute_spin_image(cloud, [0, 0, 0], [0, 0, 1], 4, 0.05)
         # alpha = 0, beta = 0.03: row 0, col = floor((0.03+0.05)*4/0.05) = 6
-        assert img.histogram[0, 6] == 1
+        assert img[0, 6] == 1
 
     def test_neighbor_in_tangent_plane(self):
         cloud = PointCloud([[0.03, 0, 0]])
         img = compute_spin_image(cloud, [0, 0, 0], [0, 0, 1], 4, 0.05)
         # beta = 0, alpha = 0.03: row floor(0.03*4/0.05) = 2, col = 4
-        assert img.histogram[2, 4] == 1
+        assert img[2, 4] == 1
 
     def test_dimensions(self):
         cloud = PointCloud(np.random.default_rng(0).uniform(-0.04, 0.04, (30, 3)))
         img = compute_spin_image(cloud, [0, 0, 0], [0, 0, 1], 4, 0.05)
-        assert img.histogram.shape == (5, 9)
+        assert img.shape == (5, 9)
 
     def test_matches_binning_oracle(self):
         rng = np.random.default_rng(7)
@@ -229,7 +241,7 @@ class TestSpinImage:
             row = min(int(np.floor(alpha * iw / sl)), iw)
             col = min(max(int(np.floor((beta + sl) * iw / sl)), 0), 2 * iw)
             expected[row, col] += 1
-        np.testing.assert_array_equal(img.histogram, expected)
+        np.testing.assert_array_equal(img, expected)
 
     def test_support_angle_filter(self):
         pts = np.array([[0.01, 0, 0.01], [0.01, 0, -0.01]])
@@ -238,7 +250,7 @@ class TestSpinImage:
             PointCloud(pts), [0, 0, 0], [0, 0, 1], 4, 0.05,
             support_angle=60.0, point_normals=normals,
         )
-        assert img.histogram.sum() == 1  # the anti-parallel normal is skipped
+        assert img.sum() == 1  # the anti-parallel normal is skipped
 
     def test_pose_invariance(self):
         rng = np.random.default_rng(9)
@@ -252,7 +264,7 @@ class TestSpinImage:
             moved = compute_spin_image(
                 PointCloud(pts @ rot.T + shift), rot @ keypoint + shift, rot @ normal, 4, 0.05
             )
-            np.testing.assert_array_equal(base.histogram, moved.histogram)
+            np.testing.assert_array_equal(base, moved)
 
 
 class TestFeatureSet:
@@ -271,3 +283,121 @@ class TestFeatureSet:
         cloud = generate_view(ShapeSpec("cylinder", (0.04, 0.12), points=400, seed=3))
         fs = compute_feature_set(cloud, voxel=0.02)
         assert len(fs) == len(extract_keypoints(cloud, 0.02))
+
+
+def reference_spin_image(cloud, keypoint, normal, image_width=4, support_length=0.05,
+                         support_angle=90.0, point_normals=None):
+    """One-keypoint spin image: the per-keypoint loop body that the
+    batched kernel replaced."""
+    keypoint = np.asarray(keypoint, dtype=np.float64).reshape(3)
+    normal = np.asarray(normal, dtype=np.float64).reshape(3)
+    iw = int(image_width)
+    sl = float(support_length)
+    delta = cloud.points - keypoint
+    beta = delta @ normal
+    alpha_sq = np.maximum(np.einsum("ij,ij->i", delta, delta) - beta**2, 0.0)
+    alpha = np.sqrt(alpha_sq)
+    keep = (alpha <= sl) & (np.abs(beta) <= sl)
+    if point_normals is not None:
+        point_normals = np.asarray(point_normals, dtype=np.float64)
+        cos_limit = np.cos(np.radians(support_angle))
+        keep &= point_normals @ normal >= cos_limit - 1e-12
+    rows = np.minimum(np.floor(alpha[keep] * iw / sl).astype(np.int64), iw)
+    cols = np.clip(np.floor((beta[keep] + sl) * iw / sl).astype(np.int64), 0, 2 * iw)
+    histogram = np.zeros((iw + 1, 2 * iw + 1))
+    np.add.at(histogram, (rows, cols), 1.0)
+    return histogram
+
+
+def reference_feature_matrix(cloud, voxel=0.01, image_width=4, support_length=0.05,
+                             support_angle=90.0):
+    """compute_feature_set's matrix, one reference spin image per keypoint."""
+    normals = estimate_normals(cloud, k=10)
+    return np.stack([
+        reference_spin_image(
+            cloud, cloud.points[i], normals[i], image_width, support_length,
+            support_angle, point_normals=normals,
+        ).ravel()
+        for i in descriptors._keypoint_indices(cloud.points, voxel)
+    ])
+
+
+@st.composite
+def spin_runs(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    m = draw(st.integers(1, 150))
+    extent = draw(st.floats(0.01, 0.3))
+    points = np.random.default_rng(seed).uniform(-extent, extent, size=(m, 3))
+    params = dict(
+        voxel=draw(st.floats(0.005, 0.1)),
+        image_width=draw(st.integers(1, 8)),
+        support_length=draw(st.floats(0.005, 0.3)),
+        support_angle=draw(st.floats(1.0, 180.0)),
+    )
+    return PointCloud(points), params
+
+
+class TestSpinImageKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(spin_runs())
+    def test_matches_per_keypoint_reference(self, run):
+        cloud, params = run
+        fs = compute_feature_set(cloud, **params)
+        assert np.array_equal(fs.as_matrix(), reference_feature_matrix(cloud, **params))
+
+    def test_one_point_cloud(self):
+        cloud = PointCloud([[0.1, -0.2, 0.3]])
+        fs = compute_feature_set(cloud)
+        assert np.array_equal(fs.as_matrix(), reference_feature_matrix(cloud))
+        assert fs.as_matrix().sum() == 1  # the keypoint itself
+
+    def test_keypoints_with_empty_support(self):
+        rng = np.random.default_rng(11)
+        cloud = PointCloud(rng.uniform(-0.03, 0.03, size=(40, 3)))
+        keypoints = np.array([[0.0, 0.0, 0.0], [5.0, 5.0, 5.0], [-5.0, 0.0, 0.0]])
+        normals = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        images = compute_spin_image(cloud, keypoints, normals, 4, 0.05)
+        assert images.shape == (3, 5, 9)
+        for got, keypoint, normal in zip(images, keypoints, normals):
+            assert np.array_equal(got, reference_spin_image(cloud, keypoint, normal, 4, 0.05))
+        assert images[0].sum() > 0
+        assert not images[1:].any()
+
+    def test_cloud_spanning_several_blocks(self):
+        cloud = generate_view(ShapeSpec("box", (0.2, 0.15, 0.1), points=1500, seed=12))
+        fs = compute_feature_set(cloud)
+        assert len(fs) > 3 * (descriptors._BLOCK_PAIRS // len(cloud))
+        assert np.array_equal(fs.as_matrix(), reference_feature_matrix(cloud))
+
+    def test_mismatched_normals_rejected(self):
+        cloud = PointCloud([[0.0, 0.0, 0.0]])
+        with pytest.raises(DescriptorError):
+            compute_spin_image(cloud, np.zeros((2, 3)), [0.0, 0.0, 1.0])
+
+    def test_feature_set_fields(self):
+        cloud = generate_view(ShapeSpec("sphere", (0.05,), points=200, seed=13))
+        fs = compute_feature_set(cloud, voxel=0.02)
+        assert fs.as_matrix() is fs.matrix
+        assert fs.keypoints.shape == fs.normals.shape == (len(fs), 3)
+        assert np.array_equal(fs.keypoints, extract_keypoints(cloud, 0.02))
+        for name in ("matrix", "keypoints", "normals"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(fs, name)[0, 0] = 1.0
+
+    def test_golden_feature_matrices(self):
+        # Determinism guard: SHA-256 of the little-endian float64 feature
+        # matrices of a fixed synthgen set, recorded from the per-keypoint
+        # implementation.
+        data = generate_dataset([
+            CategorySpec("box", "box", (0.12, 0.08, 0.05), points=200, noise_sigma=0.002),
+            CategorySpec("cylinder", "cylinder", (0.035, 0.14), points=200, noise_sigma=0.002),
+            CategorySpec("cone", "cone", (0.05, 0.13), points=200, noise_sigma=0.002),
+        ], 3, seed=42)
+        digest = hashlib.sha256()
+        for name in sorted(data):
+            for view in data[name]:
+                matrix = compute_feature_set(view, voxel=0.015).as_matrix()
+                digest.update(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
+        assert digest.hexdigest() == (
+            "48ad23e5d84b1b61e8b92a937f27e8b283337ee7bbc50b609ad90f4fdf41a824"
+        )

@@ -90,6 +90,25 @@ class TestLearnerWrappers:
         log, summary = self.run_protocol_with(cfg, tiny_dataset)
         assert summary.nlc >= 2
 
+    def test_spinset_fallback_honours_ct(self, tiny_dataset):
+        # One instance per category: no ICD yet, so classify takes the
+        # nearest-instance fallback.
+        from openobj.learning import UNKNOWN, set_distance
+
+        box, sphere = tiny_dataset.views["box"][0], tiny_dataset.views["sphere"][0]
+        plain = build_learner(ExperimentConfig(representation="spinset", voxel=0.025))
+        plain.teach("box", box)
+        gap = set_distance(plain.features.get(sphere), plain.features.get(box))
+        assert gap > 0
+        assert plain.classify(sphere) == "box"
+        strict = build_learner(
+            ExperimentConfig(representation="spinset", voxel=0.025, ct=gap / 2)
+        )
+        strict.teach("box", box)
+        assert all(c.icd is None for c in strict.memory)
+        assert strict.classify(box) == "box"
+        assert strict.classify(sphere) == UNKNOWN
+
     def test_stored_instances_match_log(self, tiny_dataset):
         cfg = ExperimentConfig(representation="good", learner="instance", good_bins=5)
         learner = build_learner(cfg)

@@ -119,6 +119,20 @@ class TestBowEncode:
         with pytest.raises(RepresentationError):
             bow_encode(np.zeros((2, 5)), self.DICT)
 
+    def test_one_buffer_distances_match_three_temporaries(self):
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            d = int(rng.integers(1, 50))
+            pool = rng.uniform(0, rng.uniform(0.1, 100), size=(int(rng.integers(1, 300)), d))
+            centers = pool[rng.integers(0, len(pool), int(rng.integers(1, 40)))]
+            centers = centers + rng.normal(scale=0.1, size=centers.shape)
+            want = (
+                np.sum(pool**2, axis=1)[:, None]
+                - 2 * pool @ centers.T
+                + np.sum(centers**2, axis=1)[None, :]
+            )
+            assert np.array_equal(representations._sq_distances(pool, centers), want)
+
 
 class TestLdaUpdate:
     def test_single_topic_forced(self):
