@@ -1,0 +1,95 @@
+"""Golden SHA-256 hashes of the CLI outputs for every representation x
+learner combination.
+
+A small generated set (3 categories x 10 views x 150 points) goes through
+`protocol` and a 3-fold `cv` per combination. Any change to the numbers a
+learner computes moves at least one hash. On a set this small two
+combinations share a protocol log, but every confusion matrix differs, so
+the nine cases still pin nine distinct behaviours.
+"""
+
+import hashlib
+
+import pytest
+
+from openobj.cli import main
+
+SMALL = ("--voxel", "0.02", "--dictionary-size", "20", "--topics", "8", "--gibbs-iters", "5")
+
+# (representation, learner): (protocol_log.jsonl, metrics.json, confusion.csv)
+GOLDEN = {
+    ("good", "instance"): (
+        "8d934683291a9b10fa4a5c2be7e3d52382701e220bb43faacf319abf6087f11a",
+        "cc41d5509b66cb989d2313e62c11927864384a697a75370d15d3ba6135d0238b",
+        "f44ae86ca06894e26f0856e57f4435e02dc32b28386f2ecb797ae00320c1f26e",
+    ),
+    ("good", "bayes"): (
+        "5fa9273235e6da6f66337cf9376c9a0647d70eee7fc8dd82d1955e7179bab943",
+        "b9322d8e5c261ce97cd06417dd59c5ab163a4271a8ebeed88e1f7d98e8a4abff",
+        "4b5f4de5368485f7c6a50edd2ec2bb08062085a0a76bf7a18ce09023c10d4851",
+    ),
+    ("spinset", "instance"): (
+        "7556299fbb6010c874ac815110015bf85c7d33b80e97facce027f103d7cd3363",
+        "fea3f42b6d1ed42a43ed1296f23fbbc1eb5bf214f40f45c1b5ecb64bce0fb5d6",
+        "ffded977e0ccd02b22cc889b8b5c3e374aeb0f8a0537c5932730d928dc4dc6a8",
+    ),
+    ("bow", "instance"): (
+        "0c255b88d4302e6c3dbafda01e4f2bf8695122d54a92631c6ff373bd23564e89",
+        "f6f2cd096dc7588afba82ee84dc3049e935a2aba4dc693a008176381a69b33a6",
+        "7d86ea46f9023eed8e3776968bb7c3540b5bcbeec4282a2f3065b58e01e9430e",
+    ),
+    ("bow", "bayes"): (
+        "7556299fbb6010c874ac815110015bf85c7d33b80e97facce027f103d7cd3363",
+        "62a4f8d1425d464a2388f9e61b158955c18be447cfd289ab9639d9785c6d64de",
+        "3b0353b4e304773a75809d289b7ca3035855b590fdf1b251550aa936fb1efddd",
+    ),
+    ("lda", "instance"): (
+        "f67068d1c859873a8e5a473be5e1daae5783d3341d66034c4ddd4ef624718b03",
+        "c06aa5b49e4b4c2548a2546827039fccadd0afa71f79e19119c5a8d395a1530e",
+        "38d61d453ce07c4d07ffda31200020e754ec8a61b990ea5c9e47cf3a11118bee",
+    ),
+    ("lda", "bayes"): (
+        "206028395a2ad57c1052df23f6e6418d93f56fce155c8b23f038763bc92fdb70",
+        "12162ca223b666f08ae6763600d64ea1e99ef2d8baa057e1970df0b0f8ab9944",
+        "3ce43f2c6f1699b5f7b4399c346957a90ba50170ea587ad227c63e363dbe6bd7",
+    ),
+    ("local_lda", "instance"): (
+        "c032915550890891d55919089906649e35860ba465d247382ef31d55101d235d",
+        "69fb8c87459280df660a46452943f70136f8bbb4f5057c9011600cd9404e4348",
+        "d43b2184d80783d411123f6f99dab6c9f6feb2256cc3e3d81af26c4f99172697",
+    ),
+    ("local_lda", "bayes"): (
+        "d604c88f3861d89e7e0665d7f3edb85753e8322a8d1526208b5668fc358e9bbc",
+        "4c6a5f66e23f99d62e587e5b523df0a9ffdb67dcbf3490035df1a1233973cc19",
+        "283518ea7464901d875eb347f09710cef59604c8fabc5b7c8a9b863feec55a70",
+    ),
+}
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def golden_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    cfg = root / "gen.cfg"
+    cfg.write_text("categories = 3\nviews = 10\npoints = 150\n")
+    data = root / "data"
+    assert main(["gen", "--out-dir", str(data), "--seed", "1", "--config", str(cfg)]) == 0
+    return data
+
+
+@pytest.mark.parametrize("representation,learner", list(GOLDEN))
+def test_cli_outputs_match_golden(golden_dataset, tmp_path, representation, learner):
+    combo = ("--representation", representation, "--learner", learner, *SMALL)
+    assert main(["protocol", str(golden_dataset), "--out-dir", str(tmp_path / "p"),
+                 "--seed", "1", *combo]) == 0
+    assert main(["cv", str(golden_dataset), "--out-dir", str(tmp_path / "cv"),
+                 "--seed", "1", "--folds", "3", *combo]) == 0
+    got = (
+        sha256(tmp_path / "p" / "protocol_log.jsonl"),
+        sha256(tmp_path / "cv" / "metrics.json"),
+        sha256(tmp_path / "cv" / "confusion.csv"),
+    )
+    assert got == GOLDEN[representation, learner]
