@@ -353,7 +353,6 @@ def _add_common(parser):
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--seed", type=int, help="master random seed")
     parser.add_argument("--out-dir", help="directory for output files")
-    parser.add_argument("--jobs", type=int, help="parallel workers for CV folds")
     for name in ExperimentConfig.field_names():
         if name == "seed":
             continue
@@ -391,6 +390,7 @@ def main(argv=None) -> int:
 
     p_cv = sub.add_parser("cv", help="k-fold cross-validation on a dataset tree")
     p_cv.add_argument("dataset", help="dataset root directory")
+    p_cv.add_argument("--jobs", type=int, help="parallel workers for CV folds")
     _add_common(p_cv)
 
     p_proto = sub.add_parser("protocol", help="simulated-teacher experiment")

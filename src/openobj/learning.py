@@ -72,7 +72,10 @@ class InstanceCategory:
     def to_json_dict(self) -> dict:
         return {
             "label": self.label,
-            "instances": [np.asarray(inst).tolist() for inst in self.instances],
+            "instances": [
+                np.asarray(inst.as_matrix() if hasattr(inst, "as_matrix") else inst).tolist()
+                for inst in self.instances
+            ],
             "icd": self.icd,
             "icd_provisional": self.icd_provisional,
         }

@@ -1,6 +1,11 @@
-"""Experiment wiring: representation extractors, learner wrappers with the
-teach/classify surface the simulated teacher expects, and the fold
-pipeline used by cross-validation.
+"""Experiment wiring: one learner with the teach/classify surface the
+simulated teacher expects, and the fold pipeline used by cross-validation.
+
+The learner pairs an encoder (GOOD, spin-image sets, bag of words, shared
+LDA or per-category LDA) with a memory (instance-based or naive Bayes),
+both chosen by the experiment config. Each view's GOOD bins and spin
+images are computed once per feature cache and shared by the dictionary,
+the learner and every fold.
 
 The BoW and topic paths need a visual-word dictionary. Protocol runs build
 it once from the dataset pool up front (the off-line exploration stage);
@@ -9,11 +14,10 @@ cross-validation builds one per fold from training views only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import learning
 from .descriptors import compute_feature_set, compute_good
 from .learning import (
     UNKNOWN,
@@ -23,6 +27,7 @@ from .learning import (
     bayes_teach,
     chi2,
     classify_instances,
+    ocd_min,
 )
 from .representations import (
     Dictionary,
@@ -39,7 +44,7 @@ __all__ = [
     "build_learner",
     "make_cv_pipeline",
     "collect_feature_pool",
-    "GoodInstanceLearner",
+    "Learner",
 ]
 
 REPRESENTATIONS = ("good", "spinset", "bow", "lda", "local_lda")
@@ -85,6 +90,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown learner {self.learner!r}")
         if self.representation == "spinset" and self.learner == "bayes":
             raise ConfigError("the Bayes learner needs a fixed-size representation")
+        if self.ct is not None and self.learner == "bayes":
+            # only the instance memory can return UNKNOWN
+            raise ConfigError("ct applies to the instance learner only")
         if self.good_bins < 2:
             raise ConfigError("good_bins must be at least 2")
         if min(self.voxel, self.support_length) <= 0:
@@ -115,8 +123,9 @@ class ExperimentConfig:
 
 
 class _FeatureCache:
-    """Spin-image feature sets are by far the slowest extraction; cache
-    them per cloud object so cross-validation folds share the work.
+    """Per-view features, computed once and shared by the dictionary pool,
+    the learner and every cross-validation fold: the spin-image feature set
+    (``get``) and the GOOD bins (``good``).
 
     Entries are keyed on id(cloud) and hold the cloud itself: while an
     entry lives its cloud cannot be freed, so no other cloud can take over
@@ -128,17 +137,22 @@ class _FeatureCache:
         self._store = {}
 
     def get(self, cloud):
-        key = id(cloud)
-        if key not in self._store:
-            features = compute_feature_set(
-                cloud,
-                voxel=self.config.voxel,
-                image_width=self.config.image_width,
-                support_length=self.config.support_length,
-                support_angle=self.config.support_angle,
-            )
-            self._store[key] = (cloud, features)
-        return self._store[key][1]
+        c = self.config
+        return self._lookup("spin", cloud, lambda: compute_feature_set(
+            cloud, voxel=c.voxel, image_width=c.image_width,
+            support_length=c.support_length, support_angle=c.support_angle,
+        ))
+
+    def good(self, cloud):
+        return self._lookup(
+            "good", cloud, lambda: compute_good(cloud, n=self.config.good_bins).bins
+        )
+
+    def _lookup(self, kind, cloud, compute):
+        _, per_view = self._store.setdefault(id(cloud), (cloud, {}))
+        if kind not in per_view:
+            per_view[kind] = compute()
+        return per_view[kind]
 
 
 def collect_feature_pool(feature_sets, cap: int, seed: int) -> np.ndarray:
@@ -151,307 +165,151 @@ def collect_feature_pool(feature_sets, cap: int, seed: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Learner wrappers (teach/classify over raw point clouds)
+# The learner: one encoder feeding one memory
 # ---------------------------------------------------------------------------
 
-class GoodInstanceLearner:
-    """Global descriptor + nearest stored instance (L2)."""
+class Learner:
+    """teach/classify over raw point clouds. ``config.representation``
+    picks the encoder (good, spinset, bow, lda, local_lda) and
+    ``config.learner`` the memory: a list of InstanceCategory (instance) or
+    a BayesMemory (bayes).
 
-    def __init__(self, config: ExperimentConfig):
-        self.config = config
-        self.memory: list[InstanceCategory] = []
-        self._index: dict[str, InstanceCategory] = {}
+    The instance memory scores by the nearest stored instance (L2 on GOOD
+    and BoW, chi-squared on topic proportions), or for spin-image sets by
+    the normalized object-category distance; it returns UNKNOWN when the
+    best score exceeds ``config.ct``. The Bayes memory keeps counts.
+    """
 
-    def _vector(self, cloud):
-        return compute_good(cloud, n=self.config.good_bins).bins
-
-    def teach(self, category, cloud):
-        if category not in self._index:
-            cat = InstanceCategory(category)
-            self._index[category] = cat
-            self.memory.append(cat)
-        self._index[category].instances.append(self._vector(cloud))
-
-    def classify(self, cloud):
-        return classify_instances(
-            self._vector(cloud), self.memory, mode="nn_fixed", metric="L2",
-            ct=self.config.ct,
-        ).label
-
-    def stored_instances(self) -> int:
-        return sum(len(c.instances) for c in self.memory)
-
-
-class GoodBayesLearner:
-    """Global descriptor + naive Bayes over its normalized bins."""
-
-    def __init__(self, config: ExperimentConfig):
-        self.config = config
-        self.memory = BayesMemory()
-
-    def _vector(self, cloud):
-        return compute_good(cloud, n=self.config.good_bins).bins
-
-    def teach(self, category, cloud):
-        bayes_teach(self.memory, category, self._vector(cloud))
-
-    def classify(self, cloud):
-        return bayes_classify(self.memory, self._vector(cloud)).label
-
-
-class SpinsetInstanceLearner:
-    """Sets of spin images + normalized object-category distances."""
-
-    def __init__(self, config: ExperimentConfig, features: _FeatureCache | None = None):
-        self.config = config
-        self.features = features or _FeatureCache(config)
-        self.memory: list[InstanceCategory] = []
-        self._index: dict[str, InstanceCategory] = {}
-
-    def teach(self, category, cloud):
-        if category not in self._index:
-            cat = InstanceCategory(category)
-            self._index[category] = cat
-            self.memory.append(cat)
-        self._index[category].add(self.features.get(cloud))
-
-    def classify(self, cloud):
-        target = self.features.get(cloud)
-        ready = [c for c in self.memory if c.icd is not None and c.icd > 0]
-        if not ready:
-            # before any category has a usable spread, fall back to the
-            # nearest-instance rule
-            scores = {
-                c.label: learning.ocd_min(target, c) for c in self.memory if c.instances
-            }
-            best = min(scores, key=scores.get)
-            if self.config.ct is not None and scores[best] > self.config.ct:
-                return UNKNOWN
-            return best
-        return classify_instances(
-            target, ready, mode=self.config.nocd_mode, ct=self.config.ct
-        ).label
-
-    def stored_instances(self) -> int:
-        return sum(len(c.instances) for c in self.memory)
-
-
-class BowInstanceLearner:
-    def __init__(self, config: ExperimentConfig, dictionary: Dictionary,
+    def __init__(self, config: ExperimentConfig, dictionary: Dictionary | None = None,
                  features: _FeatureCache | None = None):
         self.config = config
         self.dictionary = dictionary
         self.features = features or _FeatureCache(config)
-        self.memory: list[InstanceCategory] = []
+        self.bayes = config.learner == "bayes"
+        self.memory: list[InstanceCategory] | BayesMemory = BayesMemory() if self.bayes else []
         self._index: dict[str, InstanceCategory] = {}
-
-    def _vector(self, cloud):
-        words = _assign(self.features.get(cloud).as_matrix(), self.dictionary.words)
-        return np.bincount(words, minlength=self.dictionary.size).astype(np.float64)
-
-    def teach(self, category, cloud):
-        if category not in self._index:
-            cat = InstanceCategory(category)
-            self._index[category] = cat
-            self.memory.append(cat)
-        self._index[category].instances.append(self._vector(cloud))
-
-    def classify(self, cloud):
-        return classify_instances(
-            self._vector(cloud), self.memory, mode="nn_fixed", metric="L2",
-            ct=self.config.ct,
-        ).label
-
-    def stored_instances(self) -> int:
-        return sum(len(c.instances) for c in self.memory)
-
-
-class BowBayesLearner:
-    def __init__(self, config: ExperimentConfig, dictionary: Dictionary,
-                 features: _FeatureCache | None = None):
-        self.config = config
-        self.dictionary = dictionary
-        self.features = features or _FeatureCache(config)
-        self.memory = BayesMemory()
-
-    def _vector(self, cloud):
-        words = _assign(self.features.get(cloud).as_matrix(), self.dictionary.words)
-        return np.bincount(words, minlength=self.dictionary.size)
-
-    def teach(self, category, cloud):
-        bayes_teach(self.memory, category, self._vector(cloud))
-
-    def classify(self, cloud):
-        return bayes_classify(self.memory, self._vector(cloud)).label
-
-
-class _LdaBase:
-    """Shared-topic model: documents are word-index sequences."""
-
-    def __init__(self, config: ExperimentConfig, dictionary: Dictionary,
-                 features: _FeatureCache | None = None):
-        self.config = config
-        self.dictionary = dictionary
-        self.features = features or _FeatureCache(config)
-        self.model = TopicModel(
-            k=config.topics,
-            v=dictionary.size,
-            alpha=config.alpha,
-            beta=config.beta,
-            rng_seed=config.seed,
-        )
-
-    def _doc(self, cloud):
-        return _assign(self.features.get(cloud).as_matrix(), self.dictionary.words)
-
-
-class LdaInstanceLearner(_LdaBase):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.memory: list[InstanceCategory] = []
-        self._index: dict[str, InstanceCategory] = {}
-
-    def teach(self, category, cloud):
-        doc = self._doc(cloud)
-        lda_update(self.model, doc, self.config.gibbs_iters)
-        theta = lda_infer(self.model, doc, self.config.gibbs_iters).theta
-        if category not in self._index:
-            cat = InstanceCategory(category)
-            self._index[category] = cat
-            self.memory.append(cat)
-        self._index[category].instances.append(theta)
-
-    def classify(self, cloud):
-        theta = lda_infer(self.model, self._doc(cloud), self.config.gibbs_iters).theta
-        return classify_instances(
-            theta, self.memory, mode="nn_fixed", metric="chi2", ct=self.config.ct
-        ).label
-
-    def stored_instances(self) -> int:
-        return sum(len(c.instances) for c in self.memory)
-
-
-class LdaBayesLearner(_LdaBase):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.memory = BayesMemory()
-
-    def teach(self, category, cloud):
-        doc = self._doc(cloud)
-        lda_update(self.model, doc, self.config.gibbs_iters)
-        counts = lda_infer(self.model, doc, self.config.gibbs_iters).counts
-        bayes_teach(self.memory, category, counts)
-
-    def classify(self, cloud):
-        counts = lda_infer(self.model, self._doc(cloud), self.config.gibbs_iters).counts
-        return bayes_classify(self.memory, counts).label
-
-
-class _LocalLdaBase:
-    """Per-category topic models; a target is represented against each
-    category's own topics."""
-
-    def __init__(self, config: ExperimentConfig, dictionary: Dictionary,
-                 features: _FeatureCache | None = None):
-        self.config = config
-        self.dictionary = dictionary
-        self.features = features or _FeatureCache(config)
+        # lda shares one topic model; local_lda grows one per category
+        self.model = None
         self.models: dict[str, TopicModel] = {}
+        if config.representation == "lda":
+            self.model = TopicModel(k=config.topics, v=dictionary.size, alpha=config.alpha,
+                                    beta=config.beta, rng_seed=config.seed)
+
+    def teach(self, category, cloud):
+        x = self._encode(cloud, category, learn=True)
+        if self.bayes:
+            bayes_teach(self.memory, category, x)
+            return
+        if category not in self._index:
+            self._index[category] = InstanceCategory(category)
+            self.memory.append(self._index[category])
+        if self.config.representation == "spinset":
+            self._index[category].add(x)  # keeps the category's ICD current
+        else:
+            self._index[category].instances.append(x)
+
+    def classify(self, cloud):
+        rep = self.config.representation
+        if rep == "local_lda":
+            return self._classify_local(self._doc(cloud))
+        target = self._encode(cloud)
+        if self.bayes:
+            return bayes_classify(self.memory, target).label
+        if rep == "spinset":
+            return self._classify_sets(target)
+        metric = "chi2" if rep == "lda" else "L2"
+        return classify_instances(
+            target, self.memory, mode="nn_fixed", metric=metric, ct=self.config.ct
+        ).label
+
+    def stored_instances(self) -> int:
+        """Instances held by the instance memory."""
+        return sum(len(c.instances) for c in self.memory)
+
+    # -- encoders ------------------------------------------------------------
+
+    def _encode(self, cloud, category=None, learn=False):
+        """The view as the memory stores it. With ``learn`` the topic
+        encoders first fold the view into its model: the shared one (lda)
+        or ``category``'s own (local_lda)."""
+        rep = self.config.representation
+        if rep == "good":
+            return self.features.good(cloud)
+        if rep == "spinset":
+            return self.features.get(cloud)
+        doc = self._doc(cloud)
+        if rep == "bow":
+            counts = np.bincount(doc, minlength=self.dictionary.size)
+            return counts if self.bayes else counts.astype(np.float64)
+        if learn:
+            self._update(category, doc)
+        return self._topics(doc, self.model if rep == "lda" else self.models[category])
 
     def _doc(self, cloud):
         return _assign(self.features.get(cloud).as_matrix(), self.dictionary.words)
 
     def _update(self, category, doc):
+        c = self.config
+        if c.representation == "lda":
+            lda_update(self.model, doc, c.gibbs_iters)
+            return
         local_lda_update(
-            self.models,
-            category,
-            doc,
-            iters=self.config.gibbs_iters,
-            k=self.config.topics,
-            v=self.dictionary.size,
-            alpha=self.config.alpha,
-            beta=self.config.beta,
-            seed=self.config.seed,
+            self.models, category, doc, iters=c.gibbs_iters, k=c.topics,
+            v=self.dictionary.size, alpha=c.alpha, beta=c.beta, seed=c.seed,
         )
 
+    def _topics(self, doc, model):
+        inferred = lda_infer(model, doc, self.config.gibbs_iters)
+        return inferred.counts if self.bayes else inferred.theta
 
-class LocalLdaInstanceLearner(_LocalLdaBase):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.instances: dict[str, list] = {}
+    # -- scoring -------------------------------------------------------------
 
-    def teach(self, category, cloud):
-        doc = self._doc(cloud)
-        self._update(category, doc)
-        theta = lda_infer(self.models[category], doc, self.config.gibbs_iters).theta
-        self.instances.setdefault(category, []).append(theta)
+    def _classify_sets(self, target):
+        ready = [c for c in self.memory if c.icd is not None and c.icd > 0]
+        if ready:
+            return classify_instances(
+                target, ready, mode=self.config.nocd_mode, ct=self.config.ct
+            ).label
+        # before any category has a usable spread, fall back to the
+        # nearest-instance rule
+        return self._lowest({
+            c.label: ocd_min(target, c) for c in self.memory if c.instances
+        })
 
-    def classify(self, cloud):
-        doc = self._doc(cloud)
+    def _classify_local(self, doc):
+        """Represent the query against each category's own topic model and
+        score it there."""
         scores = {}
         for category, model in self.models.items():
-            theta = lda_infer(model, doc, self.config.gibbs_iters).theta
-            scores[category] = min(chi2(theta, inst) for inst in self.instances[category])
+            y = self._topics(doc, model)
+            if self.bayes:
+                cat = self.memory.categories[category]
+                # negated log-posterior: the most likely category scores lowest
+                scores[category] = -float(
+                    np.log(self.memory.prior(category)) + y @ np.log(cat.conditionals())
+                )
+            else:
+                scores[category] = min(chi2(y, inst) for inst in self._index[category].instances)
+        return self._lowest(scores)
+
+    def _lowest(self, scores):
+        """Lowest score wins, ties to the earliest; UNKNOWN above ct."""
         best = min(scores, key=scores.get)
         if self.config.ct is not None and scores[best] > self.config.ct:
             return UNKNOWN
         return best
 
-    def stored_instances(self) -> int:
-        return sum(len(v) for v in self.instances.values())
-
-
-class LocalLdaBayesLearner(_LocalLdaBase):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.memory = BayesMemory()
-
-    def teach(self, category, cloud):
-        doc = self._doc(cloud)
-        self._update(category, doc)
-        counts = lda_infer(self.models[category], doc, self.config.gibbs_iters).counts
-        bayes_teach(self.memory, category, counts)
-
-    def classify(self, cloud):
-        doc = self._doc(cloud)
-        scores = {}
-        for category, model in self.models.items():
-            y = lda_infer(model, doc, self.config.gibbs_iters).counts
-            cat = self.memory.categories[category]
-            scores[category] = float(
-                np.log(self.memory.prior(category)) + y @ np.log(cat.conditionals())
-            )
-        return max(scores, key=scores.get)
-
 
 _NEEDS_DICTIONARY = {"bow", "lda", "local_lda"}
 
-_LEARNER_TABLE = {
-    ("good", "instance"): GoodInstanceLearner,
-    ("good", "bayes"): GoodBayesLearner,
-    ("spinset", "instance"): SpinsetInstanceLearner,
-    ("bow", "instance"): BowInstanceLearner,
-    ("bow", "bayes"): BowBayesLearner,
-    ("lda", "instance"): LdaInstanceLearner,
-    ("lda", "bayes"): LdaBayesLearner,
-    ("local_lda", "instance"): LocalLdaInstanceLearner,
-    ("local_lda", "bayes"): LocalLdaBayesLearner,
-}
-
 
 def build_learner(config: ExperimentConfig, dictionary: Dictionary | None = None,
-                  features: _FeatureCache | None = None):
-    """Instantiate the representation/learner combination of the config."""
+                  features: _FeatureCache | None = None) -> Learner:
+    """The learner for the config's representation/learner combination."""
     config.validate()
-    key = (config.representation, config.learner)
-    cls = _LEARNER_TABLE[key]
-    if config.representation in ("good",):
-        return cls(config)
-    if config.representation == "spinset":
-        return cls(config, features)
-    if dictionary is None:
+    if config.representation in _NEEDS_DICTIONARY and dictionary is None:
         raise ConfigError(f"{config.representation} needs a visual-word dictionary")
-    return cls(config, dictionary, features)
+    return Learner(config, dictionary, features)
 
 
 def build_dictionary_from_clouds(clouds, config: ExperimentConfig,

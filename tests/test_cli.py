@@ -145,6 +145,25 @@ class TestCv:
             outs.append((out / "metrics.json").read_text())
         assert outs[0] == outs[1]
 
+    def test_jobs_leave_results_unchanged(self, small_dataset, tmp_path):
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            assert run_cli("cv", str(small_dataset), "--out-dir", str(out), "--seed", "9",
+                           "--representation", "good", "--good-bins", "5", "--folds", "4",
+                           "--jobs", jobs) == 0
+            outs.append((out / "confusion.csv").read_text())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("argv", [
+        ("gen",), ("describe", "view.pcd"), ("protocol", "data"), ("nbv", "w.pcd", "p.json"),
+    ])
+    def test_jobs_refused_outside_cv(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--jobs", "2")
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
 
 class TestProtocol:
     def test_summary_fields(self, small_dataset, tmp_path):

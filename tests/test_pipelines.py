@@ -37,6 +37,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(representation="spinset", learner="bayes").validate()
 
+    def test_ct_with_bayes_rejected(self):
+        # only the instance memory can answer UNKNOWN
+        ExperimentConfig(learner="instance", ct=0.5).validate()
+        with pytest.raises(ConfigError, match="ct"):
+            ExperimentConfig(representation="bow", learner="bayes", ct=0.5).validate()
+
     def test_dictionary_required(self):
         cfg = ExperimentConfig(representation="bow", learner="bayes")
         with pytest.raises(ConfigError):
@@ -136,12 +142,12 @@ class TestFeatureCache:
     def test_freed_cloud_id_never_serves_stale_features(self, tiny_dataset):
         # Each view is copied into a fresh cloud that is dropped right after
         # use, so CPython readily hands a later copy the same id. The cache
-        # must still return each copy's own spin images.
-        from openobj.descriptors import compute_feature_set
+        # must still return each copy's own spin images and GOOD bins.
+        from openobj.descriptors import compute_feature_set, compute_good
         from openobj.pipelines import _FeatureCache
         from openobj.pointcloud import PointCloud
 
-        config = ExperimentConfig()
+        config = ExperimentConfig(representation="spinset")
         cache = _FeatureCache(config)
         views = [v for views in tiny_dataset.views.values() for v in views[:3]]
         for view in views:
@@ -153,3 +159,23 @@ class TestFeatureCache:
             ).as_matrix()
             assert np.array_equal(got, want)
             del cloud
+        for view in views:
+            cloud = PointCloud(view.points.copy())
+            want = compute_good(cloud, n=config.good_bins).bins
+            assert np.array_equal(cache.good(cloud), want)
+            del cloud
+
+    def test_cv_computes_good_once_per_view(self, tiny_dataset, monkeypatch):
+        from openobj import pipelines
+
+        calls = []
+        original = pipelines.compute_good
+
+        def counted(cloud, *args, **kwargs):
+            calls.append(cloud)
+            return original(cloud, *args, **kwargs)
+
+        monkeypatch.setattr(pipelines, "compute_good", counted)
+        cfg = ExperimentConfig(representation="good", learner="instance", good_bins=5)
+        kfold(tiny_dataset, k=5, pipeline=make_cv_pipeline(cfg), seed=0)
+        assert len(calls) == len({id(c) for c in calls}) == 30
