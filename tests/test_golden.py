@@ -6,6 +6,9 @@ A small generated set (3 categories x 10 views x 150 points) goes through
 learner computes moves at least one hash. On a set this small two
 combinations share a protocol log, but every confusion matrix differs, so
 the nine cases still pin nine distinct behaviours.
+
+`protocol --context-change` is pinned separately, on a set whose context
+split the teacher crosses.
 """
 
 import hashlib
@@ -93,3 +96,50 @@ def test_cli_outputs_match_golden(golden_dataset, tmp_path, representation, lear
         sha256(tmp_path / "cv" / "confusion.csv"),
     )
     assert got == GOLDEN[representation, learner]
+
+
+# Context-change runs on a 5-category split set (3 in context A, 2 in B):
+# (representation, learner, switch): (protocol_log.jsonl, summary.json).
+# With rho = 2 the teacher reaches the switch and introduces both B
+# categories; --alc 5 samples rho = 4, past the three A categories.
+CONTEXT_GOLDEN = {
+    ("good", "instance", ("--rho", "2")): (
+        "14a702f2faae845412ebbfc9f11e6757fdfcb0c5d6c8deaac27e08f6cb749ff9",
+        "37bf7815adc012e305332bea08ecbbbbadd78b269fc4479e995ff2dd6f6c91af",
+    ),
+    ("bow", "bayes", ("--rho", "2")): (
+        "cf6d961c7128f4e6036250de82aa099e38d8c2ed5cbb5b6f23ef6267eeb4fdca",
+        "cba00c12b67a25878982e1b62c3d922cbb9b8f6c54df5178d860ac43179ee867",
+    ),
+    ("spinset", "instance", ("--rho", "2")): (
+        "87004b00be958cd68561aa84031db7d06cb6ebbaee0353405075f217fbedf0f1",
+        "ed22699adc1cb1d371ebaad71e320007078fbf8f74be7e8dfe9a44cb0d0a8523",
+    ),
+    ("good", "instance", ("--alc", "5")): (
+        "1960bbc0fdd5d3ca7872a9ad3ab37fbd390782c0a0e6d83b79916faef0634df6",
+        "83d96350bd837410a0c12b025333c0ba2eee75720915404267f0f84350497737",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def context_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden_ctx")
+    cfg = root / "gen.cfg"
+    cfg.write_text("categories = 5\nviews = 15\npoints = 150\n")
+    data = root / "data"
+    assert main(["gen", "--out-dir", str(data), "--seed", "2", "--config", str(cfg),
+                 "--context-split"]) == 0
+    return data
+
+
+@pytest.mark.parametrize("representation,learner,switch", list(CONTEXT_GOLDEN))
+def test_context_change_outputs_match_golden(context_dataset, tmp_path, representation,
+                                             learner, switch):
+    out = tmp_path / "p"
+    assert main(["protocol", str(context_dataset), "--context-change", *switch,
+                 "--seed", "1", "--voxel", "0.02", "--dictionary-size", "20",
+                 "--representation", representation, "--learner", learner,
+                 "--out-dir", str(out)]) == 0
+    got = (sha256(out / "protocol_log.jsonl"), sha256(out / "summary.json"))
+    assert got == CONTEXT_GOLDEN[representation, learner, switch]
