@@ -6,7 +6,6 @@ from openobj.evaluation import (
     LabeledDataset,
     pick_rho,
     replay_accuracies,
-    run_context_protocol,
     run_protocol,
 )
 from openobj.pipelines import ExperimentConfig, build_learner
@@ -41,7 +40,7 @@ ctx_dataset = LabeledDataset(views=data, contexts=contexts)
 rho = 1
 learner = build_learner(ExperimentConfig(representation="good", learner="instance",
                                          good_bins=15))
-log, summary = run_context_protocol(ctx_dataset, learner, rho=rho, seed=0)
+log, summary = run_protocol(ctx_dataset, learner, rho=rho, seed=0)
 print("context-change session")
 print(f"  rho={rho}  termination: {summary.termination}")
 print(f"  ALC1={summary.alc1}  ALC2={summary.alc2}  adaptability={summary.adaptability}")

@@ -3,7 +3,10 @@ cross-validation, teaching-protocol experiments and next-best-view runs.
 
 Config files are flat ``key = value`` text (# comments allowed); keys must
 be experiment-config fields or the generator keys below, and command-line
-flags override file values. All randomness flows from --seed.
+flags override file values. Every value is parsed by its key's declared
+type, and ``none`` clears ``ct``. A bad flag value is a usage error (exit
+2); a bad file value is an error naming its key (exit 1). All randomness
+flows from --seed.
 """
 
 from __future__ import annotations
@@ -12,35 +15,32 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields
+from functools import partial
 
 import numpy as np
 
 from .descriptors import compute_feature_set, compute_good
+from .errors import OpenobjError
 from .evaluation import (
     LabeledDataset,
     kfold,
     metrics,
     pick_rho,
-    run_context_protocol,
     run_protocol,
     write_summary_csv,
 )
-from .nbv import CameraPose, load_poses, render_virtual, SegmentedScene, select_next_view, viewpoint_entropy, weighted_entropy
+from .nbv import load_poses, render_virtual, SegmentedScene, select_next_view, viewpoint_entropy, weighted_entropy
 from .pipelines import (
-    ConfigError,
     ExperimentConfig,
-    _FeatureCache,
     build_dictionary_from_clouds,
-    build_learner,
+    build_learner_from_pool,
     make_cv_pipeline,
 )
 from .pointcloud import load_pcd
-from .representations import Dictionary
+from .representations import Dictionary, RepresentationError, bow_encode
 from .segmentation import euclidean_cluster
 from .synthgen import CategorySpec, generate_dataset
-
-GEN_KEYS = {"categories", "views", "points", "noise_sigma", "context_split"}
 
 DEFAULT_CATEGORIES = (
     CategorySpec("box", "box", (0.12, 0.08, 0.05)),
@@ -51,64 +51,83 @@ DEFAULT_CATEGORIES = (
 )
 
 
-class CliError(Exception):
+class CliError(OpenobjError):
     pass
 
 
+def _bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(text)
+    return text.lower() == "true"
+
+
+def _float_or_none(text: str) -> float | None:
+    return None if text.lower() in ("none", "null") else float(text)
+
+
+# declared type -> parser of its text form
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _bool, "float | None": _float_or_none}
+
+GEN_KEYS = {"categories": "int", "views": "int", "points": "int", "noise_sigma": "float",
+            "context_split": "bool"}
+# every config key with its declared type (the field annotations of
+# ExperimentConfig, which pipelines keeps as strings)
+SCHEMA = {**{f.name: f.type for f in fields(ExperimentConfig)}, **GEN_KEYS}
+
+
+def parse_value(key: str, text: str, error=CliError):
+    """A flag or config-file value, parsed by its key's declared type. Flags
+    pass argparse.ArgumentTypeError as ``error``, so that a bad flag value
+    is a usage error."""
+    try:
+        return _PARSERS[SCHEMA[key]](text)
+    except ValueError:
+        raise error(f"{key} must be {SCHEMA[key]}, got {text!r}") from None
+
+
 def parse_config_file(path) -> dict:
-    """Flat key = value lines; unknown keys are hard errors."""
-    known = set(ExperimentConfig.field_names()) | GEN_KEYS
+    """Flat key = value lines as raw strings; unknown keys are hard errors."""
     values = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise CliError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in known:
-                raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = value
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise CliError(f"{path}: not an ASCII config file") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise CliError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in SCHEMA:
+            raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = value.strip()
     return values
 
 
-def _coerce(key: str, value: str):
-    if value.lower() in ("none", "null"):
-        return None
-    if value.lower() in ("true", "false"):
-        return value.lower() == "true"
-    for cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            continue
-    return value
-
-
 def build_config(args) -> tuple[ExperimentConfig, dict]:
-    file_values = parse_config_file(args.config) if args.config else {}
-    gen_values = {}
-    config = ExperimentConfig()
-    for key, raw in file_values.items():
-        value = _coerce(key, raw)
-        if key in GEN_KEYS:
-            gen_values[key] = value
-        else:
-            config = replace(config, **{key: value})
-    overrides = {
-        name: getattr(args, name)
-        for name in ExperimentConfig.field_names()
-        if getattr(args, name, None) is not None
-    }
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        config = replace(config, **overrides)
-    config.validate()
-    return config, gen_values
+    """The validated experiment config and the generator values: config-file
+    values, overridden by the flags given on the command line."""
+    values = {}
+    if args.config:
+        for key, text in parse_config_file(args.config).items():
+            try:
+                values[key] = parse_value(key, text)
+            except CliError as exc:
+                raise CliError(f"{args.config}: {exc}") from None
+    values.update((key, value) for key, value in vars(args).items() if key in SCHEMA)
+    gen_values = {key: values.pop(key) for key in GEN_KEYS if key in values}
+    return ExperimentConfig(**values).validate(), gen_values
+
+
+def _read_json(path):
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # not ASCII, or not JSON
+        raise CliError(f"{path}: not a JSON file: {exc}") from None
 
 
 def load_dataset(root) -> LabeledDataset:
@@ -129,9 +148,7 @@ def load_dataset(root) -> LabeledDataset:
     contexts = None
     manifest_path = os.path.join(root, "manifest.json")
     if os.path.exists(manifest_path):
-        with open(manifest_path, "r", encoding="ascii") as fh:
-            manifest = json.load(fh)
-        contexts = manifest.get("contexts")
+        contexts = _read_json(manifest_path).get("contexts")
     return LabeledDataset(views=views, contexts=contexts)
 
 
@@ -149,18 +166,19 @@ def _write_json(payload: dict, path=None) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
-    config, gen_values = build_config(args)
+    config, gen = build_config(args)
     out_dir = args.out_dir or "dataset"
-    n_categories = int(gen_values.get("categories", 5))
-    views = int(gen_values.get("views", 40))
-    points = int(gen_values.get("points", 350))
-    noise = float(gen_values.get("noise_sigma", 0.002))
+    n_categories = gen.get("categories", 5)
+    if not 1 <= n_categories <= len(DEFAULT_CATEGORIES):
+        raise CliError(f"categories must lie in [1, {len(DEFAULT_CATEGORIES)}]")
+    views = gen.get("views", 40)
     categories = [
-        CategorySpec(c.name, c.kind, c.dimensions, points=points, noise_sigma=noise)
+        CategorySpec(c.name, c.kind, c.dimensions, points=gen.get("points", 350),
+                     noise_sigma=gen.get("noise_sigma", 0.002))
         for c in DEFAULT_CATEGORIES[:n_categories]
     ]
     contexts = None
-    if args.context_split or gen_values.get("context_split"):
+    if gen.get("context_split"):
         rng = np.random.default_rng(config.seed)
         names = [c.name for c in categories]
         half = rng.permutation(len(names))
@@ -180,56 +198,36 @@ def cmd_describe(args) -> int:
         raise CliError(f"{args.input}: no valid points")
     kind = args.type or config.representation
     if kind == "good":
-        payload = compute_good(cloud, n=config.good_bins).to_json_dict()
-    elif kind == "spinset":
-        fs = compute_feature_set(
-            cloud,
-            voxel=config.voxel,
-            image_width=config.image_width,
-            support_length=config.support_length,
-            support_angle=config.support_angle,
-        )
-        payload = {
-            "type": "spinset",
-            "params": {
-                "voxel": config.voxel,
-                "image_width": config.image_width,
-                "support_length": config.support_length,
-                "support_angle": config.support_angle,
-            },
-            "values": fs.as_matrix().tolist(),
-        }
-    elif kind == "bow":
-        if not args.dictionary:
-            raise CliError(
-                "bow descriptors need --dictionary <words.json or dataset dir>"
-            )
-        if os.path.isdir(args.dictionary):
-            pool_dataset = load_dataset(args.dictionary)
-            clouds = [c for views in pool_dataset.views.values() for c in views]
-            dictionary = build_dictionary_from_clouds(clouds, config)
-        else:
-            with open(args.dictionary, "r", encoding="ascii") as fh:
-                dictionary = Dictionary.from_json_dict(json.load(fh))
-        fs = compute_feature_set(
-            cloud,
-            voxel=config.voxel,
-            image_width=config.image_width,
-            support_length=config.support_length,
-            support_angle=config.support_angle,
-        )
-        from .representations import bow_encode
-
-        counts = bow_encode(fs, dictionary).counts
+        _write_json(compute_good(cloud, n=config.good_bins).to_json_dict())
+        return 0
+    if kind not in ("spinset", "bow"):
+        raise CliError(f"describe does not support representation {kind!r}")
+    dictionary = _load_dictionary(args.dictionary, config) if kind == "bow" else None
+    params = config.spin_image_args()
+    features = compute_feature_set(cloud, **params)
+    if kind == "spinset":
+        payload = {"type": "spinset", "params": params, "values": features.as_matrix().tolist()}
+    else:
         payload = {
             "type": "bow",
             "params": {"dictionary_size": dictionary.size},
-            "values": counts.tolist(),
+            "values": bow_encode(features, dictionary).counts.tolist(),
         }
-    else:
-        raise CliError(f"describe does not support representation {kind!r}")
     _write_json(payload)
     return 0
+
+
+def _load_dictionary(path, config: ExperimentConfig) -> Dictionary:
+    """Visual words from a words JSON file, or built from a dataset tree."""
+    if not path:
+        raise CliError("bow descriptors need --dictionary <words.json or dataset dir>")
+    if os.path.isdir(path):
+        views = load_dataset(path).views.values()
+        return build_dictionary_from_clouds([c for clouds in views for c in clouds], config)
+    try:
+        return Dictionary.from_json_dict(_read_json(path))
+    except RepresentationError as exc:
+        raise CliError(f"{path}: {exc}") from None
 
 
 def cmd_cv(args) -> int:
@@ -254,40 +252,23 @@ def cmd_cv(args) -> int:
 def cmd_protocol(args) -> int:
     config, _ = build_config(args)
     dataset = load_dataset(args.dataset)
-    all_clouds = [cloud for views in dataset.views.values() for cloud in views]
-    # one cache, so the dictionary pool and the learner share each view's
-    # spin images
-    features = _FeatureCache(config)
-    dictionary = None
-    if config.representation in ("bow", "lda", "local_lda"):
-        dictionary = build_dictionary_from_clouds(all_clouds, config, features)
-    learner = build_learner(config, dictionary, features)
+    rho = None
     if args.context_change:
         if dataset.contexts is None:
             raise CliError("dataset has no context map; regenerate with --context-split")
-        rho = args.rho if args.rho is not None else pick_rho(
-            args.alc if args.alc is not None else len(dataset.views), config.seed
-        )
-        log, summary = run_context_protocol(
-            dataset,
-            learner,
-            rho=rho,
-            tau=config.tau,
-            window_mult=config.window_mult,
-            breakpoint_limit=config.breakpoint_limit,
-            views_per_teach=config.views_per_teach,
-            seed=config.seed,
-        )
-    else:
-        log, summary = run_protocol(
-            dataset,
-            learner,
-            tau=config.tau,
-            window_mult=config.window_mult,
-            breakpoint_limit=config.breakpoint_limit,
-            views_per_teach=config.views_per_teach,
-            seed=config.seed,
-        )
+        alc = args.alc if args.alc is not None else len(dataset.views)
+        rho = args.rho if args.rho is not None else pick_rho(alc, config.seed)
+    clouds = [cloud for views in dataset.views.values() for cloud in views]
+    log, summary = run_protocol(
+        dataset,
+        build_learner_from_pool(config, clouds),
+        tau=config.tau,
+        window_mult=config.window_mult,
+        breakpoint_limit=config.breakpoint_limit,
+        views_per_teach=config.views_per_teach,
+        seed=config.seed,
+        rho=rho,
+    )
     out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
     log.write_jsonl(os.path.join(out_dir, "protocol_log.jsonl"))
@@ -303,7 +284,10 @@ def cmd_nbv(args) -> int:
     poses = load_poses(args.poses)
     if not poses:
         raise CliError("pose list is empty")
-    current = poses[args.current] if args.current is not None else poses[0]
+    index = args.current if args.current is not None else 0
+    if not 0 <= index < len(poses):
+        raise CliError(f"--current {index} is not one of the {len(poses)} poses")
+    current = poses[index]
     ranked = []
     candidates = []
     for i, pose in enumerate(poses):
@@ -333,9 +317,7 @@ def cmd_nbv(args) -> int:
     selected = None
     if total > 0:
         pose = select_next_view(candidates, seed=config.seed)
-        selected = next(
-            i for i, p in enumerate(poses) if p is pose
-        )
+        selected = next(i for i, p in enumerate(poses) if p is pose)
     payload = {"ranked": ranked, "selected_index": selected}
     out_dir = args.out_dir
     if out_dir:
@@ -349,25 +331,19 @@ def cmd_nbv(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(parser):
+def _add_common(parser, handler):
+    parser.set_defaults(handler=handler)
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--seed", type=int, help="master random seed")
     parser.add_argument("--out-dir", help="directory for output files")
+    # one hidden override per config field; unset flags stay out of the
+    # namespace, so only given ones override the config file
     for name in ExperimentConfig.field_names():
-        if name == "seed":
-            continue
-        flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, dest=name, help=argparse.SUPPRESS)
-
-
-def _postprocess(args):
-    # typed coercion of the hidden per-field overrides
-    for name in ExperimentConfig.field_names():
-        raw = getattr(args, name, None)
-        if raw is None or not isinstance(raw, str):
-            continue
-        setattr(args, name, _coerce(name, raw))
-    return args
+        parser.add_argument(
+            "--" + name.replace("_", "-"), dest=name,
+            type=partial(parse_value, name, error=argparse.ArgumentTypeError),
+            default=argparse.SUPPRESS,
+            help="master random seed" if name == "seed" else argparse.SUPPRESS,
+        )
 
 
 def main(argv=None) -> int:
@@ -378,20 +354,20 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a synthetic labeled dataset")
-    p_gen.add_argument("--context-split", action="store_true",
+    p_gen.add_argument("--context-split", action="store_true", default=argparse.SUPPRESS,
                        help="assign categories to contexts A/B in the manifest")
-    _add_common(p_gen)
+    _add_common(p_gen, cmd_gen)
 
     p_desc = sub.add_parser("describe", help="print a descriptor for one view")
     p_desc.add_argument("input", help="input .pcd file")
     p_desc.add_argument("--type", choices=("good", "spinset", "bow"))
     p_desc.add_argument("--dictionary", help="visual-word dictionary JSON (bow)")
-    _add_common(p_desc)
+    _add_common(p_desc, cmd_describe)
 
     p_cv = sub.add_parser("cv", help="k-fold cross-validation on a dataset tree")
     p_cv.add_argument("dataset", help="dataset root directory")
     p_cv.add_argument("--jobs", type=int, help="parallel workers for CV folds")
-    _add_common(p_cv)
+    _add_common(p_cv, cmd_cv)
 
     p_proto = sub.add_parser("protocol", help="simulated-teacher experiment")
     p_proto.add_argument("dataset", help="dataset root directory")
@@ -399,25 +375,18 @@ def main(argv=None) -> int:
     p_proto.add_argument("--rho", type=int, help="context transition point")
     p_proto.add_argument("--alc", type=float,
                          help="average learned categories for sampling rho")
-    _add_common(p_proto)
+    _add_common(p_proto, cmd_protocol)
 
     p_nbv = sub.add_parser("nbv", help="rank candidate camera poses")
     p_nbv.add_argument("world", help="scene .pcd file")
     p_nbv.add_argument("poses", help="candidate poses JSON")
     p_nbv.add_argument("--current", type=int, help="index of the current pose")
-    _add_common(p_nbv)
+    _add_common(p_nbv, cmd_nbv)
 
-    args = _postprocess(parser.parse_args(argv))
-    handlers = {
-        "gen": cmd_gen,
-        "describe": cmd_describe,
-        "cv": cmd_cv,
-        "protocol": cmd_protocol,
-        "nbv": cmd_nbv,
-    }
+    args = parser.parse_args(argv)
     try:
-        return handlers[args.command](args)
-    except (CliError, ConfigError, ValueError, OSError) as exc:
+        return args.handler(args)
+    except (OpenobjError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

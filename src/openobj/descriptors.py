@@ -12,6 +12,7 @@ from functools import cmp_to_key
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .errors import OpenobjError
 from .pointcloud import (
     PointCloud,
     PointCloudError,
@@ -52,7 +53,7 @@ DEFAULT_SUPPORT_ANGLE = 90.0
 _BLOCK_PAIRS = 1 << 17
 
 
-class DescriptorError(ValueError):
+class DescriptorError(OpenobjError):
     pass
 
 

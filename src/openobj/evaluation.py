@@ -3,9 +3,10 @@
 The teacher drives a learner through teach/ask/correct interactions,
 introducing a new category whenever the sliding-window accuracy clears the
 threshold, and stops at a breakpoint (no improvement within the iteration
-budget) or when the data runs out. The context-change variant introduces
-categories from context A until the transition point, then from B, and
-only asks about categories of the current context.
+budget) or when the data runs out. ``run_protocol`` is the one entry
+point: given a transition point rho it switches context, introducing
+categories from context A until rho is passed, then from B, and only asks
+about categories of the current context.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import OpenobjError
 
 __all__ = [
     "ConfusionMatrix",
@@ -24,7 +27,6 @@ __all__ = [
     "metrics",
     "kfold",
     "run_protocol",
-    "run_context_protocol",
     "pick_rho",
 ]
 
@@ -35,7 +37,7 @@ DEFAULT_VIEWS_PER_TEACH = 3
 DEFAULT_FOLDS = 10
 
 
-class EvaluationError(ValueError):
+class EvaluationError(OpenobjError):
     pass
 
 
@@ -262,20 +264,6 @@ def kfold(
 # Simulated teacher
 # ---------------------------------------------------------------------------
 
-class _ViewStock:
-    """Unseen-view bookkeeping: each view is consumed at most once."""
-
-    def __init__(self, dataset: LabeledDataset):
-        self.remaining = {label: list(range(len(views))) for label, views in dataset.views.items()}
-        self.views = dataset.views
-
-    def take(self, label):
-        if not self.remaining[label]:
-            return None
-        view_id = self.remaining[label].pop(0)
-        return view_id, self.views[label][view_id]
-
-
 def _summarize(log: ProtocolLog, alc1=None, alc2=None) -> ProtocolSummary:
     asks = log.asks()
     qci = len(asks)
@@ -309,43 +297,32 @@ def _run_teacher(
     seed: int,
     rho: int | None,
 ) -> tuple[ProtocolLog, ProtocolSummary]:
-    if not 0 < tau < 1:
-        raise EvaluationError("tau must lie in (0, 1)")
+    # without rho every category is in context A and the switch never comes
+    contexts = dataset.contexts if rho is not None else dict.fromkeys(dataset.views, "A")
+    switch_after = rho if rho is not None else len(contexts)
+    pools = {ctx: [c for c in dataset.categories if contexts[c] == ctx] for ctx in ("A", "B")}
+    if rho is not None and not (pools["A"] and pools["B"]):
+        raise EvaluationError("both contexts must hold at least one category")
     rng = np.random.default_rng(seed)
+    for ctx, pool in pools.items():
+        pools[ctx] = [pool[i] for i in rng.permutation(len(pool))]
+    unseen = {label: iter(enumerate(views)) for label, views in dataset.views.items()}
     log = ProtocolLog()
-    stock = _ViewStock(dataset)
-
-    with_context = rho is not None
-    if with_context:
-        if dataset.contexts is None:
-            raise EvaluationError("context protocol needs a context map")
-        pools = {
-            ctx: [c for c in dataset.categories if dataset.contexts[c] == ctx]
-            for ctx in ("A", "B")
-        }
-        if not pools["A"] or not pools["B"]:
-            raise EvaluationError("both contexts must hold at least one category")
-        for ctx in pools:
-            pools[ctx] = [pools[ctx][i] for i in rng.permutation(len(pools[ctx]))]
-    else:
-        order = [dataset.categories[i] for i in rng.permutation(len(dataset.categories))]
 
     context = "A"
     introduced: list[str] = []
     ask_history: list[bool] = []  # all ask outcomes in order
     iteration = 0  # question/correction iteration counter
 
-    def next_category():
-        if with_context:
-            pool = pools[context]
-            return pool.pop(0) if pool else None
-        return order.pop(0) if order else None
-
-    def introduce(category) -> bool:
-        """Teach with views_per_teach unseen views; False when the stock
-        runs dry (lack of data)."""
+    def introduce_next() -> bool:
+        """Teach the next category of the current context with
+        views_per_teach unseen views; False when the pool or the views run
+        dry (lack of data)."""
+        if not pools[context]:
+            return False
+        category = pools[context].pop(0)
         for _ in range(views_per_teach):
-            item = stock.take(category)
+            item = next(unseen[category], None)
             if item is None:
                 return False
             view_id, view = item
@@ -356,24 +333,21 @@ def _run_teacher(
                     action="teach",
                     category=category,
                     view_id=view_id,
-                    known=len(introduced) + (category not in introduced),
+                    known=len(introduced) + 1,
                 )
             )
-        if category not in introduced:
-            introduced.append(category)
-            log.introductions.append((iteration, category))
+        introduced.append(category)
+        log.introductions.append((iteration, category))
         return True
 
-    first = next_category()
-    if first is None or not introduce(first):
+    if not introduce_next():
         log.termination = "lack_of_data"
         return log, _summarize(log)
 
     while True:  # outer loop: one pass per introduced category
-        if with_context and context == "A" and len(introduced) > rho:
+        if len(introduced) > switch_after:
             context = "B"
-        category = next_category()
-        if category is None or not introduce(category):
+        if not introduce_next():
             log.termination = "lack_of_data"
             break
         n = len(introduced)
@@ -383,9 +357,9 @@ def _run_teacher(
         while True:  # question/correction iterations
             asked_category = introduced[c]
             c = c + 1 if c + 1 < n else 0
-            if with_context and dataset.contexts[asked_category] != context:
+            if contexts[asked_category] != context:
                 continue  # out-of-context categories are skipped silently
-            item = stock.take(asked_category)
+            item = next(unseen[asked_category], None)
             if item is None:
                 log.termination = "lack_of_data"
                 break
@@ -429,11 +403,10 @@ def _run_teacher(
         if not crossed:
             break
 
-    if with_context:
-        alc1 = sum(1 for c in introduced if dataset.contexts[c] == "A")
-        alc2 = len(introduced) - alc1
-        return log, _summarize(log, alc1=alc1, alc2=alc2)
-    return log, _summarize(log)
+    if rho is None:
+        return log, _summarize(log)
+    alc1 = sum(contexts[c] == "A" for c in introduced)
+    return log, _summarize(log, alc1=alc1, alc2=len(introduced) - alc1)
 
 
 def run_protocol(
@@ -444,8 +417,9 @@ def run_protocol(
     breakpoint_limit: int = DEFAULT_BREAKPOINT_LIMIT,
     views_per_teach: int = DEFAULT_VIEWS_PER_TEACH,
     seed: int = 0,
+    rho: int | None = None,
 ) -> tuple[ProtocolLog, ProtocolSummary]:
-    """Single-context teaching protocol.
+    """The simulated-teacher protocol, with an optional context switch.
 
     The learner must expose ``teach(category, view)`` and
     ``classify(view) -> category``. Categories are introduced in a seeded
@@ -454,34 +428,24 @@ def run_protocol(
     the last introduction). The run stops at a breakpoint after
     ``breakpoint_limit`` asks without crossing tau, or with lack_of_data
     when views run out.
-    """
-    return _run_teacher(
-        dataset, learner, tau, window_mult, breakpoint_limit, views_per_teach, seed, rho=None
-    )
 
-
-def run_context_protocol(
-    dataset: LabeledDataset,
-    learner,
-    rho: int,
-    tau: float = DEFAULT_TAU,
-    window_mult: int = DEFAULT_WINDOW_MULT,
-    breakpoint_limit: int = DEFAULT_BREAKPOINT_LIMIT,
-    views_per_teach: int = DEFAULT_VIEWS_PER_TEACH,
-    seed: int = 0,
-) -> tuple[ProtocolLog, ProtocolSummary]:
-    """Teaching protocol with a context switch.
-
-    Categories come from context A while the introduced count has not yet
-    exceeded rho (checked before each introduction, so A contributes
+    With a transition point ``rho`` the dataset's context map splits the
+    categories: they come from context A while the introduced count has not
+    yet exceeded rho (checked before each introduction, so A contributes
     rho + 1 categories when it has them), then from context B. Asks skip
-    categories that are out of the current context. Adaptability
-    (ALC2 / ALC1) is only defined when the run terminates at a breakpoint.
+    categories that are out of the current context, and the summary adds
+    ALC1, ALC2 and the adaptability ALC2 / ALC1, which is only defined when
+    the run terminates at a breakpoint.
     """
-    if rho < 1:
-        raise EvaluationError("rho must be at least 1")
+    if rho is not None:
+        if rho < 1:
+            raise EvaluationError("rho must be at least 1")
+        if dataset.contexts is None:
+            raise EvaluationError("context protocol needs a context map")
+    if not 0 < tau < 1:
+        raise EvaluationError("tau must lie in (0, 1)")
     return _run_teacher(
-        dataset, learner, tau, window_mult, breakpoint_limit, views_per_teach, seed, rho=rho
+        dataset, learner, tau, window_mult, breakpoint_limit, views_per_teach, seed, rho
     )
 
 

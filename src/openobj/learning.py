@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .errors import OpenobjError
+
 __all__ = [
     "UNKNOWN",
     "InstanceCategory",
@@ -24,17 +26,19 @@ __all__ = [
     "nocd_approach1",
     "nocd_approach2",
     "classify_instances",
+    "lowest_score",
     "chi2",
     "kl",
     "js",
     "bayes_teach",
     "bayes_classify",
+    "log_posterior",
 ]
 
 UNKNOWN = "UNKNOWN"
 
 
-class LearningError(ValueError):
+class LearningError(OpenobjError):
     pass
 
 
@@ -237,11 +241,17 @@ def classify_instances(
             scores[cat.label] = min(dist(target_vec, inst) for inst in stored)
     else:
         raise LearningError(f"unknown classification mode {mode!r}")
-    best_label = min(scores, key=lambda lab: (scores[lab], [c.label for c in memory].index(lab)))
+    return lowest_score(scores, ct)
+
+
+def lowest_score(scores: dict, ct: float | None = None) -> Prediction:
+    """The lowest of the per-category scores wins, ties to the earliest
+    category; with a classification threshold set, a best score above it
+    returns UNKNOWN."""
+    best_label = min(scores, key=scores.get)
     best = scores[best_label]
-    if ct is not None and best > ct:
-        return Prediction(label=UNKNOWN, score=best, scores=scores)
-    return Prediction(label=best_label, score=best, scores=scores)
+    label = UNKNOWN if ct is not None and best > ct else best_label
+    return Prediction(label=label, score=best, scores=scores)
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +345,12 @@ def bayes_classify(memory: BayesMemory, y) -> Prediction:
     for label, cat in memory.categories.items():
         if cat.accumulators.shape != y.shape:
             raise LearningError("representation size mismatch")
-        scores[label] = float(
-            np.log(memory.prior(label)) + y @ np.log(cat.conditionals())
-        )
-    labels = list(memory.categories)
-    best_label = max(labels, key=lambda lab: (scores[lab], -labels.index(lab)))
+        scores[label] = log_posterior(memory, label, y)
+    best_label = max(scores, key=scores.get)
     return Prediction(label=best_label, score=scores[best_label], scores=scores)
+
+
+def log_posterior(memory: BayesMemory, label: str, y) -> float:
+    """log P(C_k) + sum_i y_i log P(x_i | C_k) for one taught category."""
+    cat = memory.categories[label]
+    return float(np.log(memory.prior(label)) + y @ np.log(cat.conditionals()))

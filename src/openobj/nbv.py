@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import OpenobjError
 from .pointcloud import PointCloud
 
 __all__ = [
@@ -26,7 +27,7 @@ DEFAULT_RESOLUTION = 128
 EXTENT_MARGIN = 0.05  # orthographic window grows 5 % past the scene AABB
 
 
-class NbvError(ValueError):
+class NbvError(OpenobjError):
     pass
 
 
@@ -154,10 +155,21 @@ def select_next_view(candidates, seed: int = 0) -> CameraPose:
 def load_poses(path) -> list:
     """Candidate poses from a JSON list of {rotation (row-major 9),
     translation (3)}."""
-    with open(path, "r", encoding="ascii") as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            raw = json.load(fh)
+    except ValueError as exc:  # not ASCII, or not JSON
+        raise NbvError(f"{path}: not a JSON pose list: {exc}") from None
+    if not isinstance(raw, list):
+        raise NbvError(f"{path}: expected a JSON list of poses")
     poses = []
-    for entry in raw:
-        rot = np.asarray(entry["rotation"], dtype=np.float64).reshape(3, 3)
-        poses.append(CameraPose(rotation=rot, translation=entry["translation"]))
+    for i, entry in enumerate(raw):
+        try:
+            rot = np.asarray(entry["rotation"], dtype=np.float64).reshape(3, 3)
+            translation = np.asarray(entry["translation"], dtype=np.float64).reshape(3)
+        except (KeyError, TypeError, ValueError):
+            raise NbvError(
+                f"{path}: pose {i} needs a 9-value rotation and a 3-value translation"
+            ) from None
+        poses.append(CameraPose(rotation=rot, translation=translation))
     return poses

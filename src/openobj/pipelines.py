@@ -14,19 +14,22 @@ cross-validation builds one per fold from training views only.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .descriptors import compute_feature_set, compute_good
+from .errors import OpenobjError
 from .learning import (
-    UNKNOWN,
     BayesMemory,
     InstanceCategory,
     bayes_classify,
     bayes_teach,
     chi2,
     classify_instances,
+    log_posterior,
+    lowest_score,
     ocd_min,
 )
 from .representations import (
@@ -42,6 +45,7 @@ from .representations import (
 __all__ = [
     "ExperimentConfig",
     "build_learner",
+    "build_learner_from_pool",
     "make_cv_pipeline",
     "collect_feature_pool",
     "Learner",
@@ -51,7 +55,7 @@ REPRESENTATIONS = ("good", "spinset", "bow", "lda", "local_lda")
 LEARNERS = ("instance", "bayes")
 
 
-class ConfigError(ValueError):
+class ConfigError(OpenobjError):
     pass
 
 
@@ -121,15 +125,20 @@ class ExperimentConfig:
     def field_names(cls):
         return [f.name for f in fields(cls)]
 
+    def spin_image_args(self) -> dict:
+        """compute_feature_set's keyword arguments."""
+        names = ("voxel", "image_width", "support_length", "support_angle")
+        return {name: getattr(self, name) for name in names}
+
 
 class _FeatureCache:
     """Per-view features, computed once and shared by the dictionary pool,
     the learner and every cross-validation fold: the spin-image feature set
     (``get``) and the GOOD bins (``good``).
 
-    Entries are keyed on id(cloud) and hold the cloud itself: while an
-    entry lives its cloud cannot be freed, so no other cloud can take over
-    its id and be served its features.
+    Entries are keyed on id(cloud) and dropped when their cloud is freed,
+    before another cloud can take over its id and be served its features.
+    The cache keeps no cloud alive, so one-off queries leave nothing behind.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -137,11 +146,9 @@ class _FeatureCache:
         self._store = {}
 
     def get(self, cloud):
-        c = self.config
-        return self._lookup("spin", cloud, lambda: compute_feature_set(
-            cloud, voxel=c.voxel, image_width=c.image_width,
-            support_length=c.support_length, support_angle=c.support_angle,
-        ))
+        return self._lookup(
+            "spin", cloud, lambda: compute_feature_set(cloud, **self.config.spin_image_args())
+        )
 
     def good(self, cloud):
         return self._lookup(
@@ -149,10 +156,22 @@ class _FeatureCache:
         )
 
     def _lookup(self, kind, cloud, compute):
-        _, per_view = self._store.setdefault(id(cloud), (cloud, {}))
+        key = id(cloud)
+        if key not in self._store:
+            self._store[key] = {}
+            # the callback holds the cache weakly: clouds must not keep a
+            # discarded cache alive
+            weakref.finalize(cloud, _forget, weakref.ref(self), key)
+        per_view = self._store[key]
         if kind not in per_view:
             per_view[kind] = compute()
         return per_view[kind]
+
+
+def _forget(cache_ref, key):
+    cache = cache_ref()
+    if cache is not None:
+        cache._store.pop(key, None)
 
 
 def collect_feature_pool(feature_sets, cap: int, seed: int) -> np.ndarray:
@@ -272,9 +291,8 @@ class Learner:
             ).label
         # before any category has a usable spread, fall back to the
         # nearest-instance rule
-        return self._lowest({
-            c.label: ocd_min(target, c) for c in self.memory if c.instances
-        })
+        scores = {c.label: ocd_min(target, c) for c in self.memory if c.instances}
+        return lowest_score(scores, self.config.ct).label
 
     def _classify_local(self, doc):
         """Represent the query against each category's own topic model and
@@ -283,21 +301,11 @@ class Learner:
         for category, model in self.models.items():
             y = self._topics(doc, model)
             if self.bayes:
-                cat = self.memory.categories[category]
-                # negated log-posterior: the most likely category scores lowest
-                scores[category] = -float(
-                    np.log(self.memory.prior(category)) + y @ np.log(cat.conditionals())
-                )
+                # negated: the most likely category scores lowest
+                scores[category] = -log_posterior(self.memory, category, y)
             else:
                 scores[category] = min(chi2(y, inst) for inst in self._index[category].instances)
-        return self._lowest(scores)
-
-    def _lowest(self, scores):
-        """Lowest score wins, ties to the earliest; UNKNOWN above ct."""
-        best = min(scores, key=scores.get)
-        if self.config.ct is not None and scores[best] > self.config.ct:
-            return UNKNOWN
-        return best
+        return lowest_score(scores, self.config.ct).label
 
 
 _NEEDS_DICTIONARY = {"bow", "lda", "local_lda"}
@@ -310,6 +318,18 @@ def build_learner(config: ExperimentConfig, dictionary: Dictionary | None = None
     if config.representation in _NEEDS_DICTIONARY and dictionary is None:
         raise ConfigError(f"{config.representation} needs a visual-word dictionary")
     return Learner(config, dictionary, features)
+
+
+def build_learner_from_pool(config: ExperimentConfig, clouds,
+                            features: _FeatureCache | None = None) -> Learner:
+    """A fresh learner whose dictionary, when its representation needs one,
+    is built from the clouds. One feature cache serves both, so each view's
+    spin images are computed once."""
+    features = features or _FeatureCache(config)
+    dictionary = None
+    if config.representation in _NEEDS_DICTIONARY:
+        dictionary = build_dictionary_from_clouds(clouds, config, features)
+    return build_learner(config, dictionary, features)
 
 
 def build_dictionary_from_clouds(clouds, config: ExperimentConfig,
@@ -329,12 +349,7 @@ def make_cv_pipeline(config: ExperimentConfig):
     cache = _FeatureCache(config)
 
     def pipeline(train, test_clouds):
-        dictionary = None
-        if config.representation in _NEEDS_DICTIONARY:
-            dictionary = build_dictionary_from_clouds(
-                [cloud for _, cloud in train], config, cache
-            )
-        learner = build_learner(config, dictionary, cache)
+        learner = build_learner_from_pool(config, [cloud for _, cloud in train], cache)
         for label, cloud in train:
             learner.teach(label, cloud)
         return [learner.classify(cloud) for cloud in test_clouds]

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import OpenobjError
+
 __all__ = [
     "PointCloud",
     "ReferenceFrame",
@@ -31,7 +33,7 @@ __all__ = [
 DEFAULT_SIGN_THRESHOLD = 0.015
 
 
-class PointCloudError(ValueError):
+class PointCloudError(OpenobjError):
     """Raised for empty/degenerate clouds and malformed cloud files."""
 
 
@@ -148,8 +150,11 @@ def load_pcd(path) -> PointCloud:
     points is preserved. Unknown header lines (VERSION, WIDTH, ...) are
     ignored so files written by other tools still load.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise PointCloudError(f"{path}: not an ASCII PCD file") from None
 
     fields = None
     declared = None

@@ -14,6 +14,8 @@ from operator import mul, truediv
 
 import numpy as np
 
+from .errors import OpenobjError
+
 __all__ = [
     "Dictionary",
     "BowHistogram",
@@ -34,7 +36,7 @@ DEFAULT_DICTIONARY_SIZE = 90
 DEFAULT_GIBBS_ITERS = 30
 
 
-class RepresentationError(ValueError):
+class RepresentationError(OpenobjError):
     pass
 
 
@@ -61,7 +63,13 @@ class Dictionary:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Dictionary":
-        return cls(words=np.asarray(data["words"], dtype=np.float64))
+        try:
+            words = np.asarray(data["words"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError):
+            raise RepresentationError(
+                "dictionary JSON needs 'words': a list of equal-length number lists"
+            ) from None
+        return cls(words=words)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
+from .errors import OpenobjError
 from .pointcloud import PointCloud, PointCloudError
 
 __all__ = [
@@ -25,7 +26,7 @@ __all__ = [
 ]
 
 
-class SegmentationError(ValueError):
+class SegmentationError(OpenobjError):
     pass
 
 

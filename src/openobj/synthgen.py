@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .errors import OpenobjError
 from .pointcloud import PointCloud, save_pcd
 
 __all__ = [
@@ -26,6 +27,10 @@ __all__ = [
 ]
 
 SHAPE_KINDS = ("box", "cylinder", "sphere", "cone", "plate")
+
+
+class SynthgenError(OpenobjError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -43,11 +48,11 @@ class ShapeSpec:
 
     def __post_init__(self):
         if self.kind not in SHAPE_KINDS:
-            raise ValueError(f"unknown shape kind {self.kind!r}")
+            raise SynthgenError(f"unknown shape kind {self.kind!r}")
         if any(d <= 0 for d in self.dimensions):
-            raise ValueError("dimensions must be positive")
+            raise SynthgenError("dimensions must be positive")
         if self.points < 50:
-            raise ValueError("need at least 50 points per view")
+            raise SynthgenError("need at least 50 points per view")
         object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=np.float64))
 
 

@@ -28,7 +28,6 @@ from openobj.evaluation import (
     metrics,
     pick_rho,
     replay_accuracies,
-    run_context_protocol,
     run_protocol,
 )
 from openobj.learning import (
@@ -378,7 +377,7 @@ def test_criterion_08_context_protocol():
                 views[name] = [{"label": name, "id": j} for j in range(20)]
                 contexts[name] = ctx
         data = LabeledDataset(views=views, contexts=contexts)
-        log, summary = run_context_protocol(data, PerfectLearner(), rho=3, seed=4)
+        log, summary = run_protocol(data, PerfectLearner(), rho=3, seed=4)
         # switch fires once the introduced count exceeds rho: A gives rho+1
         assert summary.alc1 == 4
         assert summary.alc2 == 4
@@ -403,7 +402,7 @@ def test_criterion_08_context_protocol():
             name: [{"label": name, "id": j} for j in range(120)] for name in views
         }
         data2 = LabeledDataset(views=big, contexts=contexts)
-        log2, summary2 = run_context_protocol(data2, ContextBlind(), rho=3, seed=4)
+        log2, summary2 = run_protocol(data2, ContextBlind(), rho=3, seed=4)
         assert summary2.termination == "breakpoint"
         assert summary2.adaptability == pytest.approx(summary2.alc2 / summary2.alc1)
 

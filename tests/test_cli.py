@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from openobj import cli
 from openobj.cli import main, parse_config_file, CliError
+from openobj.errors import OpenobjError
 from openobj.evaluation import ConfusionMatrix
 from openobj.pointcloud import save_pcd
 from openobj.synthgen import ShapeSpec, generate_scene, generate_view
@@ -36,6 +38,118 @@ class TestConfigFile:
         cfg.write_text("goood_bins = 5\n")
         with pytest.raises(CliError, match="unknown config key"):
             parse_config_file(cfg)
+
+
+class TestTypedValues:
+    """Flags and config-file values are parsed by the declared type of
+    their config field."""
+
+    def record_config(self, monkeypatch):
+        seen = []
+
+        def fake_cv(args):
+            seen.append(cli.build_config(args)[0])
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_cv", fake_cv)
+        return seen
+
+    def test_ct_none_flag_clears_file_value(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "ct.cfg"
+        cfg.write_text("ct = 0.5\nsupport_angle = 90\n")
+        seen = self.record_config(monkeypatch)
+        assert run_cli("cv", "data", "--config", str(cfg)) == 0
+        assert run_cli("cv", "data", "--config", str(cfg), "--ct", "none",
+                       "--support-angle", "45") == 0
+        assert [(c.ct, c.support_angle) for c in seen] == [(0.5, 90.0), (None, 45.0)]
+        assert type(seen[0].support_angle) is float
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--good-bins", "2.5"), ("--folds", "3.0"), ("--voxel", "none"), ("--seed", "x"),
+    ])
+    def test_bad_flag_value_is_usage_error(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("cv", "data", flag, value)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("line,key", [
+        ("voxel = none", "voxel"), ("folds = 3.0", "folds"), ("context_split = maybe", "context_split"),
+    ])
+    def test_bad_file_value_names_key(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert run_cli("cv", "data", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err and "Traceback" not in err
+
+    def test_context_split_from_file(self, tmp_path):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("categories = 2\nviews = 2\npoints = 60\ncontext_split = true\n")
+        assert run_cli("gen", "--out-dir", str(tmp_path / "ds"), "--config", str(cfg)) == 0
+        manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+        assert set(manifest["contexts"].values()) == {"A", "B"}
+
+
+class TestMalformedInput:
+    """Bad input files end in ``error: ...`` and exit 1, never a traceback."""
+
+    ROTATION = [1.0, 0, 0, 0, 1.0, 0, 0, 0, 1.0]
+
+    @pytest.fixture
+    def view(self, tmp_path):
+        path = tmp_path / "view.pcd"
+        save_pcd(path, generate_view(ShapeSpec("box", (0.1, 0.07, 0.05), points=120, seed=3)))
+        return path
+
+    @pytest.mark.parametrize("name,content", [
+        ("poses.json", json.dumps([{"translation": [0, 0, 1]}])),
+        ("poses.json", json.dumps([{"rotation": ROTATION, "translation": [0, 1]}])),
+        ("poses.json", "not json"),
+        ("words.json", "{words"),
+        ("words.json", json.dumps({"words": [[1.0, 2.0], [3.0]]})),
+        ("view.pcd", b"FIELDS x y z\nPOINTS 1\nDATA ascii\n\xff\xfe 1 2\n"),
+    ], ids=["poses-no-rotation", "poses-2-translation", "poses-not-json", "words-not-json",
+            "words-ragged", "pcd-not-ascii"])
+    def test_exits_one_with_error(self, tmp_path, capsys, view, name, content):
+        path = tmp_path / ("bad_" + name)
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        if name == "poses.json":
+            argv = ("nbv", str(view), str(path))
+        elif name == "words.json":
+            argv = ("describe", str(view), "--type", "bow", "--dictionary", str(path))
+        else:
+            argv = ("describe", str(path), "--type", "good")
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+
+    def test_programming_errors_keep_their_traceback(self, monkeypatch):
+        def broken(args):
+            raise ValueError("a bug, not bad input")
+
+        monkeypatch.setattr(cli, "cmd_cv", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            run_cli("cv", "data")
+
+    def test_every_module_error_is_an_openobj_error(self):
+        from openobj import (
+            descriptors, evaluation, learning, nbv, pipelines, pointcloud,
+            representations, segmentation, synthgen,
+        )
+
+        errors = [
+            CliError, pipelines.ConfigError, descriptors.DescriptorError,
+            evaluation.EvaluationError, learning.LearningError, nbv.NbvError,
+            pointcloud.PointCloudError, representations.RepresentationError,
+            segmentation.SegmentationError, synthgen.SynthgenError,
+        ]
+        assert all(issubclass(e, OpenobjError) for e in errors)
+        assert issubclass(OpenobjError, ValueError)
 
 
 class TestGen:

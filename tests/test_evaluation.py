@@ -11,7 +11,6 @@ from openobj.evaluation import (
     metrics,
     pick_rho,
     replay_accuracies,
-    run_context_protocol,
     run_protocol,
 )
 
@@ -284,7 +283,7 @@ class TestContextProtocol:
 
     def test_context_split_counts(self):
         data = self.context_dataset()
-        log, summary = run_context_protocol(data, PerfectLearner(), rho=3, seed=1)
+        log, summary = run_protocol(data, PerfectLearner(), rho=3, seed=1)
         # switch happens when introduced count exceeds rho: A supplies rho + 1
         assert summary.alc1 == 4
         assert summary.alc2 == 4
@@ -293,7 +292,7 @@ class TestContextProtocol:
 
     def test_asks_respect_context(self):
         data = self.context_dataset()
-        log, _ = run_context_protocol(data, PerfectLearner(), rho=2, seed=2)
+        log, _ = run_protocol(data, PerfectLearner(), rho=2, seed=2)
         switch_iteration = None
         introduced_b = [it for it, cat in log.introductions if data.contexts[cat] == "B"]
         if introduced_b:
@@ -318,17 +317,40 @@ class TestContextProtocol:
             def classify(self, view):
                 return view["label"] if view["label"].startswith("a") else "__wrong__"
 
-        log, summary = run_context_protocol(data, ContextBlind(), rho=3, seed=3)
+        log, summary = run_protocol(data, ContextBlind(), rho=3, seed=3)
         assert summary.termination == "breakpoint"
         assert summary.alc1 == 4
         assert summary.adaptability == pytest.approx(summary.alc2 / summary.alc1)
 
     def test_rho_exhausts_context_a(self):
         data = self.context_dataset(per_context=3, views=20)
-        log, summary = run_context_protocol(data, PerfectLearner(), rho=3, seed=4)
+        log, summary = run_protocol(data, PerfectLearner(), rho=3, seed=4)
         # rho >= |A| means A runs dry during introductions
         assert summary.termination == "lack_of_data"
         assert summary.alc1 == 3
+
+
+    def test_rho_checks(self):
+        data = self.context_dataset(per_context=2, views=10)
+        with pytest.raises(EvaluationError, match="rho must be at least 1"):
+            run_protocol(data, PerfectLearner(), rho=0)
+        no_map = LabeledDataset(views=data.views)
+        with pytest.raises(EvaluationError, match="needs a context map"):
+            run_protocol(no_map, PerfectLearner(), rho=1)
+        only_a = LabeledDataset(views=data.views, contexts=dict.fromkeys(data.views, "A"))
+        with pytest.raises(EvaluationError, match="both contexts"):
+            run_protocol(only_a, PerfectLearner(), rho=1)
+
+    def test_without_rho_contexts_are_ignored(self):
+        data = self.context_dataset(per_context=2, views=10)
+        plain = LabeledDataset(views=data.views)
+        got = run_protocol(data, PerfectLearner(), seed=5)
+        want = run_protocol(plain, PerfectLearner(), seed=5)
+        assert [e.to_json_dict() for e in got[0].events] == [
+            e.to_json_dict() for e in want[0].events
+        ]
+        assert got[1].to_json_dict() == want[1].to_json_dict()
+        assert got[1].alc1 is None
 
 
 class TestPickRho:

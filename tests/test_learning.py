@@ -17,6 +17,8 @@ from openobj.learning import (
     icd,
     js,
     kl,
+    log_posterior,
+    lowest_score,
     nocd_approach1,
     nocd_approach2,
     ocd_mean,
@@ -225,6 +227,18 @@ class TestClassifyInstances:
                 assert pred.score == 0.0
 
 
+class TestLowestScore:
+    def test_ties_go_to_the_earliest_category(self):
+        assert lowest_score({"b": 1.0, "a": 1.0, "c": 2.0}).label == "b"
+
+    def test_unknown_only_above_ct(self):
+        scores = {"a": 0.5, "b": 0.7}
+        assert lowest_score(scores, ct=0.5).label == "a"
+        pred = lowest_score(scores, ct=0.4)
+        assert pred.label == UNKNOWN
+        assert pred.score == 0.5 and pred.scores is scores
+
+
 class TestDivergences:
     def test_chi2_basics(self):
         assert chi2([0.3, 0.7], [0.3, 0.7]) == 0.0
@@ -267,6 +281,24 @@ class TestDivergences:
 
 
 class TestBayes:
+    def test_classify_scores_are_log_posteriors(self):
+        mem = BayesMemory()
+        bayes_teach(mem, "a", np.array([3, 1, 0]))
+        bayes_teach(mem, "b", np.array([0, 1, 3]))
+        bayes_teach(mem, "b", np.array([1, 1, 1]))
+        y = np.array([1, 2, 0])
+        pred = bayes_classify(mem, y)
+        assert pred.scores == {lab: log_posterior(mem, lab, y) for lab in ("a", "b")}
+        assert pred.scores["a"] == pytest.approx(
+            np.log(1 / 3) + y @ np.log(np.array([4, 2, 1]) / 7)
+        )
+
+    def test_ties_go_to_the_earliest_taught(self):
+        mem = BayesMemory()
+        bayes_teach(mem, "b", np.array([1, 1]))
+        bayes_teach(mem, "a", np.array([1, 1]))
+        assert bayes_classify(mem, np.array([2, 2])).label == "b"
+
     def test_first_teach(self):
         mem = BayesMemory()
         bayes_teach(mem, "mug", np.array([2, 0, 1]))

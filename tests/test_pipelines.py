@@ -165,6 +165,36 @@ class TestFeatureCache:
             assert np.array_equal(cache.good(cloud), want)
             del cloud
 
+    @pytest.mark.parametrize("representation", ["good", "spinset"])
+    def test_one_off_queries_leave_no_entries(self, tiny_dataset, representation):
+        # Table-top candidates are classified once and dropped; their
+        # features must go with them.
+        from openobj.pointcloud import PointCloud
+
+        learner = build_learner(ExperimentConfig(representation=representation, voxel=0.02))
+        taught = [(label, views[:2]) for label, views in tiny_dataset.views.items()]
+        for label, views in taught:
+            for view in views:
+                learner.teach(label, view)
+        query = tiny_dataset.views["box"][5]
+        for _ in range(50):
+            learner.classify(PointCloud(query.points.copy()))
+        assert len(learner.features._store) == 6
+
+    def test_clouds_do_not_keep_a_discarded_cache_alive(self, tiny_dataset):
+        import gc
+        import weakref
+
+        from openobj.pipelines import _FeatureCache
+
+        cache = _FeatureCache(ExperimentConfig())
+        cloud = tiny_dataset.views["box"][0]
+        cache.good(cloud)
+        ref = weakref.ref(cache)
+        del cache
+        gc.collect()
+        assert ref() is None
+
     def test_cv_computes_good_once_per_view(self, tiny_dataset, monkeypatch):
         from openobj import pipelines
 
