@@ -11,6 +11,7 @@ Submodules:
 - ``nbv``: viewpoint entropy and next-best-view selection
 - ``synthgen``: deterministic synthetic datasets and scenes
 - ``pipelines``: representation/learner wiring for experiments
+- ``errors``: ``OpenobjError``, the base of every error raised for bad input
 """
 
 from . import (
@@ -24,8 +25,10 @@ from . import (
     segmentation,
     synthgen,
 )
+from .errors import OpenobjError
 
 __all__ = [
+    "OpenobjError",
     "descriptors",
     "evaluation",
     "learning",

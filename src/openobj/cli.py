@@ -166,19 +166,20 @@ def _write_json(payload: dict, path=None) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
-    config, gen = build_config(args)
+    config, gen_values = build_config(args)
     out_dir = args.out_dir or "dataset"
-    n_categories = gen.get("categories", 5)
+    n_categories = gen_values.get("categories", 5)
     if not 1 <= n_categories <= len(DEFAULT_CATEGORIES):
         raise CliError(f"categories must lie in [1, {len(DEFAULT_CATEGORIES)}]")
-    views = gen.get("views", 40)
+    views = gen_values.get("views", 40)
+    points = gen_values.get("points", 350)
+    noise = gen_values.get("noise_sigma", 0.002)
     categories = [
-        CategorySpec(c.name, c.kind, c.dimensions, points=gen.get("points", 350),
-                     noise_sigma=gen.get("noise_sigma", 0.002))
+        CategorySpec(c.name, c.kind, c.dimensions, points=points, noise_sigma=noise)
         for c in DEFAULT_CATEGORIES[:n_categories]
     ]
     contexts = None
-    if gen.get("context_split"):
+    if gen_values.get("context_split"):
         rng = np.random.default_rng(config.seed)
         names = [c.name for c in categories]
         half = rng.permutation(len(names))
@@ -317,7 +318,9 @@ def cmd_nbv(args) -> int:
     selected = None
     if total > 0:
         pose = select_next_view(candidates, seed=config.seed)
-        selected = next(i for i, p in enumerate(poses) if p is pose)
+        selected = next(
+            i for i, p in enumerate(poses) if p is pose
+        )
     payload = {"ranked": ranked, "selected_index": selected}
     out_dir = args.out_dir
     if out_dir:

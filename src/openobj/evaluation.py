@@ -287,16 +287,41 @@ def _summarize(log: ProtocolLog, alc1=None, alc2=None) -> ProtocolSummary:
     )
 
 
-def _run_teacher(
+def run_protocol(
     dataset: LabeledDataset,
     learner,
-    tau: float,
-    window_mult: int,
-    breakpoint_limit: int,
-    views_per_teach: int,
-    seed: int,
-    rho: int | None,
+    tau: float = DEFAULT_TAU,
+    window_mult: int = DEFAULT_WINDOW_MULT,
+    breakpoint_limit: int = DEFAULT_BREAKPOINT_LIMIT,
+    views_per_teach: int = DEFAULT_VIEWS_PER_TEACH,
+    seed: int = 0,
+    rho: int | None = None,
 ) -> tuple[ProtocolLog, ProtocolSummary]:
+    """The simulated-teacher protocol, with an optional context switch.
+
+    The learner must expose ``teach(category, view)`` and
+    ``classify(view) -> category``. Categories are introduced in a seeded
+    random order; a new one enters when the sliding accuracy over the last
+    min(k, window_mult * n) asks exceeds tau (with at least n asks since
+    the last introduction). The run stops at a breakpoint after
+    ``breakpoint_limit`` asks without crossing tau, or with lack_of_data
+    when views run out.
+
+    With a transition point ``rho`` the dataset's context map splits the
+    categories: they come from context A while the introduced count has not
+    yet exceeded rho (checked before each introduction, so A contributes
+    rho + 1 categories when it has them), then from context B. Asks skip
+    categories that are out of the current context, and the summary adds
+    ALC1, ALC2 and the adaptability ALC2 / ALC1, which is only defined when
+    the run terminates at a breakpoint.
+    """
+    if rho is not None:
+        if rho < 1:
+            raise EvaluationError("rho must be at least 1")
+        if dataset.contexts is None:
+            raise EvaluationError("context protocol needs a context map")
+    if not 0 < tau < 1:
+        raise EvaluationError("tau must lie in (0, 1)")
     # without rho every category is in context A and the switch never comes
     contexts = dataset.contexts if rho is not None else dict.fromkeys(dataset.views, "A")
     switch_after = rho if rho is not None else len(contexts)
@@ -407,46 +432,6 @@ def _run_teacher(
         return log, _summarize(log)
     alc1 = sum(contexts[c] == "A" for c in introduced)
     return log, _summarize(log, alc1=alc1, alc2=len(introduced) - alc1)
-
-
-def run_protocol(
-    dataset: LabeledDataset,
-    learner,
-    tau: float = DEFAULT_TAU,
-    window_mult: int = DEFAULT_WINDOW_MULT,
-    breakpoint_limit: int = DEFAULT_BREAKPOINT_LIMIT,
-    views_per_teach: int = DEFAULT_VIEWS_PER_TEACH,
-    seed: int = 0,
-    rho: int | None = None,
-) -> tuple[ProtocolLog, ProtocolSummary]:
-    """The simulated-teacher protocol, with an optional context switch.
-
-    The learner must expose ``teach(category, view)`` and
-    ``classify(view) -> category``. Categories are introduced in a seeded
-    random order; a new one enters when the sliding accuracy over the last
-    min(k, window_mult * n) asks exceeds tau (with at least n asks since
-    the last introduction). The run stops at a breakpoint after
-    ``breakpoint_limit`` asks without crossing tau, or with lack_of_data
-    when views run out.
-
-    With a transition point ``rho`` the dataset's context map splits the
-    categories: they come from context A while the introduced count has not
-    yet exceeded rho (checked before each introduction, so A contributes
-    rho + 1 categories when it has them), then from context B. Asks skip
-    categories that are out of the current context, and the summary adds
-    ALC1, ALC2 and the adaptability ALC2 / ALC1, which is only defined when
-    the run terminates at a breakpoint.
-    """
-    if rho is not None:
-        if rho < 1:
-            raise EvaluationError("rho must be at least 1")
-        if dataset.contexts is None:
-            raise EvaluationError("context protocol needs a context map")
-    if not 0 < tau < 1:
-        raise EvaluationError("tau must lie in (0, 1)")
-    return _run_teacher(
-        dataset, learner, tau, window_mult, breakpoint_limit, views_per_teach, seed, rho
-    )
 
 
 def pick_rho(alc: float, seed: int = 0) -> int:

@@ -158,11 +158,10 @@ class _FeatureCache:
     def _lookup(self, kind, cloud, compute):
         key = id(cloud)
         if key not in self._store:
-            self._store[key] = {}
             # the callback holds the cache weakly: clouds must not keep a
             # discarded cache alive
             weakref.finalize(cloud, _forget, weakref.ref(self), key)
-        per_view = self._store[key]
+        per_view = self._store.setdefault(key, {})  # atomic for cv's fold threads
         if kind not in per_view:
             per_view[kind] = compute()
         return per_view[kind]

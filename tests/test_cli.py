@@ -173,6 +173,12 @@ class TestGen:
         run_cli("gen", "--out-dir", str(b), "--seed", "7", "--config", cfg)
         assert tree_bytes(a) == tree_bytes(b)
 
+    def test_too_many_categories_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("categories = 6\n")
+        assert run_cli("gen", "--out-dir", str(tmp_path / "ds"), "--config", str(cfg)) == 1
+        assert "categories" in capsys.readouterr().err
+
     def test_context_split_written(self, tmp_path):
         out = tmp_path / "ds"
         run_cli("gen", "--out-dir", str(out), "--seed", "1",
@@ -380,6 +386,12 @@ class TestNbv:
         payload = json.loads(capsys.readouterr().out)
         total = sum(r["probability"] for r in payload["ranked"])
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_current_out_of_range(self, tmp_path, capsys):
+        world = self.make_world(tmp_path)
+        poses = self.poses_file(tmp_path, 2)
+        assert run_cli("nbv", str(world), str(poses), "--current", "2") == 1
+        assert capsys.readouterr().err.startswith("error: --current 2")
 
     def test_seed_determinism(self, tmp_path, capsys):
         world = self.make_world(tmp_path)
