@@ -26,34 +26,34 @@ data = generate_dataset(
 )
 
 features = {
-    name: [compute_feature_set(v, voxel=0.02) for v in views]
+    name: [compute_feature_set(v, voxel=0.02).as_matrix() for v in views]
     for name, views in data.items()
 }
 sample = features["box"][0]
 print(f"box view 0: {len(sample)} keypoints, one flattened spin image each: "
-      f"feature matrix {sample.as_matrix().shape}")
+      f"feature matrix {sample.shape}")
 
 pool = collect_feature_pool(
-    [fs for sets in features.values() for fs in sets], cap=4000, seed=0
+    [m for matrices in features.values() for m in matrices], cap=4000, seed=0
 )
 dictionary = build_dictionary(pool, v=20, seed=0)
 print(f"dictionary: {dictionary.size} words of dimension {dictionary.words.shape[1]}")
 
-histogram = bow_encode(sample, dictionary)
-print(f"bag-of-words counts (sum = {histogram.total}): {histogram.counts}")
+counts = bow_encode(sample, dictionary)
+print(f"bag-of-words counts (sum = {counts.sum()}): {counts}")
 
 # Per-category topic models, updated incrementally one view at a time.
 models = {}
-for name, sets in features.items():
-    for fs in sets[:4]:
+for name, matrices in features.items():
+    for matrix in matrices[:4]:
         words = np.argmin(
-            np.linalg.norm(fs.as_matrix()[:, None] - dictionary.words[None], axis=2), axis=1
+            np.linalg.norm(matrix[:, None] - dictionary.words[None], axis=2), axis=1
         )
         local_lda_update(models, name, words, k=6, v=dictionary.size, seed=1)
 
 held_out = features["box"][5]
 words = np.argmin(
-    np.linalg.norm(held_out.as_matrix()[:, None] - dictionary.words[None], axis=2), axis=1
+    np.linalg.norm(held_out[:, None] - dictionary.words[None], axis=2), axis=1
 )
 for name, model in models.items():
     theta = lda_infer(model, words).theta

@@ -23,6 +23,7 @@ import numpy as np
 from .descriptors import compute_feature_set, compute_good
 from .errors import OpenobjError
 from .evaluation import (
+    EvaluationError,
     LabeledDataset,
     kfold,
     metrics,
@@ -145,11 +146,20 @@ def load_dataset(root) -> LabeledDataset:
             views[entry] = [load_pcd(os.path.join(cat_dir, f)) for f in files]
     if not views:
         raise CliError(f"no categories with .pcd views under {root!r}")
-    contexts = None
     manifest_path = os.path.join(root, "manifest.json")
-    if os.path.exists(manifest_path):
-        contexts = _read_json(manifest_path).get("contexts")
-    return LabeledDataset(views=views, contexts=contexts)
+    if not os.path.exists(manifest_path):
+        return LabeledDataset(views=views)
+    manifest = _read_json(manifest_path)
+    contexts = manifest.get("contexts") if isinstance(manifest, dict) else None
+    if not isinstance(manifest, dict) or not (contexts is None or isinstance(contexts, dict)):
+        raise CliError(
+            f"{manifest_path}: expected a JSON object whose optional 'contexts' "
+            "maps each category to 'A' or 'B'"
+        )
+    try:
+        return LabeledDataset(views=views, contexts=contexts)
+    except EvaluationError as exc:
+        raise CliError(f"{manifest_path}: {exc}") from None
 
 
 def _write_json(payload: dict, path=None) -> None:
@@ -205,14 +215,14 @@ def cmd_describe(args) -> int:
         raise CliError(f"describe does not support representation {kind!r}")
     dictionary = _load_dictionary(args.dictionary, config) if kind == "bow" else None
     params = config.spin_image_args()
-    features = compute_feature_set(cloud, **params)
+    matrix = compute_feature_set(cloud, **params).as_matrix()
     if kind == "spinset":
-        payload = {"type": "spinset", "params": params, "values": features.as_matrix().tolist()}
+        payload = {"type": "spinset", "params": params, "values": matrix.tolist()}
     else:
         payload = {
             "type": "bow",
             "params": {"dictionary_size": dictionary.size},
-            "values": bow_encode(features, dictionary).counts.tolist(),
+            "values": bow_encode(matrix, dictionary).tolist(),
         }
     _write_json(payload)
     return 0
@@ -387,6 +397,10 @@ def main(argv=None) -> int:
     _add_common(p_nbv, cmd_nbv)
 
     args = parser.parse_args(argv)
+    if args.command == "protocol" and not args.context_change:
+        for flag in ("rho", "alc"):
+            if getattr(args, flag) is not None:
+                p_proto.error(f"--{flag} needs --context-change")
     try:
         return args.handler(args)
     except (OpenobjError, OSError) as exc:

@@ -95,7 +95,7 @@ class LabeledDataset:
         if self.contexts is not None:
             if set(self.contexts) != set(self.views):
                 raise EvaluationError("context map must cover exactly the categories")
-            if set(self.contexts.values()) - {"A", "B"}:
+            if any(c not in ("A", "B") for c in self.contexts.values()):
                 raise EvaluationError("contexts must be 'A' or 'B'")
 
     @property

@@ -43,8 +43,6 @@ class LearningError(OpenobjError):
 
 
 def _as_feature_matrix(rep) -> np.ndarray:
-    if hasattr(rep, "as_matrix"):
-        rep = rep.as_matrix()
     rep = np.asarray(rep, dtype=np.float64)
     if rep.ndim == 1:
         rep = rep.reshape(1, -1)  # a fixed-size vector is a one-feature set
@@ -76,10 +74,7 @@ class InstanceCategory:
     def to_json_dict(self) -> dict:
         return {
             "label": self.label,
-            "instances": [
-                np.asarray(inst.as_matrix() if hasattr(inst, "as_matrix") else inst).tolist()
-                for inst in self.instances
-            ],
+            "instances": [np.asarray(inst).tolist() for inst in self.instances],
             "icd": self.icd,
             "icd_provisional": self.icd_provisional,
         }

@@ -167,7 +167,7 @@ def load_poses(path) -> list:
         try:
             rot = np.asarray(entry["rotation"], dtype=np.float64).reshape(3, 3)
             translation = np.asarray(entry["translation"], dtype=np.float64).reshape(3)
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise NbvError(
                 f"{path}: pose {i} needs a 9-value rotation and a 3-value translation"
             ) from None

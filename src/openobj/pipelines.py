@@ -36,6 +36,7 @@ from .representations import (
     Dictionary,
     TopicModel,
     _assign,
+    bow_encode,
     build_dictionary,
     lda_infer,
     lda_update,
@@ -133,49 +134,39 @@ class ExperimentConfig:
 
 class _FeatureCache:
     """Per-view features, computed once and shared by the dictionary pool,
-    the learner and every cross-validation fold: the spin-image feature set
-    (``get``) and the GOOD bins (``good``).
+    the learner and every cross-validation fold: the (k, d) spin-image
+    matrix (``get``) and the GOOD bins (``good``).
 
-    Entries are keyed on id(cloud) and dropped when their cloud is freed,
-    before another cloud can take over its id and be served its features.
-    The cache keeps no cloud alive, so one-off queries leave nothing behind.
+    Entries are held weakly by their cloud and go when it is freed, so a
+    later cloud is never served a freed one's features and one-off queries
+    leave nothing behind. The cache itself is not kept alive by its clouds.
     """
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
-        self._store = {}
+        self._store = weakref.WeakKeyDictionary()
 
-    def get(self, cloud):
+    def get(self, cloud) -> np.ndarray:
         return self._lookup(
-            "spin", cloud, lambda: compute_feature_set(cloud, **self.config.spin_image_args())
+            "spin", cloud,
+            lambda: compute_feature_set(cloud, **self.config.spin_image_args()).as_matrix(),
         )
 
-    def good(self, cloud):
+    def good(self, cloud) -> np.ndarray:
         return self._lookup(
             "good", cloud, lambda: compute_good(cloud, n=self.config.good_bins).bins
         )
 
     def _lookup(self, kind, cloud, compute):
-        key = id(cloud)
-        if key not in self._store:
-            # the callback holds the cache weakly: clouds must not keep a
-            # discarded cache alive
-            weakref.finalize(cloud, _forget, weakref.ref(self), key)
-        per_view = self._store.setdefault(key, {})  # atomic for cv's fold threads
+        per_view = self._store.setdefault(cloud, {})  # atomic for cv's fold threads
         if kind not in per_view:
             per_view[kind] = compute()
         return per_view[kind]
 
 
-def _forget(cache_ref, key):
-    cache = cache_ref()
-    if cache is not None:
-        cache._store.pop(key, None)
-
-
-def collect_feature_pool(feature_sets, cap: int, seed: int) -> np.ndarray:
-    """Stack feature matrices, subsampling (seeded) past the cap."""
-    pool = np.vstack([fs.as_matrix() for fs in feature_sets])
+def collect_feature_pool(matrices, cap: int, seed: int) -> np.ndarray:
+    """Stack (k, d) feature matrices, subsampling (seeded) past the cap."""
+    pool = np.vstack(matrices)
     if len(pool) > cap:
         rng = np.random.default_rng(seed)
         pool = pool[rng.choice(len(pool), size=cap, replace=False)]
@@ -255,16 +246,16 @@ class Learner:
             return self.features.good(cloud)
         if rep == "spinset":
             return self.features.get(cloud)
-        doc = self._doc(cloud)
         if rep == "bow":
-            counts = np.bincount(doc, minlength=self.dictionary.size)
+            counts = bow_encode(self.features.get(cloud), self.dictionary)
             return counts if self.bayes else counts.astype(np.float64)
+        doc = self._doc(cloud)
         if learn:
             self._update(category, doc)
         return self._topics(doc, self.model if rep == "lda" else self.models[category])
 
     def _doc(self, cloud):
-        return _assign(self.features.get(cloud).as_matrix(), self.dictionary.words)
+        return _assign(self.features.get(cloud), self.dictionary.words)
 
     def _update(self, category, doc):
         c = self.config

@@ -37,12 +37,13 @@ class PointCloudError(OpenobjError):
     """Raised for empty/degenerate clouds and malformed cloud files."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloud:
     """An unordered set of 3D points with optional per-point RGB colors.
 
     ``points`` is an (m, 3) float64 array; ``colors``, when present, is an
-    (m, 3) uint8 array of the same length.
+    (m, 3) uint8 array of the same length. Clouds compare and hash by
+    identity, so a cloud can key a weak per-view cache.
     """
 
     points: np.ndarray

@@ -18,7 +18,6 @@ from .errors import OpenobjError
 
 __all__ = [
     "Dictionary",
-    "BowHistogram",
     "TopicModel",
     "TopicHistogram",
     "build_dictionary",
@@ -65,28 +64,11 @@ class Dictionary:
     def from_json_dict(cls, data: dict) -> "Dictionary":
         try:
             words = np.asarray(data["words"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise RepresentationError(
                 "dictionary JSON needs 'words': a list of equal-length number lists"
             ) from None
         return cls(words=words)
-
-
-@dataclass(frozen=True)
-class BowHistogram:
-    """Occurrence counts of visual words; total mass = feature count."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if np.any(counts < 0):
-            raise RepresentationError("word counts must be non-negative")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 @dataclass
@@ -234,11 +216,9 @@ def build_dictionary(
     return Dictionary(words=centers)
 
 
-def bow_encode(features, dictionary: Dictionary) -> BowHistogram:
-    """Histogram of nearest-word assignments (Euclidean, ties to the
-    lowest word index)."""
-    if hasattr(features, "as_matrix"):
-        features = features.as_matrix()
+def bow_encode(features, dictionary: Dictionary) -> np.ndarray:
+    """Int64 visual-word counts of a (k, d) feature matrix: each feature
+    goes to its nearest word (Euclidean, ties to the lowest word index)."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or len(features) == 0:
         raise RepresentationError("need a non-empty 2D feature matrix")
@@ -247,9 +227,7 @@ def bow_encode(features, dictionary: Dictionary) -> BowHistogram:
             f"feature dimension {features.shape[1]} does not match dictionary "
             f"dimension {dictionary.words.shape[1]}"
         )
-    assignment = _assign(features, dictionary.words)
-    counts = np.bincount(assignment, minlength=dictionary.size)
-    return BowHistogram(counts=counts)
+    return np.bincount(_assign(features, dictionary.words), minlength=dictionary.size)
 
 
 # ---------------------------------------------------------------------------

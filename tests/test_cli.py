@@ -107,11 +107,13 @@ class TestMalformedInput:
         ("poses.json", json.dumps([{"translation": [0, 0, 1]}])),
         ("poses.json", json.dumps([{"rotation": ROTATION, "translation": [0, 1]}])),
         ("poses.json", "not json"),
+        ("poses.json", json.dumps([{"rotation": ROTATION, "translation": [10**400, 0, 0]}])),
         ("words.json", "{words"),
         ("words.json", json.dumps({"words": [[1.0, 2.0], [3.0]]})),
+        ("words.json", json.dumps({"words": [[10**400, 2.0], [3.0, 4.0]]})),
         ("view.pcd", b"FIELDS x y z\nPOINTS 1\nDATA ascii\n\xff\xfe 1 2\n"),
-    ], ids=["poses-no-rotation", "poses-2-translation", "poses-not-json", "words-not-json",
-            "words-ragged", "pcd-not-ascii"])
+    ], ids=["poses-no-rotation", "poses-2-translation", "poses-not-json", "poses-huge-int",
+            "words-not-json", "words-ragged", "words-huge-int", "pcd-not-ascii"])
     def test_exits_one_with_error(self, tmp_path, capsys, view, name, content):
         path = tmp_path / ("bad_" + name)
         if isinstance(content, bytes):
@@ -125,6 +127,22 @@ class TestMalformedInput:
         else:
             argv = ("describe", str(path), "--type", "good")
         assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+
+    @pytest.mark.parametrize("manifest", [
+        [{"contexts": {"box": "A"}}],
+        {"contexts": 5},
+        {"contexts": {"box": {}}},
+        {"contexts": {"sphere": "A"}},
+    ], ids=["list", "contexts-not-object", "context-not-a-or-b", "context-not-a-category"])
+    def test_bad_manifest_exits_one(self, tmp_path, capsys, view, manifest):
+        root = tmp_path / "data"
+        (root / "box").mkdir(parents=True)
+        (root / "box" / "view.pcd").write_bytes(view.read_bytes())
+        path = root / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert run_cli("protocol", str(root), "--out-dir", str(tmp_path / "out")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(path) in err
 
@@ -320,6 +338,16 @@ class TestProtocol:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert "ALC1" in summary and "ALC2" in summary
+
+    @pytest.mark.parametrize("flag,value", [("--rho", "1"), ("--alc", "2.5")])
+    def test_context_flags_need_context_change(self, small_dataset, tmp_path, capsys,
+                                               flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("protocol", str(small_dataset), flag, value, "--out-dir", str(tmp_path))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "--context-change" in err
+        assert not (tmp_path / "summary.json").exists()
 
     def test_each_view_described_once(self, small_dataset, tmp_path, monkeypatch):
         # The dictionary pool and the learner share one feature cache, so a

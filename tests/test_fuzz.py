@@ -1,0 +1,127 @@
+"""Fuzzed input files: the readers either return or raise an OpenobjError,
+never a stray Python or numpy exception."""
+
+import argparse
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from openobj.cli import SCHEMA, build_config, load_dataset, parse_config_file
+from openobj.errors import OpenobjError
+from openobj.nbv import load_poses
+from openobj.pointcloud import load_pcd, save_pcd
+from openobj.synthgen import ShapeSpec, generate_view
+
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+numbers = st.integers() | st.floats() | st.integers(-(10**400), 10**400)
+json_values = st.recursive(
+    st.none() | st.booleans() | numbers | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=5),
+    max_leaves=20,
+)
+# bytes that are not JSON, ASCII or either
+raw_files = st.binary(max_size=64) | st.text(max_size=64)
+
+
+def write(path, content):
+    """Bytes and text as they are, any other value as JSON."""
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif isinstance(content, str):
+        path.write_text(content, encoding="utf-8")
+    else:
+        path.write_text(json.dumps(content))
+
+
+def returns_or_raises_openobj_error(read, path):
+    try:
+        read(path)
+    except OpenobjError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def dataset_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz_data")
+    for category in ("box", "sphere"):
+        (root / category).mkdir()
+        save_pcd(root / category / "view.pcd",
+                 generate_view(ShapeSpec("box", (0.05, 0.05, 0.05), points=50, seed=1)))
+    return root
+
+
+contexts = st.dictionaries(
+    st.sampled_from(["box", "sphere", "cone"]),
+    st.sampled_from(["A", "B", "C"]) | json_values,
+    max_size=3,
+)
+manifests = (
+    json_values
+    | st.fixed_dictionaries({"contexts": contexts | json_values}, optional={"seed": numbers})
+    | raw_files
+)
+
+
+@FUZZ
+@given(manifests)
+def test_load_dataset_manifest(dataset_root, manifest):
+    path = dataset_root / "manifest.json"
+    write(path, manifest)
+    returns_or_raises_openobj_error(load_dataset, str(dataset_root))
+
+
+vectors = st.lists(numbers, max_size=10) | st.lists(st.lists(numbers, max_size=4), max_size=4)
+poses = st.dictionaries(
+    st.sampled_from(["rotation", "translation", "extra"]), vectors | json_values, max_size=3
+)
+
+
+@FUZZ
+@given(st.lists(poses, max_size=4) | json_values | raw_files)
+def test_load_poses(tmp_path, content):
+    path = tmp_path / "poses.json"
+    write(path, content)
+    returns_or_raises_openobj_error(load_poses, path)
+
+
+tokens = st.sampled_from(["0", "1.5", "-2e-3", "nan", "inf", "1e999", "x", "rgb", "#", ""]) | \
+    st.integers().map(str) | st.text(alphabet="0123456789.-+eE", max_size=6)
+header = st.sampled_from([
+    "FIELDS x y z", "FIELDS x y z rgb", "FIELDS y x z", "FIELDS", "FIELDS x y z normal_x",
+    "POINTS", "DATA ascii", "DATA binary", "DATA", "VERSION .7", "WIDTH 3", "# comment",
+]) | st.lists(tokens, max_size=3).map(lambda ts: "POINTS " + " ".join(ts))
+rows = st.lists(tokens, max_size=5).map(" ".join)
+pcd_files = st.lists(header | rows, max_size=12).map("\n".join) | raw_files
+
+
+@FUZZ
+@given(pcd_files)
+def test_load_pcd(tmp_path, content):
+    path = tmp_path / "view.pcd"
+    write(path, content)
+    returns_or_raises_openobj_error(load_pcd, path)
+
+
+keys = st.sampled_from(sorted(SCHEMA)) | st.text(max_size=8)
+values = tokens | st.sampled_from(["none", "true", "false", "good", "bow", "A1", "bayes"]) | \
+    st.text(max_size=8)
+config_lines = st.tuples(keys, values).map(" = ".join) | st.text(max_size=12)
+config_files = st.lists(config_lines, max_size=6).map("\n".join) | raw_files
+
+
+@FUZZ
+@given(config_files)
+def test_config_file(tmp_path, content):
+    path = tmp_path / "exp.cfg"
+    write(path, content)
+
+    def read(path):
+        parse_config_file(path)
+        build_config(argparse.Namespace(config=str(path)))
+
+    returns_or_raises_openobj_error(read, path)

@@ -405,9 +405,9 @@ class TestInstanceSerialization:
         cat = InstanceCategory("box")
         for seed in (1, 2, 3):
             view = generate_view(ShapeSpec("box", (0.12, 0.08, 0.05), points=150, seed=seed))
-            cat.add(compute_feature_set(view, voxel=0.025, support_length=0.05))
+            cat.add(compute_feature_set(view, voxel=0.025, support_length=0.05).as_matrix())
         back = InstanceCategory.from_json_dict(json.loads(json.dumps(cat.to_json_dict())))
         assert back.icd == cat.icd
         assert icd(back) == cat.icd
         for stored, original in zip(back.instances, cat.instances):
-            assert np.array_equal(stored, original.as_matrix())
+            assert np.array_equal(stored, original)

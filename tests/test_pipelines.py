@@ -152,7 +152,7 @@ class TestFeatureCache:
         views = [v for views in tiny_dataset.views.values() for v in views[:3]]
         for view in views:
             cloud = PointCloud(view.points.copy())
-            got = cache.get(cloud).as_matrix()
+            got = cache.get(cloud)
             want = compute_feature_set(
                 cloud, voxel=config.voxel, image_width=config.image_width,
                 support_length=config.support_length, support_angle=config.support_angle,
