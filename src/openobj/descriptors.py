@@ -48,6 +48,9 @@ DEFAULT_IMAGE_WIDTH = 4
 DEFAULT_SUPPORT_LENGTH = 0.05
 DEFAULT_SUPPORT_ANGLE = 90.0
 
+# Normals come from PCA over this many nearest neighbours.
+_NORMAL_NEIGHBOURS = 10
+
 # Most (keypoint, neighbor) pairs one spin-image block may hold: about
 # 70 bytes of temporaries each, so about 9 MB per block.
 _BLOCK_PAIRS = 1 << 17
@@ -174,19 +177,18 @@ def projection_variance(m: np.ndarray) -> float:
     return float(np.sum((idx - mu) ** 2 * m))
 
 
-def compute_good(
-    cloud: PointCloud, n: int = DEFAULT_GOOD_BINS, sign_threshold: float = 0.015
-) -> GoodDescriptor:
+def compute_good(cloud: PointCloud, n: int = DEFAULT_GOOD_BINS) -> GoodDescriptor:
     """Full global descriptor pipeline for one object view.
 
-    The object frame comes from the disambiguated PCA; the three
+    The object frame comes from the disambiguated PCA (sign band
+    ``pointcloud.DEFAULT_SIGN_THRESHOLD``); the three
     projections share one centered square whose side is the largest
     bounding-box edge, grown when off-center mass (e.g. cone-like shapes)
     would fall outside it. The highest-entropy projection fills the first
     block; the remaining two follow in increasing variance. Ties closer
     than 1e-9 fall back to the fixed plane precedence XoZ < XoY < YoZ.
     """
-    frame = compute_reference_frame(cloud, t=sign_threshold)
+    frame = compute_reference_frame(cloud)
     local = PointCloud(frame.to_local(cloud.points))
     box = aabb_in_frame(cloud, frame)
     l = float(max(np.max(box.extents), 2.0 * np.max(np.abs(local.points))))
@@ -242,16 +244,14 @@ def extract_keypoints(cloud: PointCloud, voxel: float = DEFAULT_KEYPOINT_VOXEL) 
     return cloud.points[_keypoint_indices(cloud.points, voxel)]
 
 
-def estimate_normals(
-    cloud: PointCloud, k: int = 10, viewpoint=(0.0, 0.0, 0.0)
-) -> np.ndarray:
-    """Per-point surface normals by PCA over the k nearest neighbors,
-    oriented toward the viewpoint."""
+def estimate_normals(cloud: PointCloud) -> np.ndarray:
+    """Per-point surface normals by PCA over the _NORMAL_NEIGHBOURS (10)
+    nearest neighbors, oriented toward the sensor at the origin."""
     pts = cloud.points
     m = len(pts)
     if m == 0:
         raise DescriptorError("empty cloud")
-    k = min(k, m)
+    k = min(_NORMAL_NEIGHBOURS, m)
     tree = cKDTree(pts)
     _, nbrs = tree.query(pts, k=k)
     if k == 1:
@@ -261,7 +261,7 @@ def estimate_normals(
     cov = np.einsum("mki,mkj->mij", centered, centered)
     _, vecs = np.linalg.eigh(cov)  # batched; ascending eigenvalues
     normals = vecs[:, :, 0]
-    flip = np.einsum("mi,mi->m", normals, np.asarray(viewpoint, dtype=np.float64) - pts) < 0
+    flip = np.einsum("mi,mi->m", normals, -pts) < 0
     normals[flip] *= -1.0
     return normals
 
@@ -347,15 +347,15 @@ def compute_feature_set(
     image_width: int = DEFAULT_IMAGE_WIDTH,
     support_length: float = DEFAULT_SUPPORT_LENGTH,
     support_angle: float = DEFAULT_SUPPORT_ANGLE,
-    viewpoint=(0.0, 0.0, 0.0),
 ) -> FeatureSet:
-    """Spin images over voxel-selected keypoints of an object view."""
+    """Spin images over voxel-selected keypoints of an object view, with
+    normals from estimate_normals."""
     if voxel <= 0:
         raise DescriptorError("voxel size must be positive")
     if len(cloud) == 0:
         raise DescriptorError("empty cloud")
     key_idx = _keypoint_indices(cloud.points, voxel)
-    normals = estimate_normals(cloud, k=10, viewpoint=viewpoint)
+    normals = estimate_normals(cloud)
     keypoints = cloud.points[key_idx]
     images = compute_spin_image(
         cloud,

@@ -34,7 +34,6 @@ DEFAULT_TAU = 0.67
 DEFAULT_WINDOW_MULT = 3
 DEFAULT_BREAKPOINT_LIMIT = 100
 DEFAULT_VIEWS_PER_TEACH = 3
-DEFAULT_FOLDS = 10
 
 
 class EvaluationError(OpenobjError):

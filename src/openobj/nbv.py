@@ -41,12 +41,13 @@ class CameraPose:
 
     def __post_init__(self):
         rot = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
+        translation = np.asarray(self.translation, dtype=np.float64).reshape(3)
+        if not (np.all(np.isfinite(rot)) and np.all(np.isfinite(translation))):
+            raise NbvError("camera rotation and translation must be finite")
         if abs(np.linalg.det(rot) - 1.0) > 1e-9:
             raise NbvError("camera rotation must have determinant +1")
         object.__setattr__(self, "rotation", rot)
-        object.__setattr__(
-            self, "translation", np.asarray(self.translation, dtype=np.float64).reshape(3)
-        )
+        object.__setattr__(self, "translation", translation)
 
     def to_camera(self, points: np.ndarray) -> np.ndarray:
         return (np.asarray(points, dtype=np.float64) - self.translation) @ self.rotation
@@ -86,15 +87,13 @@ def render_virtual(
     world: PointCloud,
     pose: CameraPose,
     resolution: int = DEFAULT_RESOLUTION,
-    extent: float | None = None,
 ) -> PointCloud:
     """Virtual view by orthographic projection with a depth buffer.
 
     Points are binned onto a resolution x resolution pixel grid over the
-    camera-frame XY window (auto-fit to the scene plus a margin when no
-    extent is given); each pixel keeps its nearest point (smallest
-    camera z). The result is the subset of world points that stay visible,
-    in world coordinates.
+    camera-frame XY window, a square fitted to the scene plus a margin;
+    each pixel keeps its nearest point (smallest camera z). The result is
+    the subset of world points that stay visible, in world coordinates.
     """
     if len(world) == 0:
         raise NbvError("empty world cloud")
@@ -102,15 +101,10 @@ def render_virtual(
         raise NbvError("resolution must be positive")
     cam = pose.to_camera(world.points)
     xy = cam[:, :2]
-    if extent is None:
-        lo = xy.min(axis=0)
-        hi = xy.max(axis=0)
-        span = float(np.max(hi - lo)) * (1 + EXTENT_MARGIN) + 1e-12
-        center = (lo + hi) / 2
-    else:
-        span = float(extent)
-        center = np.zeros(2)
-    origin = center - span / 2
+    lo = xy.min(axis=0)
+    hi = xy.max(axis=0)
+    span = float(np.max(hi - lo)) * (1 + EXTENT_MARGIN) + 1e-12
+    origin = (lo + hi) / 2 - span / 2
     pix = np.floor((xy - origin) / span * resolution).astype(np.int64)
     in_window = np.all((pix >= 0) & (pix < resolution), axis=1)
     flat = pix[:, 0] * resolution + pix[:, 1]
@@ -171,5 +165,8 @@ def load_poses(path) -> list:
             raise NbvError(
                 f"{path}: pose {i} needs a 9-value rotation and a 3-value translation"
             ) from None
-        poses.append(CameraPose(rotation=rot, translation=translation))
+        try:
+            poses.append(CameraPose(rotation=rot, translation=translation))
+        except NbvError as exc:
+            raise NbvError(f"{path}: pose {i}: {exc}") from None
     return poses

@@ -14,11 +14,13 @@ cross-validation builds one per fold from training views only.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import descriptors, evaluation, nbv, representations
 from .descriptors import compute_feature_set, compute_good
 from .errors import OpenobjError
 from .learning import (
@@ -62,29 +64,30 @@ class ConfigError(OpenobjError):
 
 @dataclass
 class ExperimentConfig:
-    """Every knob of an experiment; validated before any work starts."""
+    """Every knob of an experiment; validated before any work starts. A
+    default that a library function shares is that module's DEFAULT_*."""
 
     representation: str = "good"
     learner: str = "instance"
-    good_bins: int = 15
-    voxel: float = 0.01
-    image_width: int = 4
-    support_length: float = 0.05
-    support_angle: float = 90.0
-    dictionary_size: int = 90
-    topics: int = 30
-    alpha: float = 1.0
-    beta: float = 0.1
-    gibbs_iters: int = 30
+    good_bins: int = descriptors.DEFAULT_GOOD_BINS
+    voxel: float = descriptors.DEFAULT_KEYPOINT_VOXEL
+    image_width: int = descriptors.DEFAULT_IMAGE_WIDTH
+    support_length: float = descriptors.DEFAULT_SUPPORT_LENGTH
+    support_angle: float = descriptors.DEFAULT_SUPPORT_ANGLE
+    dictionary_size: int = representations.DEFAULT_DICTIONARY_SIZE
+    topics: int = representations.DEFAULT_TOPICS
+    alpha: float = representations.DEFAULT_ALPHA
+    beta: float = representations.DEFAULT_BETA
+    gibbs_iters: int = representations.DEFAULT_GIBBS_ITERS
     nocd_mode: str = "A2"
     ct: float | None = None
-    tau: float = 0.67
-    window_mult: int = 3
-    breakpoint_limit: int = 100
-    views_per_teach: int = 3
+    tau: float = evaluation.DEFAULT_TAU
+    window_mult: int = evaluation.DEFAULT_WINDOW_MULT
+    breakpoint_limit: int = evaluation.DEFAULT_BREAKPOINT_LIMIT
+    views_per_teach: int = evaluation.DEFAULT_VIEWS_PER_TEACH
     folds: int = 10
     sigma_nbv: float = 0.5
-    nbv_resolution: int = 128
+    nbv_resolution: int = nbv.DEFAULT_RESOLUTION
     max_dictionary_pool: int = 8000
     seed: int = 0
 
@@ -98,28 +101,23 @@ class ExperimentConfig:
         if self.ct is not None and self.learner == "bayes":
             # only the instance memory can return UNKNOWN
             raise ConfigError("ct applies to the instance learner only")
-        if self.good_bins < 2:
-            raise ConfigError("good_bins must be at least 2")
-        if min(self.voxel, self.support_length) <= 0:
-            raise ConfigError("voxel and support_length must be positive")
-        if self.image_width < 1:
-            raise ConfigError("image_width must be at least 1")
-        if self.dictionary_size < 2:
-            raise ConfigError("dictionary_size must be at least 2")
-        if self.topics < 1:
-            raise ConfigError("topics must be at least 1")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ConfigError("alpha and beta must be positive")
-        if self.gibbs_iters < 1:
-            raise ConfigError("gibbs_iters must be at least 1")
-        if self.nocd_mode not in ("A1", "A2"):
-            raise ConfigError("nocd_mode must be A1 or A2")
+        for name, least in (("good_bins", 2), ("image_width", 1), ("dictionary_size", 2),
+                            ("topics", 1), ("gibbs_iters", 1), ("folds", 2), ("window_mult", 1),
+                            ("breakpoint_limit", 1), ("views_per_teach", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be at least {least}")
+        # every check below fails for NaN
+        for name in ("voxel", "support_length", "alpha", "beta", "sigma_nbv"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
+        if not 0 < self.support_angle <= 180:
+            raise ConfigError("support_angle must lie in (0, 180]")
+        if self.ct is not None and not math.isfinite(self.ct):
+            raise ConfigError("ct must be finite or none")
         if not 0 < self.tau < 1:
             raise ConfigError("tau must lie in (0, 1)")
-        if self.folds < 2:
-            raise ConfigError("folds must be at least 2")
-        if self.sigma_nbv <= 0:
-            raise ConfigError("sigma_nbv must be positive")
+        if self.nocd_mode not in ("A1", "A2"):
+            raise ConfigError("nocd_mode must be A1 or A2")
         return self
 
     @classmethod

@@ -34,6 +34,9 @@ DEFAULT_TOPICS = 30
 DEFAULT_DICTIONARY_SIZE = 90
 DEFAULT_GIBBS_ITERS = 30
 
+# Lloyd iterations stop at an assignment fixpoint or after this many.
+_MAX_LLOYD_ITERS = 100
+
 
 class RepresentationError(OpenobjError):
     pass
@@ -187,11 +190,10 @@ def _assign(pool: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.argmin(_sq_distances(pool, centers), axis=1)
 
 
-def build_dictionary(
-    pool, v: int = DEFAULT_DICTIONARY_SIZE, seed: int = 0, max_iter: int = 100
-) -> Dictionary:
-    """k-means (k-means++ init, Lloyd iterations to an assignment fixpoint)
-    over a pool of feature vectors. Deterministic per seed."""
+def build_dictionary(pool, v: int = DEFAULT_DICTIONARY_SIZE, seed: int = 0) -> Dictionary:
+    """k-means (k-means++ init, Lloyd iterations to an assignment fixpoint,
+    at most _MAX_LLOYD_ITERS) over a pool of feature vectors. Deterministic
+    per seed."""
     pool = np.asarray(pool, dtype=np.float64)
     if pool.ndim != 2:
         raise RepresentationError("feature pool must be a 2D array")
@@ -200,7 +202,7 @@ def build_dictionary(
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(pool, v, rng)
     assignment = _assign(pool, centers)
-    for _ in range(max_iter):
+    for _ in range(_MAX_LLOYD_ITERS):
         for j in range(v):
             members = pool[assignment == j]
             if len(members):

@@ -81,10 +81,10 @@ class SegmentationParams:
     seed: int = 0
 
 
-def ransac_plane(
-    scene: PointCloud, tau: float = 0.02, iterations: int = 200, seed: int = 0
-) -> Plane:
-    """Best plane through 3 sampled points, scored by inliers within tau.
+def ransac_plane(scene: PointCloud, tau: float, iterations: int, seed: int) -> Plane:
+    """Best plane through 3 sampled points, scored by inliers within tau
+    (detect_objects passes SegmentationParams' plane_tau and
+    plane_iterations).
 
     Deterministic for a fixed seed; the normal is canonicalized so its
     largest-magnitude component is positive (tables in z-up worlds get an

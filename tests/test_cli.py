@@ -108,12 +108,13 @@ class TestMalformedInput:
         ("poses.json", json.dumps([{"rotation": ROTATION, "translation": [0, 1]}])),
         ("poses.json", "not json"),
         ("poses.json", json.dumps([{"rotation": ROTATION, "translation": [10**400, 0, 0]}])),
+        ("poses.json", json.dumps([{"rotation": [float("nan")] * 9, "translation": [0, 0, 1]}])),
         ("words.json", "{words"),
         ("words.json", json.dumps({"words": [[1.0, 2.0], [3.0]]})),
         ("words.json", json.dumps({"words": [[10**400, 2.0], [3.0, 4.0]]})),
         ("view.pcd", b"FIELDS x y z\nPOINTS 1\nDATA ascii\n\xff\xfe 1 2\n"),
     ], ids=["poses-no-rotation", "poses-2-translation", "poses-not-json", "poses-huge-int",
-            "words-not-json", "words-ragged", "words-huge-int", "pcd-not-ascii"])
+            "poses-nan-rotation", "words-not-json", "words-ragged", "words-huge-int", "pcd-not-ascii"])
     def test_exits_one_with_error(self, tmp_path, capsys, view, name, content):
         path = tmp_path / ("bad_" + name)
         if isinstance(content, bytes):
@@ -129,6 +130,12 @@ class TestMalformedInput:
         assert run_cli(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(path) in err
+
+    @pytest.mark.parametrize("flag", ["--support-length", "--voxel", "--support-angle"])
+    def test_nan_spin_image_parameter_exits_one(self, capsys, view, flag):
+        assert run_cli("describe", str(view), "--type", "spinset", flag, "nan") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag[2:].replace("-", "_") in err
 
     @pytest.mark.parametrize("manifest", [
         [{"contexts": {"box": "A"}}],

@@ -312,7 +312,7 @@ def reference_spin_image(cloud, keypoint, normal, image_width=4, support_length=
 def reference_feature_matrix(cloud, voxel=0.01, image_width=4, support_length=0.05,
                              support_angle=90.0):
     """compute_feature_set's matrix, one reference spin image per keypoint."""
-    normals = estimate_normals(cloud, k=10)
+    normals = estimate_normals(cloud)
     return np.stack([
         reference_spin_image(
             cloud, cloud.points[i], normals[i], image_width, support_length,

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from openobj.learning import (
     UNKNOWN,
@@ -331,6 +333,37 @@ class TestBayes:
                 reference = state
             else:
                 assert state == reference
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_any_teaching_order_gives_the_same_memory(self, data):
+        d = data.draw(st.integers(1, 6))
+        labels = [f"c{i}" for i in range(data.draw(st.integers(1, 5)))]
+        hist = st.lists(st.integers(0, 20), min_size=d, max_size=d).map(np.array)
+        # every category is taught at least once
+        events = [(lab, data.draw(hist)) for lab in labels]
+        events += data.draw(st.lists(st.tuples(st.sampled_from(labels), hist), max_size=12))
+        order = data.draw(st.permutations(range(len(events))))
+        one, other = BayesMemory(), BayesMemory()
+        for label, x in events:
+            bayes_teach(one, label, x)
+        for i in order:
+            bayes_teach(other, *events[i])
+
+        assert one.total == other.total
+        assert one.categories.keys() == other.categories.keys()
+        for label, cat in one.categories.items():
+            assert cat.n_k == other.categories[label].n_k
+            assert np.array_equal(cat.accumulators, other.categories[label].accumulators)
+        for y in data.draw(st.lists(hist, min_size=1, max_size=4)):
+            a, b = bayes_classify(one, y), bayes_classify(other, y)
+            assert a.scores == b.scores
+            # exact ties go to the earliest taught label, which is the
+            # only thing the order may change
+            best = [lab for lab, s in a.scores.items() if s == a.score]
+            assert a.label in best and b.label in best
+            if len(best) == 1:
+                assert a.label == b.label
 
     def test_classification_dominance(self):
         mem = BayesMemory()

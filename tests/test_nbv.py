@@ -176,6 +176,15 @@ class TestCameraPose:
         with pytest.raises(NbvError):
             CameraPose(rotation=bad, translation=[0, 0, 0])
 
+    @pytest.mark.parametrize("rotation,translation", [
+        (np.full((3, 3), np.nan), [0, 0, 1]),
+        (np.eye(3), [0, np.nan, 1]),
+        (np.eye(3), [np.inf, 0, 1]),
+    ], ids=["nan-rotation", "nan-translation", "inf-translation"])
+    def test_non_finite_rejected(self, rotation, translation):
+        with pytest.raises(NbvError, match="finite"):
+            CameraPose(rotation=rotation, translation=translation)
+
     def test_world_camera_round_trip(self):
         rng = np.random.default_rng(6)
         from openobj.synthgen import random_rotation

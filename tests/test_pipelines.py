@@ -1,16 +1,28 @@
 """Representation/learner wiring: config validation and the learner
 wrappers driven by the simulated teacher."""
 
+import inspect
+import math
+
 import numpy as np
 import pytest
 
+from openobj.descriptors import compute_feature_set, compute_good
 from openobj.evaluation import LabeledDataset, kfold, metrics, run_protocol
+from openobj.nbv import render_virtual
 from openobj.pipelines import (
     ConfigError,
     ExperimentConfig,
     build_dictionary_from_clouds,
     build_learner,
     make_cv_pipeline,
+)
+from openobj.representations import (
+    TopicModel,
+    build_dictionary,
+    lda_infer,
+    lda_update,
+    local_lda_update,
 )
 from openobj.synthgen import CategorySpec, generate_dataset
 
@@ -43,10 +55,67 @@ class TestConfig:
         with pytest.raises(ConfigError, match="ct"):
             ExperimentConfig(representation="bow", learner="bayes", ct=0.5).validate()
 
+    @pytest.mark.parametrize("name", [
+        "voxel", "support_length", "support_angle", "alpha", "beta", "sigma_nbv", "ct",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            ExperimentConfig(**{name: value}).validate()
+
+    @pytest.mark.parametrize("name", ["window_mult", "breakpoint_limit", "views_per_teach"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_teacher_counts_must_be_positive(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be at least 1"):
+            ExperimentConfig(**{name: value}).validate()
+
+    @pytest.mark.parametrize("angle", [0.0, -10.0, 180.5])
+    def test_support_angle_range(self, angle):
+        ExperimentConfig(support_angle=180.0).validate()
+        with pytest.raises(ConfigError, match="support_angle"):
+            ExperimentConfig(support_angle=angle).validate()
+
     def test_dictionary_required(self):
         cfg = ExperimentConfig(representation="bow", learner="bayes")
         with pytest.raises(ConfigError):
             build_learner(cfg, dictionary=None)
+
+
+# (function, parameter, config field): each function's default is the
+# config's default for the field it is passed
+DEFAULT_WIRING = [
+    (compute_good, "n", "good_bins"),
+    (compute_feature_set, "voxel", "voxel"),
+    (compute_feature_set, "image_width", "image_width"),
+    (compute_feature_set, "support_length", "support_length"),
+    (compute_feature_set, "support_angle", "support_angle"),
+    (build_dictionary, "v", "dictionary_size"),
+    (build_dictionary, "seed", "seed"),
+    (TopicModel, "alpha", "alpha"),
+    (TopicModel, "beta", "beta"),
+    (lda_update, "iters", "gibbs_iters"),
+    (lda_infer, "iters", "gibbs_iters"),
+    (local_lda_update, "iters", "gibbs_iters"),
+    (local_lda_update, "k", "topics"),
+    (local_lda_update, "v", "dictionary_size"),
+    (local_lda_update, "alpha", "alpha"),
+    (local_lda_update, "beta", "beta"),
+    (local_lda_update, "seed", "seed"),
+    (run_protocol, "tau", "tau"),
+    (run_protocol, "window_mult", "window_mult"),
+    (run_protocol, "breakpoint_limit", "breakpoint_limit"),
+    (run_protocol, "views_per_teach", "views_per_teach"),
+    (run_protocol, "seed", "seed"),
+    (render_virtual, "resolution", "nbv_resolution"),
+]
+
+
+@pytest.mark.parametrize("fn,param,name", DEFAULT_WIRING,
+                         ids=[f"{fn.__name__}.{param}" for fn, param, _ in DEFAULT_WIRING])
+def test_config_defaults_match_function_defaults(fn, param, name):
+    default = inspect.signature(fn).parameters[param].default
+    value = getattr(ExperimentConfig(), name)
+    assert default == value and type(default) is type(value)
 
 
 class TestLearnerWrappers:

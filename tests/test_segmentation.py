@@ -228,3 +228,29 @@ class TestDetectObjects:
         scene, _ = generate_scene([box], table_extent=(1.2, 0.8), seed=4)
         candidates = detect_objects(scene, SegmentationParams(seed=0, edge_margin=0.05))
         assert candidates == []
+
+    @staticmethod
+    def touching_boxes():
+        # two 6 cm boxes 2 cm apart: one cluster at link_dist 0.03, two at
+        # the refinement pass's 0.015
+        boxes = [
+            ShapeSpec("box", (0.06, 0.06, 0.06), points=300, translation=(x, 0.0, 0.03), seed=s)
+            for x, s in ((-0.04, 31), (0.04, 32))
+        ]
+        return generate_scene(boxes, seed=5)
+
+    def test_oversize_cluster_refined_into_objects(self):
+        scene, labels = self.touching_boxes()
+        assert len(detect_objects(scene, SegmentationParams(seed=0))) == 1
+        # each box keeps about 230 points above the table, both about 460
+        candidates = detect_objects(scene, SegmentationParams(seed=0, max_pts=400))
+        assert len(candidates) == 2
+        owners = []
+        for cand in candidates:
+            rows = {tuple(p) for p in cand.cloud.points}
+            owners.append({int(k) for p, k in zip(scene.points, labels) if tuple(p) in rows})
+        assert sorted(owners, key=min) == [{1}, {2}]
+
+    def test_refined_cluster_still_oversize_dropped(self):
+        scene, _ = self.touching_boxes()
+        assert detect_objects(scene, SegmentationParams(seed=0, max_pts=200)) == []
