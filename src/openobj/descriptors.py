@@ -51,8 +51,9 @@ DEFAULT_SUPPORT_ANGLE = 90.0
 # Normals come from PCA over this many nearest neighbours.
 _NORMAL_NEIGHBOURS = 10
 
-# Most (keypoint, neighbor) pairs one spin-image block may hold: about
-# 70 bytes of temporaries each, so about 9 MB per block.
+# Most (keypoint, neighbor) pairs one spin-image block, or (point,
+# neighbor) pairs one normal-estimation block, may hold: about 70 bytes of
+# temporaries each, so about 9 MB per block.
 _BLOCK_PAIRS = 1 << 17
 
 
@@ -246,20 +247,29 @@ def extract_keypoints(cloud: PointCloud, voxel: float = DEFAULT_KEYPOINT_VOXEL) 
 
 def estimate_normals(cloud: PointCloud) -> np.ndarray:
     """Per-point surface normals by PCA over the _NORMAL_NEIGHBOURS (10)
-    nearest neighbors, oriented toward the sensor at the origin."""
+    nearest neighbors, oriented toward the sensor at the origin.
+
+    Points go through in blocks of at most _BLOCK_PAIRS (point, neighbor)
+    pairs, which bounds the patch and covariance temporaries for large
+    clouds; each normal comes from its own patch alone, so the blocks do
+    not change it.
+    """
     pts = cloud.points
     m = len(pts)
     if m == 0:
         raise DescriptorError("empty cloud")
     k = min(_NORMAL_NEIGHBOURS, m)
     tree = cKDTree(pts)
-    _, nbrs = tree.query(pts, k=k)
-    if k == 1:
-        nbrs = nbrs.reshape(-1, 1)
-    patches = pts[nbrs]  # (m, k, 3)
-    centered = patches - patches.mean(axis=1, keepdims=True)
-    cov = np.einsum("mki,mkj->mij", centered, centered)
-    _, vecs = np.linalg.eigh(cov)  # batched; ascending eigenvalues
+    # the whole eigenvector stack is kept so that the orientation einsum
+    # reads the normals with the strides it always has
+    vecs = np.empty((m, 3, 3))
+    step = max(1, _BLOCK_PAIRS // k)
+    for start in range(0, m, step):
+        _, nbrs = tree.query(pts[start:start + step], k=k)
+        patches = pts[nbrs.reshape(-1, k)]  # (b, k, 3)
+        centered = patches - patches.mean(axis=1, keepdims=True)
+        cov = np.einsum("mki,mkj->mij", centered, centered)
+        vecs[start:start + step] = np.linalg.eigh(cov)[1]  # batched; ascending eigenvalues
     normals = vecs[:, :, 0]
     flip = np.einsum("mi,mi->m", normals, -pts) < 0
     normals[flip] *= -1.0

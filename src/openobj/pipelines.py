@@ -36,6 +36,7 @@ from .learning import (
 )
 from .representations import (
     Dictionary,
+    RepresentationError,
     TopicModel,
     _assign,
     bow_encode,
@@ -164,7 +165,10 @@ class _FeatureCache:
 
 def collect_feature_pool(matrices, cap: int, seed: int) -> np.ndarray:
     """Stack (k, d) feature matrices, subsampling (seeded) past the cap."""
-    pool = np.vstack(matrices)
+    try:
+        pool = np.vstack(matrices)
+    except ValueError:
+        raise RepresentationError("need one or more feature matrices of equal width") from None
     if len(pool) > cap:
         rng = np.random.default_rng(seed)
         pool = pool[rng.choice(len(pool), size=cap, replace=False)]

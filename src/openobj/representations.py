@@ -13,6 +13,7 @@ from itertools import accumulate
 from operator import mul, truediv
 
 import numpy as np
+from scipy import sparse
 
 from .errors import OpenobjError
 
@@ -162,8 +163,17 @@ class TopicHistogram:
 
 def _kmeans_pp_init(pool: np.ndarray, v: int, rng: np.random.Generator) -> np.ndarray:
     centers = np.empty((v, pool.shape[1]))
+    # one (n, d) buffer takes every pool - center difference; the ops are
+    # those of np.sum((pool - center) ** 2, axis=1), in the same order
+    diff = np.empty_like(pool)
+
+    def sq_dist(center):
+        np.subtract(pool, center, out=diff)
+        np.square(diff, out=diff)
+        return np.sum(diff, axis=1)
+
     centers[0] = pool[rng.integers(len(pool))]
-    dist_sq = np.sum((pool - centers[0]) ** 2, axis=1)
+    dist_sq = sq_dist(centers[0])
     for i in range(1, v):
         total = dist_sq.sum()
         if total <= 0:
@@ -172,46 +182,82 @@ def _kmeans_pp_init(pool: np.ndarray, v: int, rng: np.random.Generator) -> np.nd
             continue
         probs = dist_sq / total
         centers[i] = pool[rng.choice(len(pool), p=probs)]
-        dist_sq = np.minimum(dist_sq, np.sum((pool - centers[i]) ** 2, axis=1))
+        dist_sq = np.minimum(dist_sq, sq_dist(centers[i]))
     return centers
 
 
-def _sq_distances(pool: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _sq_distances(pool: np.ndarray, centers: np.ndarray, pool_terms=None) -> np.ndarray:
     """(n, V) squared distances (|p|^2 - 2 p.c) + |c|^2, built in one
-    (n, V) buffer."""
-    d = 2 * pool @ centers.T
-    np.subtract(np.sum(pool**2, axis=1)[:, None], d, out=d)
+    (n, V) buffer. ``pool_terms`` is the pool's (2 * pool, |p|^2) when the
+    caller already holds them."""
+    if pool_terms is None:
+        pool_terms = 2 * pool, np.sum(pool**2, axis=1)
+    twice_pool, pool_sq = pool_terms
+    d = twice_pool @ centers.T
+    np.subtract(pool_sq[:, None], d, out=d)
     d += np.sum(centers**2, axis=1)[None, :]
     return d
 
 
-def _assign(pool: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _assign(pool: np.ndarray, centers: np.ndarray, pool_terms=None) -> np.ndarray:
     # ties go to the lowest center index (argmin)
-    return np.argmin(_sq_distances(pool, centers), axis=1)
+    return np.argmin(_sq_distances(pool, centers, pool_terms), axis=1)
+
+
+def _update_each_center(pool: np.ndarray, assignment: np.ndarray, centers: np.ndarray) -> None:
+    """One Lloyd update, center by center, in place."""
+    for j in range(len(centers)):
+        members = pool[assignment == j]
+        if len(members):
+            centers[j] = members.mean(axis=0)
+        else:
+            # re-seed an empty cluster at the point farthest from its center
+            far = np.argmax(np.sum((pool - centers[assignment]) ** 2, axis=1))
+            centers[j] = pool[far]
 
 
 def build_dictionary(pool, v: int = DEFAULT_DICTIONARY_SIZE, seed: int = 0) -> Dictionary:
     """k-means (k-means++ init, Lloyd iterations to an assignment fixpoint,
     at most _MAX_LLOYD_ITERS) over a pool of feature vectors. Deterministic
-    per seed."""
-    pool = np.asarray(pool, dtype=np.float64)
-    if pool.ndim != 2:
-        raise RepresentationError("feature pool must be a 2D array")
-    if len(pool) < v:
-        raise RepresentationError(f"pool of {len(pool)} features cannot fill {v} words")
+    per seed.
+
+    A Lloyd step with no empty cluster computes every center at once: a
+    sparse (V x n) membership matrix times the pool sums each cluster's
+    members from +0.0 in pool order, as mean(axis=0) sums a block of two
+    or more columns, so the centers equal the per-center update's bit for
+    bit. The per-center update stays for a step with an empty cluster,
+    whose re-seed reads the centers updated so far, and for a one-column
+    pool, whose column numpy sums pairwise.
+    """
+    if not isinstance(v, (int, np.integer)) or v < 2:
+        raise RepresentationError(f"dictionary size must be an integer of at least 2, got {v!r}")
+    try:
+        pool = np.asarray(pool, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise RepresentationError("feature pool must be a 2D array of numbers") from None
+    if pool.ndim != 2 or pool.shape[1] == 0:
+        raise RepresentationError("feature pool must be a 2D array with at least one column")
+    if not np.all(np.isfinite(pool)):
+        raise RepresentationError("feature pool entries must be finite")
+    n = len(pool)
+    if n < v:
+        raise RepresentationError(f"pool of {n} features cannot fill {v} words")
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(pool, v, rng)
-    assignment = _assign(pool, centers)
+    # the pool's factors of every assignment's distances, computed once
+    terms = 2 * pool, np.sum(pool**2, axis=1)
+    ones, columns = np.ones(n), np.arange(n + 1)
+    assignment = _assign(pool, centers, terms)
     for _ in range(_MAX_LLOYD_ITERS):
-        for j in range(v):
-            members = pool[assignment == j]
-            if len(members):
-                centers[j] = members.mean(axis=0)
-            else:
-                # re-seed an empty cluster at the point farthest from its center
-                far = np.argmax(np.sum((pool - centers[assignment]) ** 2, axis=1))
-                centers[j] = pool[far]
-        new_assignment = _assign(pool, centers)
+        counts = np.bincount(assignment, minlength=v)
+        if pool.shape[1] == 1 or not counts.all():
+            _update_each_center(pool, assignment, centers)
+        else:
+            # column i holds pool row i's one membership; the CSC product
+            # walks the columns in order
+            members = sparse.csc_array((ones, assignment, columns), shape=(v, n))
+            centers = (members @ pool) / counts[:, None]
+        new_assignment = _assign(pool, centers, terms)
         if np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment

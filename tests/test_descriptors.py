@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from openobj import descriptors
 from openobj.descriptors import (
@@ -162,6 +163,22 @@ class TestComputeGood:
             assert cos >= 0.99
             exact += int(np.array_equal(d, ref))
         assert exact >= 23
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 2**16),
+        st.integers(300, 900),
+        st.integers(0, 2**32 - 1),
+        st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+    )
+    def test_rigid_motion_and_permutation_property(self, seed, m, motion, shift):
+        cloud = skewed_object(seed=seed, m=m)
+        ref = compute_good(cloud, n=15).bins
+        assert np.array_equal(compute_good(cloud.translate(shift), n=15).bins, ref)
+        rng = np.random.default_rng(motion)
+        moved = cloud.transform(random_rotation(rng), shift).points
+        d = compute_good(PointCloud(moved[rng.permutation(len(moved))]), n=15).bins
+        assert d @ ref / (np.linalg.norm(d) * np.linalg.norm(ref)) >= 0.99
 
     def test_off_center_mass_handled(self):
         # cone: centroid well below the AABB midpoint must not error
@@ -401,3 +418,35 @@ class TestSpinImageKernel:
         assert digest.hexdigest() == (
             "48ad23e5d84b1b61e8b92a937f27e8b283337ee7bbc50b609ad90f4fdf41a824"
         )
+
+
+def reference_normals(cloud):
+    """estimate_normals over the whole cloud in one block."""
+    pts = cloud.points
+    k = min(descriptors._NORMAL_NEIGHBOURS, len(pts))
+    _, nbrs = cKDTree(pts).query(pts, k=k)
+    patches = pts[nbrs.reshape(len(pts), k)]
+    centered = patches - patches.mean(axis=1, keepdims=True)
+    _, vecs = np.linalg.eigh(np.einsum("mki,mkj->mij", centered, centered))
+    normals = vecs[:, :, 0]
+    normals[np.einsum("mi,mi->m", normals, -pts) < 0] *= -1.0
+    return normals
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestNormalBlocks:
+    def test_cloud_spanning_several_blocks(self):
+        cloud = generate_view(ShapeSpec("box", (0.3, 0.2, 0.1), points=30000, seed=17))
+        assert len(cloud) > 2 * descriptors._BLOCK_PAIRS // descriptors._NORMAL_NEIGHBOURS
+        assert_same_bits(estimate_normals(cloud), reference_normals(cloud))
+
+    @pytest.mark.parametrize("m", [1, 2, 37, 71, 200])
+    def test_small_blocks_and_a_one_point_tail(self, m, monkeypatch):
+        # blocks of 7 points: 71 points leave a last block of one
+        monkeypatch.setattr(descriptors, "_BLOCK_PAIRS", 7 * descriptors._NORMAL_NEIGHBOURS)
+        cloud = PointCloud(np.random.default_rng(m).uniform(-0.1, 0.1, size=(m, 3)))
+        assert_same_bits(estimate_normals(cloud), reference_normals(cloud))

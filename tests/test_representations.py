@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openobj import representations
+from openobj.pipelines import collect_feature_pool
 from openobj.representations import (
     Dictionary,
     RepresentationError,
@@ -89,6 +90,153 @@ class TestBuildDictionary:
         got = sorted(map(tuple, np.round(shuffled.words, 6)))
         want = sorted(map(tuple, np.round(base.words, 6)))
         assert got == want
+
+
+class TestDictionaryInput:
+    @pytest.mark.parametrize("v", [0, 1, 2.5, "3", None])
+    def test_size_must_be_an_integer_of_at_least_two(self, v):
+        with pytest.raises(RepresentationError, match="dictionary size"):
+            build_dictionary(np.zeros((10, 3)), v=v)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_pool_must_be_finite(self, bad):
+        pool = np.random.default_rng(0).uniform(size=(20, 3))
+        pool[7, 1] = bad
+        with pytest.raises(RepresentationError, match="finite"):
+            build_dictionary(pool, v=3)
+
+    def test_pool_needs_a_column(self):
+        with pytest.raises(RepresentationError, match="at least one column"):
+            build_dictionary(np.zeros((10, 0)), v=3)
+
+    def test_ragged_pool_rejected(self):
+        with pytest.raises(RepresentationError, match="2D array of numbers"):
+            build_dictionary([[1.0, 2.0], [3.0]], v=2)
+
+    @pytest.mark.parametrize("matrices", [[], [np.zeros((4, 3)), np.zeros((4, 5))]],
+                             ids=["empty", "unequal-widths"])
+    def test_collect_feature_pool_rejects(self, matrices):
+        with pytest.raises(RepresentationError, match="feature matrices"):
+            collect_feature_pool(matrices, cap=100, seed=0)
+
+    def test_numpy_integer_size_accepted(self):
+        pool = np.random.default_rng(1).uniform(size=(30, 2))
+        assert build_dictionary(pool, v=np.int64(4)).size == 4
+
+
+def reference_dictionary(pool, v, seed):
+    """build_dictionary as one boolean scan per center in every Lloyd step,
+    with k-means++ seeding and distances built from fresh temporaries."""
+    pool = np.asarray(pool, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    centers = np.empty((v, pool.shape[1]))
+    centers[0] = pool[rng.integers(len(pool))]
+    dist_sq = np.sum((pool - centers[0]) ** 2, axis=1)
+    for i in range(1, v):
+        total = dist_sq.sum()
+        if total <= 0:
+            centers[i] = pool[rng.integers(len(pool))]
+            continue
+        centers[i] = pool[rng.choice(len(pool), p=dist_sq / total)]
+        dist_sq = np.minimum(dist_sq, np.sum((pool - centers[i]) ** 2, axis=1))
+
+    def assign(centers):
+        d = (
+            np.sum(pool**2, axis=1)[:, None]
+            - 2 * pool @ centers.T
+            + np.sum(centers**2, axis=1)[None, :]
+        )
+        return np.argmin(d, axis=1)
+
+    assignment = assign(centers)
+    for _ in range(representations._MAX_LLOYD_ITERS):
+        for j in range(v):
+            members = pool[assignment == j]
+            if len(members):
+                centers[j] = members.mean(axis=0)
+            else:
+                far = np.argmax(np.sum((pool - centers[assignment]) ** 2, axis=1))
+                centers[j] = pool[far]
+        new_assignment = assign(centers)
+        if np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+    return centers
+
+
+def assert_same_bits(got, want):
+    """Equal values and equal sign bits, so -0.0 and +0.0 differ."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@st.composite
+def kmeans_pools(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 300))
+    d = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        pool = rng.integers(0, draw(st.integers(1, 30)), size=(n, d)).astype(np.float64)
+    else:
+        pool = rng.normal(size=(n, d)) * draw(st.floats(1e-3, 1e3)) + draw(st.floats(-50, 50))
+    copies = draw(st.integers(0, n - 1))  # rows overwritten by copies of other rows
+    pool[rng.integers(0, n, size=copies)] = pool[rng.integers(0, n, size=copies)]
+    if draw(st.booleans()):
+        pool[rng.random(pool.shape) < 0.2] = -0.0
+    return pool, draw(st.integers(2, n))
+
+
+class TestLloydKernel:
+    """build_dictionary's one-product Lloyd step against the per-center
+    loop, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(kmeans_pools(), st.integers(0, 2**32 - 1))
+    def test_matches_per_center_reference(self, run, seed):
+        pool, v = run
+        for s in (seed, seed + 1):
+            assert_same_bits(build_dictionary(pool, v, s).words, reference_dictionary(pool, v, s))
+
+    def test_empty_cluster_mid_run_takes_the_loop(self):
+        # found by search: Lloyd step 2 of 5 leaves a cluster empty
+        pool = np.random.default_rng(14831).uniform(0, 1, size=(30, 2))
+        calls = []
+        loop = representations._update_each_center
+
+        def spy(pool, assignment, centers):
+            calls.append(np.bincount(assignment, minlength=len(centers)).min() == 0)
+            loop(pool, assignment, centers)
+
+        steps = mock.Mock(wraps=representations._assign)
+        with mock.patch.object(representations, "_update_each_center", spy), \
+                mock.patch.object(representations, "_assign", steps):
+            words = build_dictionary(pool, v=6, seed=0).words
+        assert calls == [True]
+        assert steps.call_count - 1 > len(calls)  # the other steps took the product
+        assert_same_bits(words, reference_dictionary(pool, 6, 0))
+
+    def test_one_column_pool(self):
+        # numpy sums a lone contiguous column pairwise, past 8 members
+        pool = np.random.default_rng(15).normal(scale=3.7, size=(200, 1))
+        for seed in range(3):
+            assert_same_bits(build_dictionary(pool, 4, seed).words,
+                             reference_dictionary(pool, 4, seed))
+
+    def test_negative_zero_column(self):
+        # both sums start from +0.0, so a column of -0.0 averages to +0.0
+        pool = np.random.default_rng(16).normal(size=(120, 3))
+        pool[:, 1] = -0.0
+        words = build_dictionary(pool, 5, 0).words
+        assert not np.signbit(words[:, 1]).any()
+        assert_same_bits(words, reference_dictionary(pool, 5, 0))
+
+    def test_desk_sized_integer_pool(self):
+        # spin-image-like counts: Poisson draws around 120 random profiles
+        rng = np.random.default_rng(90)
+        profiles = rng.gamma(0.5, 4.0, size=(120, 45))
+        pool = rng.poisson(profiles[rng.integers(0, 120, size=8000)]).astype(np.float64)
+        assert_same_bits(build_dictionary(pool, 90, 0).words, reference_dictionary(pool, 90, 0))
 
 
 class TestBowEncode:
