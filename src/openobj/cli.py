@@ -243,6 +243,8 @@ def _load_dictionary(path, config: ExperimentConfig) -> Dictionary:
 
 def cmd_cv(args) -> int:
     config, _ = build_config(args)
+    if config.ct is not None:
+        raise CliError("cv does not take ct: UNKNOWN is not a dataset category")
     dataset = load_dataset(args.dataset)
     cm = kfold(
         dataset,

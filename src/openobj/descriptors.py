@@ -32,6 +32,7 @@ __all__ = [
     "estimate_normals",
     "compute_spin_image",
     "compute_feature_set",
+    "DescriptorError",
 ]
 
 PROJECTION_PLANES = ("XoZ", "XoY", "YoZ")

@@ -28,6 +28,9 @@ __all__ = [
     "kfold",
     "run_protocol",
     "pick_rho",
+    "EvaluationError",
+    "replay_accuracies",
+    "write_summary_csv",
 ]
 
 DEFAULT_TAU = 0.67
@@ -255,6 +258,8 @@ def kfold(
         results = [run_fold(i) for i in range(k)]
     for test, predicted in results:
         for (true_label, _), pred_label in zip(test, predicted):
+            if pred_label not in index:
+                raise EvaluationError(f"predicted label {pred_label!r} is not a dataset category")
             counts[index[true_label], index[pred_label]] += 1
     return ConfusionMatrix(labels=labels, counts=counts)
 
@@ -436,6 +441,8 @@ def run_protocol(
 def pick_rho(alc: float, seed: int = 0) -> int:
     """Context transition point: uniform integer in
     [ceil(0.65 alc), floor(0.85 alc)]."""
+    if not abs(alc) < 2**53:  # fails for NaN too; keeps rho within int64
+        raise EvaluationError(f"ALC must be finite and below 2**53, got {alc}")
     lo = int(np.ceil(0.65 * alc))
     hi = int(np.floor(0.85 * alc))
     if hi < lo:

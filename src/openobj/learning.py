@@ -33,6 +33,7 @@ __all__ = [
     "bayes_teach",
     "bayes_classify",
     "log_posterior",
+    "LearningError",
 ]
 
 UNKNOWN = "UNKNOWN"
@@ -203,25 +204,21 @@ def classify_instances(
 ) -> Prediction:
     """Instance-based classification over a list of InstanceCategory.
 
-    Modes A1/A2 expect feature-set representations and use the normalized
-    object-category distances; nn_fixed expects fixed-size vectors and
-    takes the nearest stored instance under the chosen metric. The best
-    (lowest) score wins, ties to the earliest category; with a
-    classification threshold set, a best score above it returns UNKNOWN.
+    Modes A1/A2 score feature sets by the normalized object-category
+    distance to each category whose ICD is positive (ICD-bar averages those),
+    or by ``ocd_min`` while none is; nn_fixed takes the nearest stored
+    fixed-size vector under ``metric``. The winner is ``lowest_score``'s.
     """
-    if not memory:
-        raise LearningError("no categories in memory")
     scores = {}
-    if mode == "A1":
-        for cat in memory:
-            scores[cat.label] = nocd_approach1(target, cat)
-    elif mode == "A2":
-        icds = [c.icd for c in memory if c.icd is not None]
-        if not icds:
-            raise LearningError("no category has an ICD yet")
-        icd_bar = float(np.mean(icds))
-        for cat in memory:
-            scores[cat.label] = nocd_approach2(target, cat, icd_bar)
+    if mode in ("A1", "A2"):
+        ready = [c for c in memory if c.icd is not None and c.icd > 0]
+        if not ready:
+            scores = {c.label: ocd_min(target, c) for c in memory if c.instances}
+        elif mode == "A1":
+            scores = {c.label: nocd_approach1(target, c) for c in ready}
+        else:
+            icd_bar = float(np.mean([c.icd for c in ready]))
+            scores = {c.label: nocd_approach2(target, c, icd_bar) for c in ready}
     elif mode == "nn_fixed":
         target_vec = np.asarray(target, dtype=np.float64)
         if target_vec.ndim != 1:
@@ -242,7 +239,9 @@ def classify_instances(
 def lowest_score(scores: dict, ct: float | None = None) -> Prediction:
     """The lowest of the per-category scores wins, ties to the earliest
     category; with a classification threshold set, a best score above it
-    returns UNKNOWN."""
+    returns UNKNOWN. An empty table means an empty memory and raises."""
+    if not scores:
+        raise LearningError("no categories in memory")
     best_label = min(scores, key=scores.get)
     best = scores[best_label]
     label = UNKNOWN if ct is not None and best > ct else best_label
@@ -333,15 +332,13 @@ def bayes_classify(memory: BayesMemory, y) -> Prediction:
     """Highest log-likelihood category for a histogram:
     log P(C_k) + sum_i y_i log P(x_i | C_k); ties go to the earliest
     taught label."""
-    if not memory.categories:
-        raise LearningError("no categories taught yet")
     y = _check_histogram(y)
     scores = {}
     for label, cat in memory.categories.items():
         if cat.accumulators.shape != y.shape:
             raise LearningError("representation size mismatch")
         scores[label] = log_posterior(memory, label, y)
-    best_label = max(scores, key=scores.get)
+    best_label = lowest_score({label: -s for label, s in scores.items()}).label
     return Prediction(label=best_label, score=scores[best_label], scores=scores)
 
 

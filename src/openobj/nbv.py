@@ -21,6 +21,7 @@ __all__ = [
     "weighted_entropy",
     "select_next_view",
     "load_poses",
+    "NbvError",
 ]
 
 DEFAULT_RESOLUTION = 128

@@ -32,7 +32,6 @@ from .learning import (
     classify_instances,
     log_posterior,
     lowest_score,
-    ocd_min,
 )
 from .representations import (
     Dictionary,
@@ -53,6 +52,8 @@ __all__ = [
     "make_cv_pipeline",
     "collect_feature_pool",
     "Learner",
+    "ConfigError",
+    "build_dictionary_from_clouds",
 ]
 
 REPRESENTATIONS = ("good", "spinset", "bow", "lda", "local_lda")
@@ -226,12 +227,9 @@ class Learner:
         target = self._encode(cloud)
         if self.bayes:
             return bayes_classify(self.memory, target).label
-        if rep == "spinset":
-            return self._classify_sets(target)
+        mode = self.config.nocd_mode if rep == "spinset" else "nn_fixed"
         metric = "chi2" if rep == "lda" else "L2"
-        return classify_instances(
-            target, self.memory, mode="nn_fixed", metric=metric, ct=self.config.ct
-        ).label
+        return classify_instances(target, self.memory, mode, metric, self.config.ct).label
 
     def stored_instances(self) -> int:
         """Instances held by the instance memory."""
@@ -274,17 +272,6 @@ class Learner:
         return inferred.counts if self.bayes else inferred.theta
 
     # -- scoring -------------------------------------------------------------
-
-    def _classify_sets(self, target):
-        ready = [c for c in self.memory if c.icd is not None and c.icd > 0]
-        if ready:
-            return classify_instances(
-                target, ready, mode=self.config.nocd_mode, ct=self.config.ct
-            ).label
-        # before any category has a usable spread, fall back to the
-        # nearest-instance rule
-        scores = {c.label: ocd_min(target, c) for c in self.memory if c.instances}
-        return lowest_score(scores, self.config.ct).label
 
     def _classify_local(self, doc):
         """Represent the query against each category's own topic model and

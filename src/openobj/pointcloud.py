@@ -25,6 +25,7 @@ __all__ = [
     "centroid",
     "compute_reference_frame",
     "aabb_in_frame",
+    "PointCloudError",
 ]
 
 # Sign threshold (meters) for the axis disambiguation vote. Points closer

@@ -27,6 +27,9 @@ __all__ = [
     "lda_infer",
     "local_lda_update",
     "phi",
+    "RepresentationError",
+    "save_topic_models",
+    "load_topic_models",
 ]
 
 DEFAULT_ALPHA = 1.0
@@ -344,13 +347,27 @@ def _gibbs_sweeps(n_wk, n_k, doc, z, m_k, alpha, beta, iters, rng):
     z[:] = topics
 
 
-def _validate_doc(doc, v: int) -> np.ndarray:
+def _validate_doc(doc, v: int, iters: int) -> np.ndarray:
     doc = np.asarray(doc, dtype=np.int64)
     if doc.ndim != 1:
         raise RepresentationError("document must be a flat word-index sequence")
     if len(doc) and (doc.min() < 0 or doc.max() >= v):
         raise RepresentationError("word index out of vocabulary range")
+    if iters < 1:
+        raise RepresentationError("need at least one Gibbs sweep")
     return doc
+
+
+def _fold_in(n_wk, n_k, doc, k, alpha, beta, iters, rng) -> np.ndarray:
+    """Draw the document's initial topics from ``rng``, add them to the
+    counters, run the Gibbs sweeps in place and return the doc-topic
+    counts."""
+    z = rng.integers(0, k, size=len(doc))
+    m_k = np.bincount(z, minlength=k)
+    np.add.at(n_wk, (doc, z), 1)
+    n_k += m_k
+    _gibbs_sweeps(n_wk, n_k, doc, z, m_k, alpha, beta, iters, rng)
+    return m_k
 
 
 def lda_update(model: TopicModel, doc, iters: int = DEFAULT_GIBBS_ITERS) -> TopicModel:
@@ -361,18 +378,11 @@ def lda_update(model: TopicModel, doc, iters: int = DEFAULT_GIBBS_ITERS) -> Topi
     accumulated counters, and the final assignments become permanent.
     Returns the same (mutated) model.
     """
-    doc = _validate_doc(doc, model.v)
-    if iters < 1:
-        raise RepresentationError("need at least one Gibbs sweep")
+    doc = _validate_doc(doc, model.v, iters)
     rng = np.random.default_rng((model.rng_seed, model.n_updates))
     model.n_updates += 1
-    if len(doc) == 0:
-        return model
-    z = rng.integers(0, model.k, size=len(doc))
-    m_k = np.bincount(z, minlength=model.k)
-    np.add.at(model.n_wk, (doc, z), 1)
-    model.n_k += m_k
-    _gibbs_sweeps(model.n_wk, model.n_k, doc, z, m_k, model.alpha, model.beta, iters, rng)
+    if len(doc):
+        _fold_in(model.n_wk, model.n_k, doc, model.k, model.alpha, model.beta, iters, rng)
     return model
 
 
@@ -382,21 +392,13 @@ def lda_infer(model: TopicModel, doc, iters: int = DEFAULT_GIBBS_ITERS) -> Topic
     The sampler runs on a temporary copy of the counters, so the model is
     left bit-identical; theta_k = (n_{doc,k} + alpha) / (n_doc + K alpha).
     """
-    doc = _validate_doc(doc, model.v)
-    if iters < 1:
-        raise RepresentationError("need at least one Gibbs sweep")
+    doc = _validate_doc(doc, model.v, iters)
     k, alpha = model.k, model.alpha
     if len(doc) == 0:
         theta = np.full(k, 1.0 / k)
         return TopicHistogram(theta=theta, counts=np.zeros(k, dtype=np.int64))
     rng = np.random.default_rng((model.rng_seed, model.n_updates, 1))
-    n_wk = model.n_wk.copy()
-    n_k = model.n_k.copy()
-    z = rng.integers(0, k, size=len(doc))
-    m_k = np.bincount(z, minlength=k)
-    np.add.at(n_wk, (doc, z), 1)
-    n_k += m_k
-    _gibbs_sweeps(n_wk, n_k, doc, z, m_k, alpha, model.beta, iters, rng)
+    m_k = _fold_in(model.n_wk.copy(), model.n_k.copy(), doc, k, alpha, model.beta, iters, rng)
     theta = (m_k + alpha) / (len(doc) + k * alpha)
     return TopicHistogram(theta=theta, counts=m_k)
 

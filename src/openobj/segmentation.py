@@ -23,6 +23,7 @@ __all__ = [
     "euclidean_cluster",
     "euclidean_cluster_indices",
     "detect_objects",
+    "SegmentationError",
 ]
 
 

@@ -24,6 +24,7 @@ __all__ = [
     "generate_dataset",
     "generate_scene",
     "random_rotation",
+    "SynthgenError",
 ]
 
 SHAPE_KINDS = ("box", "cylinder", "sphere", "cone", "plate")
@@ -53,6 +54,10 @@ class ShapeSpec:
             raise SynthgenError("dimensions must be positive")
         if self.points < 50:
             raise SynthgenError("need at least 50 points per view")
+        if not 0 <= self.noise_sigma < np.inf:  # fails for NaN too
+            raise SynthgenError(
+                f"noise_sigma must be non-negative and finite, got {self.noise_sigma}"
+            )
         object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=np.float64))
 
 
@@ -212,6 +217,8 @@ def generate_dataset(
     ``manifest.json`` recording the seed, the specs and the optional
     context map.
     """
+    if views_per_category < 1:
+        raise SynthgenError(f"views_per_category must be at least 1, got {views_per_category}")
     rng = np.random.default_rng(seed)
     dataset = {}
     manifest = {"seed": seed, "views_per_category": views_per_category, "specs": {}}

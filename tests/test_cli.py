@@ -204,6 +204,18 @@ class TestGen:
         assert run_cli("gen", "--out-dir", str(tmp_path / "ds"), "--config", str(cfg)) == 1
         assert "categories" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [
+        "views = 0", "views = -3", "noise_sigma = -1", "noise_sigma = nan", "noise_sigma = inf",
+    ])
+    def test_bad_views_or_noise_exits_one(self, tmp_path, capsys, line):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(f"categories = 2\npoints = 120\n{line}\n")
+        out = tmp_path / "ds"
+        assert run_cli("gen", "--out-dir", str(out), "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and line.split()[0] in err
+        assert not (out / "manifest.json").exists()
+
     def test_context_split_written(self, tmp_path):
         out = tmp_path / "ds"
         run_cli("gen", "--out-dir", str(out), "--seed", "1",
@@ -300,6 +312,15 @@ class TestCv:
             outs.append((out / "confusion.csv").read_text())
         assert outs[0] == outs[1]
 
+    def test_ct_rejected_before_loading(self, small_dataset, tmp_path, capsys):
+        # a CV confusion matrix has no UNKNOWN column
+        for root in (small_dataset, tmp_path / "missing"):
+            assert run_cli("cv", str(root), "--ct", "1e-6", "--folds", "2",
+                           "--out-dir", str(tmp_path / "out")) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "does not take ct" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [
         ("gen",), ("describe", "view.pcd"), ("protocol", "data"), ("nbv", "w.pcd", "p.json"),
     ])
@@ -354,6 +375,14 @@ class TestProtocol:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert flag in err and "--context-change" in err
+        assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("alc", ["nan", "inf"])
+    def test_non_finite_alc_exits_one(self, small_dataset, tmp_path, capsys, alc):
+        assert run_cli("protocol", str(small_dataset), "--context-change", "--alc", alc,
+                       "--out-dir", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "ALC must be finite" in err
         assert not (tmp_path / "summary.json").exists()
 
     def test_each_view_described_once(self, small_dataset, tmp_path, monkeypatch):

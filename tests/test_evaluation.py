@@ -162,6 +162,15 @@ class TestKfold:
         cm = kfold(data, k=5, pipeline=self.nn_pipeline, seed=7)
         assert cm.total == 30
 
+    def test_prediction_outside_the_categories_rejected(self):
+        rng = np.random.default_rng(6)
+
+        def unknown_pipeline(train, test_views):
+            return ["UNKNOWN"] * len(test_views)
+
+        with pytest.raises(EvaluationError, match="'UNKNOWN' is not a dataset category"):
+            kfold(self.dataset(rng), k=2, pipeline=unknown_pipeline)
+
     def test_k_below_two_rejected(self):
         rng = np.random.default_rng(5)
         with pytest.raises(EvaluationError):
@@ -367,6 +376,11 @@ class TestPickRho:
         draws = [pick_rho(20, seed=int(rng.integers(0, 2**31))) for _ in range(10000)]
         freqs = np.bincount(draws, minlength=18)[13:18] / 10000
         np.testing.assert_allclose(freqs, 0.2, atol=0.03)
+
+    @pytest.mark.parametrize("alc", [float("nan"), float("inf"), float("-inf"), 1e300])
+    def test_non_finite_alc_rejected(self, alc):
+        with pytest.raises(EvaluationError, match="finite"):
+            pick_rho(alc, seed=0)
 
     def test_empty_interval_rejected(self):
         # 0.65 * 2 = 1.3 -> ceil 2; 0.85 * 2 = 1.7 -> floor 1: empty

@@ -229,7 +229,100 @@ class TestClassifyInstances:
                 assert pred.score == 0.0
 
 
+def classify_sets_oracle(target, memory, mode, ct=None):
+    """The Learner's spin-set rule as it stood before classify_instances
+    took it over: A1/A2 over the categories whose ICD is set and positive,
+    else the nearest instance over every category that has one."""
+    ready = [c for c in memory if c.icd is not None and c.icd > 0]
+    scores = {}
+    if not ready:
+        for c in memory:
+            if c.instances:
+                scores[c.label] = min(set_distance(target, inst) for inst in c.instances)
+    elif mode == "A1":
+        for c in ready:
+            scores[c.label] = min(set_distance(target, inst) for inst in c.instances) / c.icd
+    else:
+        icd_bar = float(np.mean([c.icd for c in ready]))
+        for c in ready:
+            ocd = float(np.mean([set_distance(target, inst) for inst in c.instances]))
+            scores[c.label] = 2.0 * ocd / (c.icd + icd_bar)
+    if not scores:
+        return None
+    best = min(scores, key=scores.get)
+    label = UNKNOWN if ct is not None and scores[best] > ct else best
+    return label, scores[best], scores
+
+
+@st.composite
+def set_memories(draw):
+    """Categories of random integer feature sets whose ICD is None, 0 or
+    positive, independent of the instances; a category with no ICD may
+    hold no instance."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    memory = []
+    for i in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["none", "zero", "positive"]))
+        n = draw(st.integers(0 if kind == "none" else 1, 3))
+        instances = [rng.integers(0, 4, size=(rng.integers(1, 4), 3)).astype(float)
+                     for _ in range(n)]
+        value = {"none": None, "zero": 0.0, "positive": draw(st.floats(0.1, 5.0))}[kind]
+        memory.append(InstanceCategory(f"c{i}", instances, icd=value))
+    target = rng.integers(0, 4, size=(rng.integers(1, 4), 3)).astype(float)
+    return target, memory
+
+
+class TestSpinSetRule:
+    @settings(max_examples=150, deadline=None)
+    @given(set_memories(), st.sampled_from(["A1", "A2"]),
+           st.one_of(st.none(), st.floats(0.0, 3.0)))
+    def test_matches_the_learner_rule(self, case, mode, ct):
+        target, memory = case
+        expected = classify_sets_oracle(target, memory, mode, ct)
+        if expected is None:
+            with pytest.raises(LearningError, match="no categories"):
+                classify_instances(target, memory, mode=mode, ct=ct)
+            return
+        pred = classify_instances(target, memory, mode=mode, ct=ct)
+        assert (pred.label, pred.score, pred.scores) == expected
+
+    def test_a1_skips_a_category_without_icd(self):
+        ready = InstanceCategory("ready")
+        for inst in (feats([0, 0]), feats([2, 0])):
+            ready.add(inst)
+        fresh = InstanceCategory("fresh", [feats([5, 5])])
+        pred = classify_instances(feats([5, 5]), [fresh, ready], mode="A1")
+        assert pred.label == "ready" and list(pred.scores) == ["ready"]
+
+    def test_a2_skips_a_category_with_zero_icd(self):
+        ready = InstanceCategory("ready")
+        for inst in (feats([0, 0]), feats([2, 0])):
+            ready.add(inst)
+        flat = InstanceCategory("flat")
+        for _ in range(2):
+            flat.add(feats([5, 5]))
+        assert flat.icd == 0.0
+        pred = classify_instances(feats([5, 5]), [flat, ready], mode="A2")
+        assert list(pred.scores) == ["ready"]
+        assert pred.score == pytest.approx(2 * ocd_mean(feats([5, 5]), ready) / (2 * ready.icd))
+
+    @pytest.mark.parametrize("mode", ["A1", "A2"])
+    def test_no_ready_category_falls_back_to_ocd_min(self, mode):
+        a = InstanceCategory("a", [feats([0, 0]), feats([4, 0])])
+        b = InstanceCategory("b", [feats([1, 1])])
+        pred = classify_instances(feats([3, 0]), [a, b], mode=mode)
+        assert pred.scores == {"a": 1.0, "b": pytest.approx(np.sqrt(5))}
+        assert pred.label == "a"
+
+
 class TestLowestScore:
+    @pytest.mark.parametrize("mode", ["A1", "A2", "nn_fixed"])
+    def test_empty_memory_raises(self, mode):
+        with pytest.raises(LearningError, match="no categories in memory"):
+            lowest_score({})
+        with pytest.raises(LearningError, match="no categories in memory"):
+            classify_instances(np.zeros(2), [], mode=mode)
+
     def test_ties_go_to_the_earliest_category(self):
         assert lowest_score({"b": 1.0, "a": 1.0, "c": 2.0}).label == "b"
 
@@ -300,6 +393,10 @@ class TestBayes:
         bayes_teach(mem, "b", np.array([1, 1]))
         bayes_teach(mem, "a", np.array([1, 1]))
         assert bayes_classify(mem, np.array([2, 2])).label == "b"
+
+    def test_empty_memory_raises(self):
+        with pytest.raises(LearningError, match="no categories in memory"):
+            bayes_classify(BayesMemory(), np.array([1, 2]))
 
     def test_first_teach(self):
         mem = BayesMemory()

@@ -10,7 +10,10 @@ import pytest
 from openobj.descriptors import compute_feature_set, compute_good
 from openobj.evaluation import LabeledDataset, kfold, metrics, run_protocol
 from openobj.nbv import render_virtual
+from openobj.learning import LearningError
 from openobj.pipelines import (
+    LEARNERS,
+    REPRESENTATIONS,
     ConfigError,
     ExperimentConfig,
     build_dictionary_from_clouds,
@@ -183,6 +186,22 @@ class TestLearnerWrappers:
         assert all(c.icd is None for c in strict.memory)
         assert strict.classify(box) == "box"
         assert strict.classify(sphere) == UNKNOWN
+
+    @pytest.mark.parametrize("representation,learner", [
+        (rep, mem) for rep in REPRESENTATIONS for mem in LEARNERS
+        if (rep, mem) != ("spinset", "bayes")
+    ])
+    def test_classify_before_teach_raises(self, tiny_dataset, representation, learner):
+        cfg = ExperimentConfig(
+            representation=representation, learner=learner, voxel=0.025,
+            dictionary_size=20, topics=8, gibbs_iters=10,
+        )
+        dictionary = None
+        if representation in ("bow", "lda", "local_lda"):
+            dictionary = build_dictionary_from_clouds(tiny_dataset.views["box"][:2], cfg)
+        learner = build_learner(cfg, dictionary)
+        with pytest.raises(LearningError, match="no categories"):
+            learner.classify(tiny_dataset.views["cone"][0])
 
     def test_stored_instances_match_log(self, tiny_dataset):
         cfg = ExperimentConfig(representation="good", learner="instance", good_bins=5)

@@ -1,10 +1,12 @@
 """Synthetic generators: determinism, geometry and provenance labels."""
 
 import numpy as np
+import pytest
 
 from openobj.synthgen import (
     CategorySpec,
     ShapeSpec,
+    SynthgenError,
     generate_dataset,
     generate_scene,
     generate_view,
@@ -17,6 +19,11 @@ class TestGenerateView:
         cloud = generate_view(spec)
         radii = np.linalg.norm(cloud.points, axis=1)
         np.testing.assert_allclose(radii, 0.1, atol=1e-9)
+
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
+    def test_bad_noise_sigma_rejected(self, sigma):
+        with pytest.raises(SynthgenError, match="noise_sigma"):
+            ShapeSpec(kind="sphere", dimensions=(0.1,), noise_sigma=sigma)
 
     def test_same_seed_identical(self):
         spec = ShapeSpec(kind="box", dimensions=(0.1, 0.2, 0.05), points=300, seed=9)
@@ -56,6 +63,12 @@ class TestGenerateDataset:
         files = sorted(p.relative_to(root) for p in root.rglob("*.pcd"))
         assert len(files) == 10
         assert (root / "manifest.json").exists()
+
+    @pytest.mark.parametrize("views", [0, -3])
+    def test_needs_a_view_per_category(self, tmp_path, views):
+        with pytest.raises(SynthgenError, match="views_per_category"):
+            generate_dataset(self.CATS, views, root=str(tmp_path / "ds"))
+        assert not (tmp_path / "ds").exists()
 
     def test_regeneration_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
