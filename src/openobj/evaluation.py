@@ -256,7 +256,11 @@ def kfold(
             results = list(pool.map(run_fold, range(k)))
     else:
         results = [run_fold(i) for i in range(k)]
-    for test, predicted in results:
+    for i, (test, predicted) in enumerate(results):
+        if len(predicted) != len(test):
+            raise EvaluationError(
+                f"fold {i}: the pipeline returned {len(predicted)} labels for {len(test)} views"
+            )
         for (true_label, _), pred_label in zip(test, predicted):
             if pred_label not in index:
                 raise EvaluationError(f"predicted label {pred_label!r} is not a dataset category")

@@ -49,6 +49,8 @@ def _as_feature_matrix(rep) -> np.ndarray:
         rep = rep.reshape(1, -1)  # a fixed-size vector is a one-feature set
     if rep.ndim != 2 or len(rep) == 0:
         raise LearningError("feature-set representation must be a non-empty 2D array")
+    if not np.all(np.isfinite(rep)):
+        raise LearningError("feature-set representation must be finite")
     return rep
 
 
@@ -59,18 +61,47 @@ class InstanceCategory:
     ``icd`` is the mean distance over ordered instance pairs; the reference
     dataset protocol initializes it from three views, so with only two the
     value is kept but flagged provisional.
+
+    Two caches derive from ``instances``, whose entries are treated as
+    immutable: the set distance of every ordered pair that ``icd`` has
+    computed, and the stacked instance matrix that OCD scores against. Each
+    remembers the instances it came from, by identity: the pairs are trimmed
+    to the longest unchanged prefix of ``instances`` and the stack is
+    rebuilt whenever the list differs, so editing ``instances`` directly is
+    safe. Neither is serialized.
     """
 
     label: str
     instances: list = field(default_factory=list)
     icd: float | None = None
     icd_provisional: bool = False
+    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _paired: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _stack: _Stack | None = field(default=None, init=False, repr=False, compare=False)
 
     def add(self, representation):
         self.instances.append(representation)
         if len(self.instances) >= 2:
             self.icd = icd(self)
             self.icd_provisional = len(self.instances) < 3
+
+    def _pair_distances(self) -> dict:
+        """{(i, j): D(instance i, instance j)} for the pairs computed so far
+        whose instances are still at positions i and j."""
+        kept = _shared_prefix(self._paired, self.instances)
+        if kept < len(self._paired):
+            self._pairs = {ij: d for ij, d in self._pairs.items() if max(ij) < kept}
+        self._paired = list(self.instances)
+        return self._pairs
+
+    def _stacked(self) -> _Stack:
+        """The stack of exactly the current instances, rebuilt if needed."""
+        stack = self._stack
+        if stack is None or len(stack.instances) != len(self.instances) or (
+            _shared_prefix(stack.instances, self.instances) < len(self.instances)
+        ):
+            self._stack = stack = _Stack.of(self.instances)
+        return stack
 
     def to_json_dict(self) -> dict:
         return {
@@ -90,6 +121,38 @@ class InstanceCategory:
         )
 
 
+@dataclass(frozen=True)
+class _Stack:
+    """A category's instances as one (N, d) matrix, its row squared norms
+    and the first row of each instance. ``norms`` is None, and OCD goes
+    instance by instance, when the widths differ or the exact product path
+    does not apply."""
+
+    instances: tuple
+    matrix: np.ndarray | None
+    norms: np.ndarray | None
+    offsets: np.ndarray | None
+
+    @classmethod
+    def of(cls, instances) -> _Stack:
+        mats = [_as_feature_matrix(inst) for inst in instances]
+        if len({m.shape[1] for m in mats}) != 1:
+            return cls(tuple(instances), None, None, None)
+        matrix = np.vstack(mats)
+        offsets = np.cumsum([0] + [len(m) for m in mats[:-1]])
+        return cls(tuple(instances), matrix, _exact_sq_norms(matrix), offsets)
+
+
+def _shared_prefix(old, new) -> int:
+    """How many leading entries two sequences share, by identity."""
+    n = 0
+    for a, b in zip(old, new):
+        if a is not b:
+            break
+        n += 1
+    return n
+
+
 @dataclass
 class Prediction:
     """Classification outcome: winning label (or UNKNOWN), its score and
@@ -104,40 +167,95 @@ class Prediction:
 # Distances
 # ---------------------------------------------------------------------------
 
+# Integer rows with squared norms below 2**51 keep every value the product
+# path forms an integer of magnitude below 2**53, which float64 holds
+# exactly in any summation order: the norms, each partial sum of -2 a.b
+# (at most 2|a||b|), |b|^2 - 2 a.b and |a - b|^2 <= (|a| + |b|)^2 < 4 * 2**51.
+# The nearest squared distance is then exact, and its square root is
+# cdist's value bit for bit.
+_EXACT_SQ_NORM_BOUND = 2.0**51
+_WHOLE = np.zeros(1, dtype=np.intp)  # block offsets of a single feature set
+
+
+def _exact_sq_norms(m: np.ndarray) -> np.ndarray | None:
+    """Row squared norms of a finite feature matrix when the product path
+    is exact for it (integer entries, every norm below the bound), else
+    None. A sum of non-negative squares that reaches the bound is never
+    rounded back below it, so the check holds for the computed norms."""
+    if not np.array_equal(m, np.trunc(m)):
+        return None
+    norms = np.einsum("ij,ij->i", m, m)
+    return norms if np.all(norms < _EXACT_SQ_NORM_BOUND) else None
+
+
+def _set_distances(mu, nu, mv, nv, offsets) -> list:
+    """D(mu, block) for each block of mv rows that starts at an offset, from
+    one matrix product: each row's nearest min_b(|b|^2 - 2 a.b) + |a|^2,
+    which is exact when nu and nv come from _exact_sq_norms. Each mean runs
+    over a fresh 1-D vector, as cdist's path takes it."""
+    d2 = (mu * -2.0) @ mv.T
+    d2 += nv
+    nearest = np.minimum.reduceat(d2, offsets, axis=1)
+    nearest += nu[:, None]
+    return [float(np.sqrt(nearest[:, i]).mean()) for i in range(len(offsets))]
+
+
 def set_distance(u, v) -> float:
     """Asymmetric distance between two feature sets: the average, over the
-    features of U, of the distance to the nearest feature of V."""
+    features of U, of the distance to the nearest feature of V. Sets that
+    pass _exact_sq_norms take one matrix product, others cdist; both give
+    the same bits."""
     mu = _as_feature_matrix(u)
     mv = _as_feature_matrix(v)
-    return float(cdist(mu, mv).min(axis=1).mean())
+    if mu.shape[1] != mv.shape[1]:
+        raise LearningError(f"feature sets of unequal width {mu.shape[1]} and {mv.shape[1]}")
+    nu, nv = _exact_sq_norms(mu), _exact_sq_norms(mv)
+    if nu is None or nv is None:
+        return float(cdist(mu, mv).min(axis=1).mean())
+    return _set_distances(mu, nu, mv, nv, _WHOLE)[0]
 
 
 def icd(category: InstanceCategory) -> float:
-    """Category spread: mean of D(U, V) over ordered pairs U != V."""
+    """Category spread: mean of D(U, V) over ordered pairs U != V. Pair
+    distances stay on the category, so after an add only the 2(n - 1) pairs
+    with the new instance are computed; the sum always runs in (i, j) order."""
     instances = category.instances
     n = len(instances)
     if n < 2:
         raise LearningError("intra-category distance needs at least 2 instances")
+    pairs = category._pair_distances()
     total = 0.0
     for i in range(n):
         for j in range(n):
             if i != j:
-                total += set_distance(instances[i], instances[j])
+                if (i, j) not in pairs:
+                    pairs[i, j] = set_distance(instances[i], instances[j])
+                total += pairs[i, j]
     return total / (n * (n - 1))
+
+
+def _instance_distances(target, category: InstanceCategory) -> list:
+    """D(target, instance) for each instance of the category, in order: one
+    matrix product against the stacked instances, or set_distance per
+    instance when the stack or the target does not qualify."""
+    if not category.instances:
+        raise LearningError(f"category {category.label!r} has no instances")
+    stack = category._stacked()
+    mt = _as_feature_matrix(target)
+    nt = _exact_sq_norms(mt)
+    if stack.norms is None or nt is None or mt.shape[1] != stack.matrix.shape[1]:
+        return [set_distance(target, inst) for inst in category.instances]
+    return _set_distances(mt, nt, stack.matrix, stack.norms, stack.offsets)
 
 
 def ocd_min(target, category: InstanceCategory) -> float:
     """Object-category distance, nearest-instance variant."""
-    if not category.instances:
-        raise LearningError(f"category {category.label!r} has no instances")
-    return min(set_distance(target, inst) for inst in category.instances)
+    return min(_instance_distances(target, category))
 
 
 def ocd_mean(target, category: InstanceCategory) -> float:
     """Object-category distance, average-over-instances variant."""
-    if not category.instances:
-        raise LearningError(f"category {category.label!r} has no instances")
-    return float(np.mean([set_distance(target, inst) for inst in category.instances]))
+    return float(np.mean(_instance_distances(target, category)))
 
 
 def nocd_approach1(target, category: InstanceCategory) -> float:

@@ -171,6 +171,17 @@ class TestKfold:
         with pytest.raises(EvaluationError, match="'UNKNOWN' is not a dataset category"):
             kfold(self.dataset(rng), k=2, pipeline=unknown_pipeline)
 
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_prediction_count_rejected(self, extra):
+        rng = np.random.default_rng(7)
+
+        def miscounting_pipeline(train, test_views):
+            labels = self.nn_pipeline(train, test_views)
+            return labels[:-1] if extra < 0 else labels + labels[:1]
+
+        with pytest.raises(EvaluationError, match=r"fold 0: .* labels for 12 views"):
+            kfold(self.dataset(rng), k=3, pipeline=miscounting_pipeline)
+
     def test_k_below_two_rejected(self):
         rng = np.random.default_rng(5)
         with pytest.raises(EvaluationError):

@@ -1,12 +1,17 @@
 """Distance functions, instance-based learning and the naive-Bayes learner."""
 
 import itertools
+import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
+from openobj import learning
 from openobj.learning import (
     UNKNOWN,
     BayesMemory,
@@ -63,6 +68,210 @@ class TestSetDistance:
     def test_empty_rejected(self):
         with pytest.raises(LearningError):
             set_distance(np.empty((0, 3)), feats([1, 2, 3]))
+
+    def test_unequal_widths_rejected(self):
+        with pytest.raises(LearningError, match="unequal width 4 and 5"):
+            set_distance(np.ones((3, 4)), np.ones((2, 5)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_rejected(self, bad, side):
+        pair = [np.ones((3, 4)), np.ones((2, 4))]
+        pair[side][1, 2] = bad
+        with pytest.raises(LearningError, match="finite"):
+            set_distance(*pair)
+
+
+def cdist_distance(u, v) -> float:
+    """set_distance as cdist computes it: the reference for the product path."""
+    return float(cdist(np.atleast_2d(u), np.atleast_2d(v)).min(axis=1).mean())
+
+
+# The largest entry whose square, plus a 4-wide row of entries up to 3 in
+# magnitude, stays below the 2**51 squared-norm bound.
+_BIG = math.isqrt(2**51 - 1 - 4 * 9)
+
+
+@st.composite
+def integer_sets(draw, width):
+    """A random integer feature set of the given width, entries in [-3, 3],
+    where some rows carry one entry of magnitude up to _BIG."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.integers(-3, 4, size=(draw(st.integers(1, 12)), width)).astype(np.float64)
+    for row in range(len(m)):
+        if draw(st.booleans()):
+            m[row, draw(st.integers(0, width - 1))] = draw(
+                st.sampled_from([-1, 1])) * draw(st.integers(2**20, _BIG))
+    return m
+
+
+class TestExactPath:
+    """The matrix-product path of set_distance is cdist's value bit for bit,
+    and only runs where the exactness rule holds."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(integer_sets(4), integer_sets(4))
+    def test_integer_sets_match_cdist_bit_for_bit(self, u, v):
+        with mock.patch.object(learning, "_set_distances", wraps=learning._set_distances) as spy:
+            got = set_distance(u, v)
+        assert spy.call_count == 1
+        assert got == cdist_distance(u, v)
+
+    def test_opposite_rows_at_the_bound(self):
+        # |a - b|^2 = 4 _BIG^2 is the largest squared distance the rule allows
+        u = feats([_BIG, 0, 0, 0], [0, -_BIG, 3, 3])
+        v = feats([-_BIG, 0, 0, 0], [0, _BIG, -3, -3])
+        assert 4 * _BIG**2 < 2**53
+        assert set_distance(u, v) == cdist_distance(u, v)
+        assert set_distance(v, u) == cdist_distance(v, u)
+
+    @pytest.mark.parametrize("row", [
+        [2**25, 2**25],  # squared norm exactly 2**51
+        [2**26, 0],  # above it
+        [0.5, 1.0],  # not an integer
+    ], ids=["at-bound", "above-bound", "non-integer"])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_fallback_to_cdist(self, row, side):
+        pair = [feats([1, 2], [3, 4]), feats([0, 1], [2, 2], [5, 5])]
+        pair[side] = np.vstack([pair[side], row])
+        with mock.patch.object(learning, "_set_distances", wraps=learning._set_distances) as spy:
+            got = set_distance(*pair)
+        assert spy.call_count == 0
+        assert got == cdist_distance(*pair)
+
+    def test_just_below_the_bound_takes_the_product(self):
+        u = feats([_BIG, 3, 3, 3])
+        assert np.einsum("ij,ij->i", u, u)[0] < 2**51
+        with mock.patch.object(learning, "_set_distances", wraps=learning._set_distances) as spy:
+            assert set_distance(u, feats([1, 1, 1, 1])) == cdist_distance(u, feats([1, 1, 1, 1]))
+        assert spy.call_count == 1
+
+
+def spin_like(rng, rows=None, width=6):
+    """A random count matrix, like a view's spin images."""
+    rows = rows or int(rng.integers(1, 9))
+    return rng.poisson(2.0, size=(rows, width)).astype(np.float64)
+
+
+def categories_three_ways(rng, n=5):
+    """The same instances in a category built by add, one built by direct
+    appends to ``instances``, and one loaded back through JSON."""
+    instances = [spin_like(rng) for _ in range(n)]
+    added, appended = InstanceCategory("x"), InstanceCategory("x")
+    for inst in instances:
+        added.add(inst)
+        appended.instances.append(inst)
+    loaded = InstanceCategory.from_json_dict(json.loads(json.dumps(added.to_json_dict())))
+    return instances, {"add": added, "append": appended, "json": loaded}
+
+
+def icd_oracle(instances) -> float:
+    """Mean cdist set distance over ordered pairs, summed in (i, j) order."""
+    n = len(instances)
+    total = 0.0
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                total += cdist_distance(instances[i], instances[j])
+    return total / (n * (n - 1))
+
+
+class TestStackedOcd:
+    @pytest.mark.parametrize("how", ["add", "append", "json"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_the_per_instance_loop(self, how, seed):
+        rng = np.random.default_rng(seed)
+        instances, cats = categories_three_ways(rng)
+        cat = cats[how]
+        for rows in (1, 7, 9, 150, 300):  # numpy sums 8 or more values pairwise
+            target = spin_like(rng, rows=rows)
+            each = [cdist_distance(target, inst) for inst in instances]
+            with mock.patch.object(learning, "set_distance") as per_instance:
+                assert ocd_min(target, cat) == min(each)
+                assert ocd_mean(target, cat) == float(np.mean(each))
+            per_instance.assert_not_called()
+
+    def test_stack_follows_direct_edits(self):
+        rng = np.random.default_rng(7)
+        _, cats = categories_three_ways(rng, n=3)
+        cat = cats["add"]
+        target = spin_like(rng)
+        ocd_min(target, cat)  # builds the stack
+        cat.instances.append(spin_like(rng))
+        cat.instances[0] = spin_like(rng)
+        each = [cdist_distance(target, inst) for inst in cat.instances]
+        assert ocd_mean(target, cat) == float(np.mean(each))
+        del cat.instances[1]
+        each = [cdist_distance(target, inst) for inst in cat.instances]
+        assert ocd_min(target, cat) == min(each)
+        assert ocd_mean(target, cat) == float(np.mean(each))
+
+    @pytest.mark.parametrize("odd", ["non-integer instance", "non-integer target"])
+    def test_inexact_input_scores_instance_by_instance(self, odd):
+        rng = np.random.default_rng(8)
+        instances, cats = categories_three_ways(rng, n=3)
+        target = spin_like(rng)
+        if odd == "non-integer target":
+            target = target + 0.25
+        else:
+            cats["add"].instances[1] = instances[1] = instances[1] + 0.5
+        each = [cdist_distance(target, inst) for inst in instances]
+        with mock.patch.object(learning, "set_distance", wraps=learning.set_distance) as spy:
+            assert ocd_min(target, cats["add"]) == min(each)
+        assert spy.call_count == 3
+
+    def test_unequal_widths_score_instance_by_instance(self):
+        rng = np.random.default_rng(9)
+        cat = InstanceCategory("x", [spin_like(rng), spin_like(rng, width=7)])
+        with pytest.raises(LearningError, match="unequal width"):
+            ocd_min(spin_like(rng), cat)
+
+    def test_empty_category_rejected(self):
+        with pytest.raises(LearningError, match="no instances"):
+            ocd_mean(spin_like(np.random.default_rng(0)), InstanceCategory("x"))
+
+
+class TestIncrementalIcd:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.booleans())
+    def test_equals_brute_force_after_every_add(self, seed, n, integer):
+        rng = np.random.default_rng(seed)
+        cat = InstanceCategory("x")
+        for k in range(1, n + 1):
+            inst = spin_like(rng) if integer else rng.uniform(0, 3, size=(3, 6))
+            with mock.patch.object(learning, "set_distance", wraps=learning.set_distance) as spy:
+                cat.add(inst)
+            assert spy.call_count == 2 * (k - 1)
+            if k >= 2:
+                assert cat.icd == icd_oracle(cat.instances)
+
+    def test_follows_direct_edits(self):
+        rng = np.random.default_rng(3)
+        cat = InstanceCategory("x")
+        for _ in range(4):
+            cat.add(spin_like(rng))
+        cat.instances[2] = spin_like(rng)
+        assert icd(cat) == icd_oracle(cat.instances)
+        cat.instances.append(spin_like(rng))
+        assert icd(cat) == icd_oracle(cat.instances)
+        cat.instances = cat.instances[1:]
+        assert icd(cat) == icd_oracle(cat.instances)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_half_json_rest_equals_teaching_all(self, seed):
+        rng = np.random.default_rng(seed)
+        views = [spin_like(rng, rows=int(rng.integers(1, 30)), width=45) for _ in range(8)]
+        whole = InstanceCategory("x")
+        for view in views:
+            whole.add(view)
+        half = InstanceCategory("x")
+        for view in views[:4]:
+            half.add(view)
+        resumed = InstanceCategory.from_json_dict(json.loads(json.dumps(half.to_json_dict())))
+        for view in views[4:]:
+            resumed.add(view)
+        assert resumed.icd == whole.icd
+        assert resumed.icd_provisional == whole.icd_provisional
 
 
 class TestIcd:
