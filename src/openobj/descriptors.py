@@ -28,7 +28,6 @@ __all__ = [
     "projection_entropy",
     "projection_variance",
     "compute_good",
-    "extract_keypoints",
     "estimate_normals",
     "compute_spin_image",
     "compute_feature_set",
@@ -236,16 +235,6 @@ def _keypoint_indices(points: np.ndarray, voxel: float) -> np.ndarray:
     return order[first]
 
 
-def extract_keypoints(cloud: PointCloud, voxel: float = DEFAULT_KEYPOINT_VOXEL) -> np.ndarray:
-    """One keypoint per occupied voxel: the original point nearest the
-    voxel center. Returns a (k, 3) array that is a subset of the cloud."""
-    if voxel <= 0:
-        raise DescriptorError("voxel size must be positive")
-    if len(cloud) == 0:
-        raise DescriptorError("empty cloud")
-    return cloud.points[_keypoint_indices(cloud.points, voxel)]
-
-
 def estimate_normals(cloud: PointCloud) -> np.ndarray:
     """Per-point surface normals by PCA over the _NORMAL_NEIGHBOURS (10)
     nearest neighbors, oriented toward the sensor at the origin.
@@ -309,8 +298,13 @@ def compute_spin_image(
         raise DescriptorError("need keypoints and normals of matching shape (3,) or (k, 3)")
     if np.any(np.abs(np.linalg.norm(normals, axis=-1) - 1.0) > 1e-9):
         raise DescriptorError("keypoint normal must be unit length")
-    if support_length <= 0:
-        raise DescriptorError("support length must be positive")
+    # the bounds ExperimentConfig.validate sets; each check fails for NaN
+    if not 0 < support_length < np.inf:
+        raise DescriptorError("support length must be positive and finite")
+    if not image_width >= 1:
+        raise DescriptorError("image width must be at least 1")
+    if not 0 < support_angle <= 180:
+        raise DescriptorError("support angle must lie in (0, 180]")
     iw = int(image_width)
     sl = float(support_length)
     n_rows, n_cols = iw + 1, 2 * iw + 1
@@ -359,14 +353,13 @@ def compute_feature_set(
     support_length: float = DEFAULT_SUPPORT_LENGTH,
     support_angle: float = DEFAULT_SUPPORT_ANGLE,
 ) -> FeatureSet:
-    """Spin images over voxel-selected keypoints of an object view, with
-    normals from estimate_normals."""
-    if voxel <= 0:
-        raise DescriptorError("voxel size must be positive")
-    if len(cloud) == 0:
-        raise DescriptorError("empty cloud")
+    """Spin images over voxel-selected keypoints of an object view, one
+    per occupied voxel: the point nearest the voxel's center. Normals come
+    from estimate_normals."""
+    if not 0 < voxel < np.inf:
+        raise DescriptorError("voxel size must be positive and finite")
+    normals = estimate_normals(cloud)  # raises for an empty cloud
     key_idx = _keypoint_indices(cloud.points, voxel)
-    normals = estimate_normals(cloud)
     keypoints = cloud.points[key_idx]
     images = compute_spin_image(
         cloud,

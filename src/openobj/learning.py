@@ -6,6 +6,7 @@ model-based learner.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +29,6 @@ __all__ = [
     "classify_instances",
     "lowest_score",
     "chi2",
-    "kl",
-    "js",
     "bayes_teach",
     "bayes_classify",
     "log_posterior",
@@ -287,30 +286,32 @@ def chi2(p, q) -> float:
     return float(0.5 * np.sum(d * d / s[mask]))
 
 
-def kl(p, q) -> float:
-    """Kullback-Leibler divergence (natural log); 0 log(0/q) = 0 and
-    p log(p/0) = +inf."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    mask = p > 0
-    if np.any(q[mask] == 0):
-        return float("inf")
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
-
-
-def js(p, q) -> float:
-    """Jensen-Shannon divergence KL(P, M) + KL(Q, M), M the midpoint;
-    always finite and symmetric."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    m = 0.5 * (p + q)
-    return kl(p, m) + kl(q, m)
-
-
 _FIXED_METRICS = {
     "L2": lambda a, b: float(np.linalg.norm(a - b)),
     "chi2": chi2,
 }
+
+
+def _per_category(query, check):
+    """label -> the query as that category sees it, passed through ``check``:
+    one shared query is checked once, a mapping's entry when it is read."""
+    if not isinstance(query, Mapping):
+        checked = check(query)
+        return lambda label: checked
+
+    def view(label):
+        if label not in query:
+            raise LearningError(f"the query has no view for category {label!r}")
+        return check(query[label])
+
+    return view
+
+
+def _fixed_vector(target) -> np.ndarray:
+    vec = np.asarray(target, dtype=np.float64)
+    if vec.ndim != 1:
+        raise LearningError("nn_fixed mode expects a fixed-size vector")
+    return vec
 
 
 def classify_instances(
@@ -326,25 +327,27 @@ def classify_instances(
     distance to each category whose ICD is positive (ICD-bar averages those),
     or by ``ocd_min`` while none is; nn_fixed takes the nearest stored
     fixed-size vector under ``metric``. The winner is ``lowest_score``'s.
+    ``target`` is one query, or a mapping from each category's label to the
+    query as that category represents it.
     """
     scores = {}
     if mode in ("A1", "A2"):
+        view = _per_category(target, lambda query: query)
         ready = [c for c in memory if c.icd is not None and c.icd > 0]
         if not ready:
-            scores = {c.label: ocd_min(target, c) for c in memory if c.instances}
+            scores = {c.label: ocd_min(view(c.label), c) for c in memory if c.instances}
         elif mode == "A1":
-            scores = {c.label: nocd_approach1(target, c) for c in ready}
+            scores = {c.label: nocd_approach1(view(c.label), c) for c in ready}
         else:
             icd_bar = float(np.mean([c.icd for c in ready]))
-            scores = {c.label: nocd_approach2(target, c, icd_bar) for c in ready}
+            scores = {c.label: nocd_approach2(view(c.label), c, icd_bar) for c in ready}
     elif mode == "nn_fixed":
-        target_vec = np.asarray(target, dtype=np.float64)
-        if target_vec.ndim != 1:
-            raise LearningError("nn_fixed mode expects a fixed-size vector")
+        view = _per_category(target, _fixed_vector)
         dist = _FIXED_METRICS[metric]
         for cat in memory:
             if not cat.instances:
                 raise LearningError(f"category {cat.label!r} has no instances")
+            target_vec = view(cat.label)
             stored = np.asarray(cat.instances, dtype=np.float64)
             if stored.shape[1] != target_vec.shape[0]:
                 raise LearningError("representation size mismatch")
@@ -449,13 +452,15 @@ def bayes_teach(memory: BayesMemory, label: str, x) -> BayesMemory:
 def bayes_classify(memory: BayesMemory, y) -> Prediction:
     """Highest log-likelihood category for a histogram:
     log P(C_k) + sum_i y_i log P(x_i | C_k); ties go to the earliest
-    taught label."""
-    y = _check_histogram(y)
+    taught label. ``y`` is one histogram, or a mapping from each taught
+    label to the query's histogram in that category's terms."""
+    view = _per_category(y, _check_histogram)
     scores = {}
     for label, cat in memory.categories.items():
-        if cat.accumulators.shape != y.shape:
+        y_k = view(label)
+        if cat.accumulators.shape != y_k.shape:
             raise LearningError("representation size mismatch")
-        scores[label] = log_posterior(memory, label, y)
+        scores[label] = log_posterior(memory, label, y_k)
     best_label = lowest_score({label: -s for label, s in scores.items()}).label
     return Prediction(label=best_label, score=scores[best_label], scores=scores)
 

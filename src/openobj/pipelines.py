@@ -28,10 +28,7 @@ from .learning import (
     InstanceCategory,
     bayes_classify,
     bayes_teach,
-    chi2,
     classify_instances,
-    log_posterior,
-    lowest_score,
 )
 from .representations import (
     Dictionary,
@@ -105,7 +102,8 @@ class ExperimentConfig:
             raise ConfigError("ct applies to the instance learner only")
         for name, least in (("good_bins", 2), ("image_width", 1), ("dictionary_size", 2),
                             ("topics", 1), ("gibbs_iters", 1), ("folds", 2), ("window_mult", 1),
-                            ("breakpoint_limit", 1), ("views_per_teach", 1)):
+                            ("breakpoint_limit", 1), ("views_per_teach", 1), ("seed", 0),
+                            ("max_dictionary_pool", 1), ("nbv_resolution", 1)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be at least {least}")
         # every check below fails for NaN
@@ -222,13 +220,11 @@ class Learner:
 
     def classify(self, cloud):
         rep = self.config.representation
-        if rep == "local_lda":
-            return self._classify_local(self._doc(cloud))
         target = self._encode(cloud)
         if self.bayes:
             return bayes_classify(self.memory, target).label
         mode = self.config.nocd_mode if rep == "spinset" else "nn_fixed"
-        metric = "chi2" if rep == "lda" else "L2"
+        metric = "chi2" if rep in ("lda", "local_lda") else "L2"
         return classify_instances(target, self.memory, mode, metric, self.config.ct).label
 
     def stored_instances(self) -> int:
@@ -240,7 +236,8 @@ class Learner:
     def _encode(self, cloud, category=None, learn=False):
         """The view as the memory stores it. With ``learn`` the topic
         encoders first fold the view into its model: the shared one (lda)
-        or ``category``'s own (local_lda)."""
+        or ``category``'s own (local_lda). A local_lda query is a mapping
+        from each category to the view in that category's topic space."""
         rep = self.config.representation
         if rep == "good":
             return self.features.good(cloud)
@@ -252,6 +249,8 @@ class Learner:
         doc = self._doc(cloud)
         if learn:
             self._update(category, doc)
+        if rep == "local_lda" and category is None:
+            return {label: self._topics(doc, model) for label, model in self.models.items()}
         return self._topics(doc, self.model if rep == "lda" else self.models[category])
 
     def _doc(self, cloud):
@@ -270,21 +269,6 @@ class Learner:
     def _topics(self, doc, model):
         inferred = lda_infer(model, doc, self.config.gibbs_iters)
         return inferred.counts if self.bayes else inferred.theta
-
-    # -- scoring -------------------------------------------------------------
-
-    def _classify_local(self, doc):
-        """Represent the query against each category's own topic model and
-        score it there."""
-        scores = {}
-        for category, model in self.models.items():
-            y = self._topics(doc, model)
-            if self.bayes:
-                # negated: the most likely category scores lowest
-                scores[category] = -log_posterior(self.memory, category, y)
-            else:
-                scores[category] = min(chi2(y, inst) for inst in self._index[category].instances)
-        return lowest_score(scores, self.config.ct).label
 
 
 _NEEDS_DICTIONARY = {"bow", "lda", "local_lda"}

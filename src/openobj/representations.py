@@ -5,7 +5,6 @@ shared topic models trained by collapsed Gibbs sampling.
 
 from __future__ import annotations
 
-import json
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -28,8 +27,6 @@ __all__ = [
     "local_lda_update",
     "phi",
     "RepresentationError",
-    "save_topic_models",
-    "load_topic_models",
 ]
 
 DEFAULT_ALPHA = 1.0
@@ -433,15 +430,3 @@ def phi(model: TopicModel) -> np.ndarray:
     """Word probabilities per topic: (n_wk + beta) / (n_k + V beta);
     every column sums to 1."""
     return (model.n_wk + model.beta) / (model.n_k + model.v * model.beta)
-
-
-def save_topic_models(models: dict, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump({c: m.to_json_dict() for c, m in models.items()}, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_topic_models(path) -> dict:
-    with open(path, "r", encoding="ascii") as fh:
-        raw = json.load(fh)
-    return {c: TopicModel.from_json_dict(d) for c, d in raw.items()}

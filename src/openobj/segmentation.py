@@ -132,15 +132,24 @@ def _plane_basis(normal: np.ndarray) -> np.ndarray:
     return np.vstack([u, v])
 
 
-def _hull_interior(hull_pts2d: np.ndarray, query2d: np.ndarray, slack: float = 1e-9):
-    """Membership of query points in the convex hull of hull_pts2d."""
+def _table_hull(scene: PointCloud, plane: Plane):
+    """The plane's in-plane basis and the 2D convex hull of its inliers."""
+    if len(plane.inlier_indices) < 3:
+        raise SegmentationError("not enough plane inliers to build a hull")
+    basis = _plane_basis(plane.normal)
     try:
-        hull = ConvexHull(hull_pts2d)
+        hull = ConvexHull(scene.points[plane.inlier_indices] @ basis.T)
     except QhullError as exc:
         raise SegmentationError(f"degenerate plane inliers: {exc}") from exc
+    return basis, hull
+
+
+def _inside(hull: ConvexHull, pts2d: np.ndarray) -> np.ndarray:
+    """Membership of 2D points in the hull, with 1e-9 slack."""
     # hull.equations rows are (a, b, c) with a x + b y + c <= 0 inside
-    values = query2d @ hull.equations[:, :2].T + hull.equations[:, 2]
-    return np.all(values <= slack, axis=1), hull
+    values = pts2d @ hull.equations[:, :2].T + hull.equations[:, 2]
+    return np.all(values <= 1e-9, axis=1)
+
 
 def _hull_boundary_distance(hull: ConvexHull, query2d: np.ndarray) -> np.ndarray:
     """Distance from each query point to the hull polygon boundary."""
@@ -164,15 +173,10 @@ def extract_prism(
     projection falls inside the convex hull of the plane inliers."""
     if not min_h < max_h:
         raise SegmentationError("min_h must be below max_h")
-    if len(plane.inlier_indices) < 3:
-        raise SegmentationError("not enough plane inliers to build a hull")
-    basis = _plane_basis(plane.normal)
-    hull2d = scene.points[plane.inlier_indices] @ basis.T
+    basis, hull = _table_hull(scene, plane)
     heights = plane.signed_distance(scene.points)
     in_band = (heights > min_h) & (heights < max_h)
-    query2d = scene.points @ basis.T
-    inside, _ = _hull_interior(hull2d, query2d)
-    return scene.select(in_band & inside)
+    return scene.select(in_band & _inside(hull, scene.points @ basis.T))
 
 
 def euclidean_cluster_indices(
@@ -247,21 +251,13 @@ def detect_objects(
         else:
             refined.append(cluster)
 
-    basis = _plane_basis(plane.normal)
-    hull2d = scene.points[plane.inlier_indices] @ basis.T
-    try:
-        hull = ConvexHull(hull2d)
-    except QhullError as exc:
-        raise SegmentationError(f"degenerate plane inliers: {exc}") from exc
-
+    basis, hull = _table_hull(scene, plane)
     candidates = []
     for track_id, cluster in enumerate(refined):
         extents = _cluster_extents(cluster)
         size_ok = bool(np.max(extents) <= params.max_size and np.max(extents) >= params.min_size)
         center2d = (cluster.points.mean(axis=0) @ basis.T)[None, :]
-        inside = bool(
-            np.all(center2d @ hull.equations[:, :2].T + hull.equations[:, 2] <= 1e-9)
-        )
+        inside = bool(_inside(hull, center2d)[0])
         boundary_dist = float(_hull_boundary_distance(hull, center2d)[0])
         near_edge = (not inside) or boundary_dist < params.edge_margin
         flags = {

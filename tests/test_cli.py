@@ -84,6 +84,21 @@ class TestTypedValues:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,name", [
+        (("gen", "--seed", "-1"), "seed"),
+        (("cv", "data", "--seed", "-1"), "seed"),
+        (("protocol", "data", "--seed", "-1"), "seed"),
+        (("protocol", "data", "--representation", "bow", "--max-dictionary-pool", "-1"),
+         "max_dictionary_pool"),
+        (("protocol", "data", "--max-dictionary-pool", "0"), "max_dictionary_pool"),
+        (("nbv", "world.pcd", "poses.json", "--nbv-resolution", "0"), "nbv_resolution"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+    def test_negative_seed_or_bound_exits_one(self, tmp_path, capsys, argv, name):
+        assert run_cli(*argv, "--out-dir", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{name} must be at least" in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+
     def test_context_split_from_file(self, tmp_path):
         cfg = tmp_path / "gen.cfg"
         cfg.write_text("categories = 2\nviews = 2\npoints = 60\ncontext_split = true\n")

@@ -15,7 +15,6 @@ from openobj.descriptors import (
     compute_good,
     compute_spin_image,
     estimate_normals,
-    extract_keypoints,
     project_distribution,
     projection_entropy,
     projection_variance,
@@ -187,15 +186,24 @@ class TestComputeGood:
         np.testing.assert_allclose(d.bins.reshape(3, -1).sum(axis=1), 1.0, atol=1e-9)
 
 
+def keypoints_of(cloud, voxel):
+    """The keypoint rule alone: the point nearest each occupied voxel's
+    center."""
+    return cloud.points[descriptors._keypoint_indices(cloud.points, voxel)]
+
+
 class TestKeypoints:
+    """compute_feature_set keeps one keypoint per occupied voxel."""
+
     def test_single_point(self):
         cloud = PointCloud([[0.4, 0.5, 0.6]])
-        np.testing.assert_array_equal(extract_keypoints(cloud, 0.1), [[0.4, 0.5, 0.6]])
+        keys = compute_feature_set(cloud, 0.1).keypoints
+        np.testing.assert_array_equal(keys, [[0.4, 0.5, 0.6]])
 
     def test_closest_to_center_wins(self):
         # two points in one voxel [0, 0.1): center at 0.05
         cloud = PointCloud([[0.01, 0.05, 0.05], [0.048, 0.05, 0.05]])
-        keys = extract_keypoints(cloud, 0.1)
+        keys = compute_feature_set(cloud, 0.1).keypoints
         assert len(keys) == 1
         np.testing.assert_allclose(keys[0], [0.048, 0.05, 0.05])
 
@@ -203,7 +211,7 @@ class TestKeypoints:
         rng = np.random.default_rng(5)
         pts = rng.uniform(0, 0.3, size=(400, 3))
         voxel = 0.05
-        keys = extract_keypoints(PointCloud(pts), voxel)
+        keys = compute_feature_set(PointCloud(pts), voxel).keypoints
         origin = pts.min(axis=0)
         buckets = {}
         for p in pts:
@@ -218,7 +226,7 @@ class TestKeypoints:
     def test_subset_of_cloud(self):
         rng = np.random.default_rng(6)
         pts = rng.uniform(0, 0.2, size=(200, 3))
-        keys = extract_keypoints(PointCloud(pts), 0.03)
+        keys = compute_feature_set(PointCloud(pts), 0.03).keypoints
         cloud_set = {tuple(p) for p in pts}
         assert all(tuple(k) in cloud_set for k in keys)
 
@@ -299,7 +307,7 @@ class TestFeatureSet:
     def test_feature_count_equals_occupied_voxels(self):
         cloud = generate_view(ShapeSpec("cylinder", (0.04, 0.12), points=400, seed=3))
         fs = compute_feature_set(cloud, voxel=0.02)
-        assert len(fs) == len(extract_keypoints(cloud, 0.02))
+        assert len(fs) == len(keypoints_of(cloud, 0.02))
 
 
 def reference_spin_image(cloud, keypoint, normal, image_width=4, support_length=0.05,
@@ -386,6 +394,29 @@ class TestSpinImageKernel:
         assert len(fs) > 3 * (descriptors._BLOCK_PAIRS // len(cloud))
         assert np.array_equal(fs.as_matrix(), reference_feature_matrix(cloud))
 
+    @pytest.mark.parametrize("name,value", [
+        ("voxel", np.nan), ("voxel", np.inf), ("support_length", np.nan),
+        ("support_length", np.inf), ("image_width", -2), ("image_width", 0),
+        ("image_width", np.nan), ("support_angle", 0.0), ("support_angle", np.nan),
+    ])
+    def test_feature_set_rejects_what_validate_rejects(self, name, value):
+        cloud = PointCloud(np.random.default_rng(14).uniform(0, 0.05, size=(30, 3)))
+        with np.errstate(all="raise"), pytest.raises(DescriptorError, match=name.replace("_", " ")):
+            compute_feature_set(cloud, **{name: value})
+
+    @pytest.mark.parametrize("name,value", [
+        ("support_length", np.nan), ("support_length", np.inf), ("support_length", 0.0),
+        ("image_width", -2), ("image_width", 0), ("support_angle", 181.0),
+    ])
+    def test_spin_image_rejects_what_validate_rejects(self, name, value):
+        cloud = PointCloud([[0.0, 0.0, 0.01]])
+        with np.errstate(all="raise"), pytest.raises(DescriptorError, match=name.replace("_", " ")):
+            compute_spin_image(cloud, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], **{name: value})
+
+    def test_empty_cloud_rejected(self):
+        with pytest.raises(DescriptorError, match="empty cloud"):
+            compute_feature_set(PointCloud(np.zeros((0, 3))))
+
     def test_mismatched_normals_rejected(self):
         cloud = PointCloud([[0.0, 0.0, 0.0]])
         with pytest.raises(DescriptorError):
@@ -396,7 +427,7 @@ class TestSpinImageKernel:
         fs = compute_feature_set(cloud, voxel=0.02)
         assert fs.as_matrix() is fs.matrix
         assert fs.keypoints.shape == fs.normals.shape == (len(fs), 3)
-        assert np.array_equal(fs.keypoints, extract_keypoints(cloud, 0.02))
+        assert np.array_equal(fs.keypoints, keypoints_of(cloud, 0.02))
         for name in ("matrix", "keypoints", "normals"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(fs, name)[0, 0] = 1.0

@@ -22,8 +22,6 @@ from openobj.learning import (
     chi2,
     classify_instances,
     icd,
-    js,
-    kl,
     log_posterior,
     lowest_score,
     nocd_approach1,
@@ -558,31 +556,6 @@ class TestDivergences:
             )
             assert chi2(p, q) == pytest.approx(oracle, abs=1e-12)
 
-    def test_kl_properties(self):
-        p = np.array([0.2, 0.5, 0.3])
-        assert kl(p, p) == pytest.approx(0.0)
-        assert kl([0.5, 0.5, 0.0], [0.25, 0.25, 0.5]) == pytest.approx(np.log(2))
-        assert kl([0.5, 0.5], [1.0, 0.0]) == float("inf")
-
-    def test_js_symmetric_finite(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            p = rng.dirichlet(np.ones(5))
-            q = rng.dirichlet(np.ones(5))
-            assert js(p, q) == pytest.approx(js(q, p), abs=1e-12)
-            assert np.isfinite(js(p, q))
-
-    def test_js_disjoint_closed_form(self):
-        assert js([1.0, 0.0], [0.0, 1.0]) == pytest.approx(2 * np.log(2))
-
-    def test_kl_oracle(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            p = rng.dirichlet(np.ones(4))
-            q = rng.dirichlet(np.ones(4))
-            oracle = sum(a * np.log(a / b) for a, b in zip(p, q) if a > 0)
-            assert kl(p, q) == pytest.approx(oracle, abs=1e-12)
-
 
 class TestBayes:
     def test_classify_scores_are_log_posteriors(self):
@@ -716,6 +689,107 @@ class TestBayes:
         assert back.total == mem.total
         pred_a = bayes_classify(back, np.array([1, 2]))
         assert pred_a.label == "a"
+
+
+@st.composite
+def fixed_memories(draw):
+    """Two to four taught categories of non-negative integer vectors of one
+    width, a query of that width and a per-category query for each label."""
+    d = draw(st.integers(1, 5))
+    vec = st.lists(st.integers(0, 20), min_size=d, max_size=d).map(np.array)
+    labels = [f"c{i}" for i in range(draw(st.integers(2, 4)))]
+    taught = {lab: draw(st.lists(vec, min_size=1, max_size=3)) for lab in labels}
+    return taught, draw(vec), {lab: draw(vec) for lab in labels}
+
+
+def instance_memory(taught):
+    return [InstanceCategory(lab, [x.astype(np.float64) for x in xs]) for lab, xs in taught.items()]
+
+
+def bayes_memory(taught):
+    mem = BayesMemory()
+    for lab, xs in taught.items():
+        for x in xs:
+            bayes_teach(mem, lab, x)
+    return mem
+
+
+class TestPerCategoryQueries:
+    """Both scorers take a mapping from each taught label to the query as
+    that category represents it (local LDA's per-category topic space)."""
+
+    SCORERS = {
+        "L2": lambda taught, y: classify_instances(y, instance_memory(taught), metric="L2"),
+        "chi2": lambda taught, y: classify_instances(y, instance_memory(taught), metric="chi2"),
+        "bayes": lambda taught, y: bayes_classify(bayes_memory(taught), y),
+    }
+
+    @settings(max_examples=100, deadline=None)
+    @given(fixed_memories(), st.sampled_from(sorted(SCORERS)))
+    def test_one_query_under_every_label_is_the_plain_call(self, case, scorer):
+        taught, y, _ = case
+        score = self.SCORERS[scorer]
+        plain = score(taught, y)
+        mapped = score(taught, {lab: y.copy() for lab in reversed(list(taught))})
+        assert mapped.label == plain.label
+        assert mapped.score == plain.score and mapped.scores == plain.scores
+        assert list(mapped.scores) == list(plain.scores)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fixed_memories(), st.sampled_from(["L2", "chi2"]))
+    def test_each_instance_category_scores_its_own_view(self, case, metric):
+        taught, _, views = case
+        memory = instance_memory(taught)
+        pred = classify_instances(views, memory, metric=metric)
+        for cat in memory:
+            alone = classify_instances(views[cat.label], [cat], metric=metric)
+            assert pred.scores[cat.label] == alone.score
+        assert pred.label == min(pred.scores, key=pred.scores.get)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fixed_memories())
+    def test_each_bayes_category_scores_its_own_view(self, case):
+        taught, _, views = case
+        memory = bayes_memory(taught)
+        pred = bayes_classify(memory, views)
+        for label in taught:
+            assert pred.scores[label] == bayes_classify(memory, views[label]).scores[label]
+            assert pred.scores[label] == log_posterior(memory, label, views[label])
+        assert pred.label == max(pred.scores, key=pred.scores.get)
+
+    @staticmethod
+    def spin_memory(rng):
+        memory = [InstanceCategory(lab) for lab in "abc"]
+        for cat in memory:
+            for _ in range(3):
+                cat.add(spin_like(rng))
+        return memory
+
+    def test_spin_set_modes_take_a_mapping(self):
+        rng = np.random.default_rng(12)
+        memory = self.spin_memory(rng)
+        target = spin_like(rng, rows=7)
+        for mode in ("A1", "A2"):
+            plain = classify_instances(target, memory, mode=mode)
+            mapped = classify_instances({c.label: target for c in memory}, memory, mode=mode)
+            assert mapped.scores == plain.scores and mapped.label == plain.label
+
+    def test_a_missing_label_raises(self):
+        taught = {"a": [np.array([1, 2])], "b": [np.array([2, 1])]}
+        for score in self.SCORERS.values():
+            with pytest.raises(LearningError, match="no view for category 'b'"):
+                score(taught, {"a": np.array([1, 1])})
+        memory = self.spin_memory(np.random.default_rng(13))
+        with pytest.raises(LearningError, match="no view for category"):
+            classify_instances({}, memory, mode="A2")
+
+    def test_a_mapping_entry_is_checked_when_read(self):
+        taught = {"a": [np.array([1, 2])], "b": [np.array([2, 1])]}
+        bad = {"a": np.array([1, 1]), "b": np.array([[1, 1]])}
+        with pytest.raises(LearningError, match="fixed-size vector"):
+            self.SCORERS["L2"](taught, bad)
+        with pytest.raises(LearningError, match="non-negative vector"):
+            self.SCORERS["bayes"](taught, {"a": np.array([1, 1]), "b": np.array([-1, 1])})
 
 
 class TestInstanceSerialization:

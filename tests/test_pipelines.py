@@ -3,6 +3,7 @@ wrappers driven by the simulated teacher."""
 
 import inspect
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ import pytest
 from openobj.descriptors import compute_feature_set, compute_good
 from openobj.evaluation import LabeledDataset, kfold, metrics, run_protocol
 from openobj.nbv import render_virtual
-from openobj.learning import LearningError
+from openobj import pipelines
+from openobj.learning import LearningError, chi2, log_posterior
 from openobj.pipelines import (
     LEARNERS,
     REPRESENTATIONS,
@@ -71,6 +73,14 @@ class TestConfig:
     def test_teacher_counts_must_be_positive(self, name, value):
         with pytest.raises(ConfigError, match=f"{name} must be at least 1"):
             ExperimentConfig(**{name: value}).validate()
+
+    @pytest.mark.parametrize("name,least", [
+        ("seed", 0), ("max_dictionary_pool", 1), ("nbv_resolution", 1),
+    ])
+    def test_seed_and_sizes_have_a_floor(self, name, least):
+        ExperimentConfig(**{name: least}).validate()
+        with pytest.raises(ConfigError, match=f"{name} must be at least {least}"):
+            ExperimentConfig(**{name: least - 1}).validate()
 
     @pytest.mark.parametrize("angle", [0.0, -10.0, 180.5])
     def test_support_angle_range(self, angle):
@@ -202,6 +212,47 @@ class TestLearnerWrappers:
         learner = build_learner(cfg, dictionary)
         with pytest.raises(LearningError, match="no categories"):
             learner.classify(tiny_dataset.views["cone"][0])
+
+    @pytest.mark.parametrize("learner_kind", LEARNERS)
+    def test_local_lda_queries_go_to_the_memory_scorer(self, tiny_dataset, learner_kind):
+        # the query is represented in each category's own topic space and
+        # scored there: chi-squared to the nearest instance, or the Bayes
+        # log posterior, with ties to the earliest taught label
+        cfg = ExperimentConfig(
+            representation="local_lda", learner=learner_kind, voxel=0.025,
+            dictionary_size=20, topics=8, gibbs_iters=10,
+        )
+        clouds = [c for views in tiny_dataset.views.values() for c in views]
+        learner = build_learner(cfg, build_dictionary_from_clouds(clouds, cfg))
+        for label in ("cone", "box", "sphere"):
+            for cloud in tiny_dataset.views[label][:3]:
+                learner.teach(label, cloud)
+        scorer = "bayes_classify" if learner.bayes else "classify_instances"
+        real, predictions = getattr(pipelines, scorer), []
+
+        def record(*args):
+            predictions.append(real(*args))
+            return predictions[-1]
+
+        with mock.patch.object(pipelines, scorer, side_effect=record):
+            for label in ("box", "sphere", "cone"):
+                for cloud in tiny_dataset.views[label][3:6]:
+                    doc = learner._doc(cloud)
+                    views = {lab: lda_infer(m, doc, cfg.gibbs_iters)
+                             for lab, m in learner.models.items()}
+                    if learner.bayes:
+                        scores = {lab: log_posterior(learner.memory, lab, views[lab].counts)
+                                  for lab in learner.memory.categories}
+                        best = max(scores, key=scores.get)
+                    else:
+                        scores = {c.label: min(chi2(views[c.label].theta, inst)
+                                               for inst in c.instances)
+                                  for c in learner.memory}
+                        best = min(scores, key=scores.get)
+                    assert learner.classify(cloud) == best
+                    assert predictions[-1].scores == scores
+                    assert list(scores) == ["cone", "box", "sphere"]
+        assert len(predictions) == 9
 
     def test_stored_instances_match_log(self, tiny_dataset):
         cfg = ExperimentConfig(representation="good", learner="instance", good_bins=5)

@@ -1,5 +1,6 @@
 """Dictionary building, BoW encoding and the incremental topic models."""
 
+import json
 from unittest import mock
 
 import numpy as np
@@ -411,16 +412,13 @@ class TestPhi:
 
 
 class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        from openobj.representations import load_topic_models, save_topic_models
-
+    def test_round_trip(self):
         rng = np.random.default_rng(11)
         models = {}
         local_lda_update(models, "mug", rng.integers(0, 5, size=12), k=3, v=5)
         local_lda_update(models, "bowl", rng.integers(0, 5, size=9), k=3, v=5)
-        path = tmp_path / "models.json"
-        save_topic_models(models, path)
-        back = load_topic_models(path)
+        text = json.dumps({c: m.to_json_dict() for c, m in models.items()}, sort_keys=True)
+        back = {c: TopicModel.from_json_dict(d) for c, d in json.loads(text).items()}
         assert set(back) == set(models)
         for name in models:
             np.testing.assert_array_equal(back[name].n_wk, models[name].n_wk)
