@@ -31,8 +31,10 @@ print(f"plane normal {np.round(plane.normal, 3)}, {len(plane.inlier_indices)} in
 prism = extract_prism(scene, plane, min_h=0.005, max_h=0.5)
 print(f"prism above the plane: {len(prism)} points")
 
+# Candidates: clusters of fitting size whose centre is at least 5 cm
+# inside the table hull.
 candidates = detect_objects(scene, SegmentationParams(seed=0))
 for cand in candidates:
-    extent = cand.cloud.points.max(axis=0) - cand.cloud.points.min(axis=0)
+    extent = np.ptp(cand.cloud.points, axis=0)
     print(f"candidate {cand.track_id}: {len(cand.cloud)} points, "
-          f"extent {np.round(extent, 3)}, flags {cand.flags}")
+          f"extent {np.round(extent, 3)}")

@@ -352,7 +352,7 @@ def _add_common(parser, handler):
     parser.add_argument("--out-dir", help="directory for output files")
     # one hidden override per config field; unset flags stay out of the
     # namespace, so only given ones override the config file
-    for name in ExperimentConfig.field_names():
+    for name in (f.name for f in fields(ExperimentConfig)):
         parser.add_argument(
             "--" + name.replace("_", "-"), dest=name,
             type=partial(parse_value, name, error=argparse.ArgumentTypeError),

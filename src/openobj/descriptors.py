@@ -13,13 +13,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import OpenobjError
-from .pointcloud import (
-    PointCloud,
-    PointCloudError,
-    ReferenceFrame,
-    aabb_in_frame,
-    compute_reference_frame,
-)
+from .pointcloud import PointCloud, PointCloudError, ReferenceFrame, compute_reference_frame
 
 __all__ = [
     "GoodDescriptor",
@@ -137,8 +131,8 @@ def project_distribution(
     """
     if plane not in _PLANE_AXES:
         raise DescriptorError(f"unknown projection plane {plane!r}")
-    if n < 2:
-        raise DescriptorError("need at least 2 bins per side")
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise DescriptorError("need an integer number of at least 2 bins per side")
     if l <= 0:
         raise DescriptorError("enclosing square side must be positive")
     if len(cloud_in_frame) == 0:
@@ -191,8 +185,7 @@ def compute_good(cloud: PointCloud, n: int = DEFAULT_GOOD_BINS) -> GoodDescripto
     """
     frame = compute_reference_frame(cloud)
     local = PointCloud(frame.to_local(cloud.points))
-    box = aabb_in_frame(cloud, frame)
-    l = float(max(np.max(box.extents), 2.0 * np.max(np.abs(local.points))))
+    l = float(max(np.max(np.ptp(local.points, axis=0)), 2.0 * np.max(np.abs(local.points))))
 
     matrices = {p: project_distribution(local, p, l, n) for p in PROJECTION_PLANES}
     entropy = {p: projection_entropy(matrices[p]) for p in PROJECTION_PLANES}
@@ -301,8 +294,8 @@ def compute_spin_image(
     # the bounds ExperimentConfig.validate sets; each check fails for NaN
     if not 0 < support_length < np.inf:
         raise DescriptorError("support length must be positive and finite")
-    if not image_width >= 1:
-        raise DescriptorError("image width must be at least 1")
+    if not isinstance(image_width, (int, np.integer)) or image_width < 1:
+        raise DescriptorError("image width must be an integer of at least 1")
     if not 0 < support_angle <= 180:
         raise DescriptorError("support angle must lie in (0, 180]")
     iw = int(image_width)

@@ -73,16 +73,6 @@ class ConfusionMatrix:
             for label, row in zip(self.labels, self.counts):
                 writer.writerow([label, *row.tolist()])
 
-    @classmethod
-    def from_csv(cls, path) -> "ConfusionMatrix":
-        import csv
-
-        with open(path, newline="", encoding="ascii") as fh:
-            rows = list(csv.reader(fh))
-        labels = tuple(rows[0][1:])
-        counts = np.array([[int(x) for x in row[1:]] for row in rows[1:]], dtype=np.int64)
-        return cls(labels=labels, counts=counts)
-
 
 @dataclass
 class LabeledDataset:

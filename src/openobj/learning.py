@@ -124,19 +124,18 @@ class InstanceCategory:
 class _Stack:
     """A category's instances as one (N, d) matrix, its row squared norms
     and the first row of each instance. ``norms`` is None, and OCD goes
-    instance by instance, when the widths differ or the exact product path
-    does not apply."""
+    instance by instance, when the exact product path does not apply."""
 
     instances: tuple
-    matrix: np.ndarray | None
+    matrix: np.ndarray
     norms: np.ndarray | None
-    offsets: np.ndarray | None
+    offsets: np.ndarray
 
     @classmethod
     def of(cls, instances) -> _Stack:
         mats = [_as_feature_matrix(inst) for inst in instances]
         if len({m.shape[1] for m in mats}) != 1:
-            return cls(tuple(instances), None, None, None)
+            raise LearningError(f"instances of unequal width {[m.shape[1] for m in mats]}")
         matrix = np.vstack(mats)
         offsets = np.cumsum([0] + [len(m) for m in mats[:-1]])
         return cls(tuple(instances), matrix, _exact_sq_norms(matrix), offsets)

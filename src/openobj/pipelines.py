@@ -100,6 +100,9 @@ class ExperimentConfig:
         if self.ct is not None and self.learner == "bayes":
             # only the instance memory can return UNKNOWN
             raise ConfigError("ct applies to the instance learner only")
+        for f in fields(self):  # annotations are strings here
+            if f.type == "int" and not isinstance(getattr(self, f.name), (int, np.integer)):
+                raise ConfigError(f"{f.name} must be an integer")
         for name, least in (("good_bins", 2), ("image_width", 1), ("dictionary_size", 2),
                             ("topics", 1), ("gibbs_iters", 1), ("folds", 2), ("window_mult", 1),
                             ("breakpoint_limit", 1), ("views_per_teach", 1), ("seed", 0),
@@ -119,10 +122,6 @@ class ExperimentConfig:
         if self.nocd_mode not in ("A1", "A2"):
             raise ConfigError("nocd_mode must be A1 or A2")
         return self
-
-    @classmethod
-    def field_names(cls):
-        return [f.name for f in fields(cls)]
 
     def spin_image_args(self) -> dict:
         """compute_feature_set's keyword arguments."""

@@ -17,14 +17,12 @@ from .errors import OpenobjError
 __all__ = [
     "PointCloud",
     "ReferenceFrame",
-    "BoundingBox",
     "load_pcd",
     "save_pcd",
     "crop_cube",
     "voxel_downsample",
     "centroid",
     "compute_reference_frame",
-    "aabb_in_frame",
     "PointCloudError",
 ]
 
@@ -77,9 +75,6 @@ class PointCloud:
         translation = np.asarray(translation, dtype=np.float64)
         return PointCloud(self.points @ rotation.T + translation, self.colors)
 
-    def translate(self, offset) -> "PointCloud":
-        return PointCloud(self.points + np.asarray(offset, dtype=np.float64), self.colors)
-
 
 @dataclass(frozen=True)
 class ReferenceFrame:
@@ -105,30 +100,6 @@ class ReferenceFrame:
     def to_local(self, points: np.ndarray) -> np.ndarray:
         """World coordinates -> frame coordinates."""
         return (np.asarray(points, dtype=np.float64) - self.origin) @ self.axes
-
-    def to_world(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points, dtype=np.float64) @ self.axes.T + self.origin
-
-
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned bounding box, min/max corners in the frame it was
-    computed in."""
-
-    min: np.ndarray
-    max: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.min, dtype=np.float64).reshape(3)
-        hi = np.asarray(self.max, dtype=np.float64).reshape(3)
-        if np.any(lo > hi):
-            raise PointCloudError("bounding box min exceeds max")
-        object.__setattr__(self, "min", lo)
-        object.__setattr__(self, "max", hi)
-
-    @property
-    def extents(self) -> np.ndarray:
-        return self.max - self.min
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +334,3 @@ def compute_reference_frame(
     s = s_x * s_y
     axes = np.column_stack([s * v1, s * v2, z])
     return ReferenceFrame(origin=c, axes=axes)
-
-
-def aabb_in_frame(cloud: PointCloud, frame: ReferenceFrame) -> BoundingBox:
-    """Tight axis-aligned bounding box of the cloud in frame coordinates."""
-    if len(cloud) == 0:
-        raise PointCloudError("empty cloud")
-    local = frame.to_local(cloud.points)
-    return BoundingBox(local.min(axis=0), local.max(axis=0))

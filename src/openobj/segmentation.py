@@ -1,11 +1,12 @@
 """Table-top scene decomposition: dominant-plane RANSAC, prism extraction
-above the plane, Euclidean clustering and the boolean object-candidate
-filter (size and table-edge constraints).
+above the plane, Euclidean clustering and the object-candidate filter
+(cluster size and distance from the table edge).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -55,19 +56,19 @@ class Plane:
 
 @dataclass
 class ObjectCandidate:
-    """A segmented cluster plus the boolean flags the detection expression
-    is evaluated on. Tracking and body-filter flags default to True; a live
-    tracker would set them."""
+    """A segmented cluster that passed the size and table-edge tests;
+    ``track_id`` is its position among the refined clusters."""
 
     cloud: PointCloud
     track_id: int
-    flags: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class SegmentationParams:
     """Tunables for the detection pipeline; plane tau/iterations follow the
-    reference setup, the rest are configuration."""
+    reference setup, the rest are configuration. Checked on construction:
+    every float is finite, and a bad value raises SegmentationError naming
+    its field."""
 
     plane_tau: float = 0.02
     plane_iterations: int = 200
@@ -80,6 +81,25 @@ class SegmentationParams:
     max_size: float = 0.6
     edge_margin: float = 0.05
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("plane_tau", "prism_min", "prism_max", "link_dist", "min_size",
+                     "max_size", "edge_margin"):
+            if not math.isfinite(getattr(self, name)):
+                raise SegmentationError(f"{name} must be finite")
+        for name, ok, rule in (
+            ("plane_tau", self.plane_tau > 0, "be positive"),
+            ("plane_iterations", self.plane_iterations >= 1, "be at least 1"),
+            ("prism_max", self.prism_max > self.prism_min, "exceed prism_min"),
+            ("link_dist", self.link_dist > 0, "be positive"),
+            ("min_pts", self.min_pts >= 1, "be at least 1"),
+            ("max_pts", self.max_pts >= self.min_pts, "be at least min_pts"),
+            ("min_size", self.min_size >= 0, "be non-negative"),
+            ("max_size", self.max_size >= self.min_size, "be at least min_size"),
+            ("edge_margin", self.edge_margin >= 0, "be non-negative"),
+        ):
+            if not ok:
+                raise SegmentationError(f"{name} must {rule}")
 
 
 def ransac_plane(scene: PointCloud, tau: float, iterations: int, seed: int) -> Plane:
@@ -144,26 +164,13 @@ def _table_hull(scene: PointCloud, plane: Plane):
     return basis, hull
 
 
-def _inside(hull: ConvexHull, pts2d: np.ndarray) -> np.ndarray:
-    """Membership of 2D points in the hull, with 1e-9 slack."""
-    # hull.equations rows are (a, b, c) with a x + b y + c <= 0 inside
-    values = pts2d @ hull.equations[:, :2].T + hull.equations[:, 2]
-    return np.all(values <= 1e-9, axis=1)
-
-
-def _hull_boundary_distance(hull: ConvexHull, query2d: np.ndarray) -> np.ndarray:
-    """Distance from each query point to the hull polygon boundary."""
-    vertices = hull.points[hull.vertices]
-    dists = np.full(len(query2d), np.inf)
-    n = len(vertices)
-    for i in range(n):
-        a = vertices[i]
-        b = vertices[(i + 1) % n]
-        ab = b - a
-        t = np.clip(((query2d - a) @ ab) / (ab @ ab), 0.0, 1.0)
-        proj = a + t[:, None] * ab
-        dists = np.minimum(dists, np.linalg.norm(query2d - proj, axis=1))
-    return dists
+def _edge_gap(hull: ConvexHull, pts2d: np.ndarray) -> np.ndarray:
+    """Minus the largest edge-line value of each 2D point: negative outside
+    the hull, and inside it the distance to the boundary. Qhull's edge
+    lines (a, b, c) have unit normals (a, b) and a x + b y + c < 0 inside,
+    and the nearest boundary point of a point inside a convex polygon lies
+    on its nearest edge line."""
+    return -np.max(pts2d @ hull.equations[:, :2].T + hull.equations[:, 2], axis=1)
 
 
 def extract_prism(
@@ -176,7 +183,8 @@ def extract_prism(
     basis, hull = _table_hull(scene, plane)
     heights = plane.signed_distance(scene.points)
     in_band = (heights > min_h) & (heights < max_h)
-    return scene.select(in_band & _inside(hull, scene.points @ basis.T))
+    inside = _edge_gap(hull, scene.points @ basis.T) >= -1e-9  # 1e-9 slack
+    return scene.select(in_band & inside)
 
 
 def euclidean_cluster_indices(
@@ -225,18 +233,16 @@ def euclidean_cluster(
     return [cloud.select(idx) for idx in euclidean_cluster_indices(cloud, link_dist, min_pts, max_pts)]
 
 
-def _cluster_extents(cluster: PointCloud) -> np.ndarray:
-    return cluster.points.max(axis=0) - cluster.points.min(axis=0)
-
-
 def detect_objects(
     scene: PointCloud, params: SegmentationParams = SegmentationParams()
 ) -> list[ObjectCandidate]:
-    """Full detection pipeline: plane -> prism -> clusters -> flags.
+    """Full detection pipeline: plane -> prism -> clusters -> filter.
 
     Clusters exceeding the point-count cap (touching piles) get one
-    refinement pass with half the link distance; the survivors are flagged
-    and only candidates with size_ok and not near_edge are returned.
+    refinement pass with half the link distance. A survivor is kept when
+    its largest extent lies in [min_size, max_size] and its centre,
+    projected onto the table, is at least edge_margin inside the table
+    hull.
     """
     plane = ransac_plane(scene, params.plane_tau, params.plane_iterations, params.seed)
     prism = extract_prism(scene, plane, params.prism_min, params.prism_max)
@@ -254,18 +260,9 @@ def detect_objects(
     basis, hull = _table_hull(scene, plane)
     candidates = []
     for track_id, cluster in enumerate(refined):
-        extents = _cluster_extents(cluster)
-        size_ok = bool(np.max(extents) <= params.max_size and np.max(extents) >= params.min_size)
+        size = np.max(np.ptp(cluster.points, axis=0))
         center2d = (cluster.points.mean(axis=0) @ basis.T)[None, :]
-        inside = bool(_inside(hull, center2d)[0])
-        boundary_dist = float(_hull_boundary_distance(hull, center2d)[0])
-        near_edge = (not inside) or boundary_dist < params.edge_margin
-        flags = {
-            "on_table": True,
-            "tracked": True,
-            "size_ok": size_ok,
-            "near_edge": near_edge,
-            "is_key_view": True,
-        }
-        candidates.append(ObjectCandidate(cloud=cluster, track_id=track_id, flags=flags))
-    return [c for c in candidates if c.flags["size_ok"] and not c.flags["near_edge"]]
+        if (params.min_size <= size <= params.max_size
+                and _edge_gap(hull, center2d)[0] >= params.edge_margin):
+            candidates.append(ObjectCandidate(cloud=cluster, track_id=track_id))
+    return candidates

@@ -1,5 +1,6 @@
 """Command-line interface: file contracts, determinism and exit codes."""
 
+import csv
 import hashlib
 import json
 
@@ -302,7 +303,9 @@ class TestCv:
         )
         assert code == 0
         reported = json.loads((out / "metrics.json").read_text())
-        cm = ConfusionMatrix.from_csv(out / "confusion.csv")
+        with open(out / "confusion.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        cm = ConfusionMatrix(labels=rows[0][1:], counts=[[int(x) for x in r[1:]] for r in rows[1:]])
         from openobj.evaluation import metrics as compute_metrics
 
         recomputed = compute_metrics(cm)

@@ -124,6 +124,13 @@ class TestComputeGood:
         assert len(compute_good(cloud, n=5)) == 75
         assert len(compute_good(cloud, n=15)) == 675
 
+    @pytest.mark.parametrize("n", [5.5, 5.0])
+    def test_fractional_bin_count_rejected(self, n):
+        cloud = skewed_object()
+        assert len(compute_good(cloud, n=np.int64(5))) == 75
+        with pytest.raises(DescriptorError, match="integer number of at least 2 bins"):
+            compute_good(cloud, n=n)
+
     def test_blocks_are_distributions(self):
         d = compute_good(skewed_object(), n=7)
         blocks = d.bins.reshape(3, -1)
@@ -140,7 +147,7 @@ class TestComputeGood:
     def test_translation_invariance(self):
         cloud = skewed_object(seed=6)
         d1 = compute_good(cloud, n=9)
-        d2 = compute_good(cloud.translate([0.7, -0.4, 1.1]), n=9)
+        d2 = compute_good(PointCloud(cloud.points + [0.7, -0.4, 1.1]), n=9)
         np.testing.assert_allclose(d1.bins, d2.bins, atol=1e-9)
 
     def test_duplication_invariance(self):
@@ -173,7 +180,7 @@ class TestComputeGood:
     def test_rigid_motion_and_permutation_property(self, seed, m, motion, shift):
         cloud = skewed_object(seed=seed, m=m)
         ref = compute_good(cloud, n=15).bins
-        assert np.array_equal(compute_good(cloud.translate(shift), n=15).bins, ref)
+        assert np.array_equal(compute_good(PointCloud(cloud.points + shift), n=15).bins, ref)
         rng = np.random.default_rng(motion)
         moved = cloud.transform(random_rotation(rng), shift).points
         d = compute_good(PointCloud(moved[rng.permutation(len(moved))]), n=15).bins
@@ -412,6 +419,13 @@ class TestSpinImageKernel:
         cloud = PointCloud([[0.0, 0.0, 0.01]])
         with np.errstate(all="raise"), pytest.raises(DescriptorError, match=name.replace("_", " ")):
             compute_spin_image(cloud, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], **{name: value})
+
+    @pytest.mark.parametrize("width", [2.5, 4.0])
+    def test_fractional_image_width_rejected(self, width):
+        cloud = PointCloud(np.random.default_rng(14).uniform(0, 0.05, size=(30, 3)))
+        assert compute_feature_set(cloud, image_width=np.int64(2)).matrix.shape[1] == 15
+        with pytest.raises(DescriptorError, match="image width must be an integer"):
+            compute_feature_set(cloud, image_width=width)
 
     def test_empty_cloud_rejected(self):
         with pytest.raises(DescriptorError, match="empty cloud"):

@@ -224,6 +224,15 @@ class TestStackedOcd:
         with pytest.raises(LearningError, match="unequal width"):
             ocd_min(spin_like(rng), cat)
 
+    def test_unequal_widths_rejected_by_the_stack(self):
+        # the stack refuses the category before any pair is scored
+        rng = np.random.default_rng(9)
+        cat = InstanceCategory("x", [spin_like(rng), spin_like(rng, width=7)])
+        with mock.patch.object(learning, "set_distance") as per_instance:
+            with pytest.raises(LearningError, match=r"instances of unequal width \[.*, 7\]"):
+                ocd_mean(spin_like(rng), cat)
+        per_instance.assert_not_called()
+
     def test_empty_category_rejected(self):
         with pytest.raises(LearningError, match="no instances"):
             ocd_mean(spin_like(np.random.default_rng(0)), InstanceCategory("x"))

@@ -82,6 +82,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{name} must be at least {least}"):
             ExperimentConfig(**{name: least - 1}).validate()
 
+    @pytest.mark.parametrize("name,value", [
+        ("image_width", 2.5), ("good_bins", 5.5), ("topics", 3.7), ("seed", 1.0),
+        ("folds", "10"),
+    ])
+    def test_counts_must_be_integers(self, name, value):
+        ExperimentConfig(**{name: np.int64(getattr(ExperimentConfig(), name))}).validate()
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            ExperimentConfig(**{name: value}).validate()
+
     @pytest.mark.parametrize("angle", [0.0, -10.0, 180.5])
     def test_support_angle_range(self, angle):
         ExperimentConfig(support_angle=180.0).validate()

@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from openobj.pointcloud import (
-    BoundingBox,
     PointCloud,
     PointCloudError,
-    ReferenceFrame,
-    aabb_in_frame,
     centroid,
     compute_reference_frame,
     crop_cube,
@@ -185,7 +182,7 @@ class TestCentroid:
         cloud = random_cloud(rng)
         d = np.array([0.3, -0.1, 0.25])
         np.testing.assert_allclose(
-            centroid(cloud.translate(d)), centroid(cloud) + d, atol=1e-12
+            centroid(PointCloud(cloud.points + d)), centroid(cloud) + d, atol=1e-12
         )
 
 
@@ -248,33 +245,3 @@ class TestReferenceFrame:
         with pytest.raises(PointCloudError, match="degenerate"):
             compute_reference_frame(line)
 
-
-class TestAabb:
-    def test_single_point(self):
-        frame = ReferenceFrame(np.zeros(3), np.eye(3))
-        box = aabb_in_frame(PointCloud([[0.1, 0.2, 0.3]]), frame)
-        np.testing.assert_allclose(box.min, box.max)
-
-    def test_unit_cube_identity_frame(self):
-        corners = np.array(
-            [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], dtype=float
-        )
-        frame = ReferenceFrame(np.zeros(3), np.eye(3))
-        box = aabb_in_frame(PointCloud(corners), frame)
-        np.testing.assert_allclose(box.min, [0, 0, 0])
-        np.testing.assert_allclose(box.max, [1, 1, 1])
-
-    def test_matches_transform_oracle(self):
-        rng = np.random.default_rng(15)
-        cloud = random_cloud(rng)
-        rot = random_rotation(rng)
-        origin = rng.uniform(-1, 1, size=3)
-        frame = ReferenceFrame(origin, rot)
-        box = aabb_in_frame(cloud, frame)
-        local = (cloud.points - origin) @ rot
-        np.testing.assert_allclose(box.min, local.min(axis=0))
-        np.testing.assert_allclose(box.max, local.max(axis=0))
-
-    def test_min_exceeding_max_invalid(self):
-        with pytest.raises(PointCloudError):
-            BoundingBox([1, 0, 0], [0, 1, 1])

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from openobj.pointcloud import PointCloud
 from openobj.segmentation import (
     Plane,
     SegmentationError,
     SegmentationParams,
+    _edge_gap,
+    _plane_basis,
     detect_objects,
     euclidean_cluster,
     euclidean_cluster_indices,
@@ -15,6 +20,24 @@ from openobj.segmentation import (
     ransac_plane,
 )
 from openobj.synthgen import ShapeSpec, generate_scene
+
+
+def reference_boundary_distance(hull, query2d):
+    """Distance from each 2D query point to the hull polygon's boundary, by
+    a walk over its edges (hull.vertices runs around the polygon)."""
+    vertices = hull.points[hull.vertices]
+    dists = np.full(len(query2d), np.inf)
+    for a, b in zip(vertices, np.roll(vertices, -1, axis=0)):
+        ab = b - a
+        t = np.clip(((query2d - a) @ ab) / (ab @ ab), 0.0, 1.0)
+        dists = np.minimum(dists, np.linalg.norm(query2d - (a + t[:, None] * ab), axis=1))
+    return dists
+
+
+def reference_inside(hull, query2d):
+    """Hull membership with 1e-9 slack, by the edge lines' signs."""
+    values = query2d @ hull.equations[:, :2].T + hull.equations[:, 2]
+    return np.all(values <= 1e-9, axis=1)
 
 
 def table_scene(seed=0, n_outliers=60):
@@ -199,10 +222,18 @@ class TestEuclideanCluster:
 class TestDetectObjects:
     def test_three_boxes_found(self):
         scene, labels = table_scene()
-        candidates = detect_objects(scene, SegmentationParams(seed=0))
+        params = SegmentationParams(seed=0)
+        candidates = detect_objects(scene, params)
         assert len(candidates) == 3
+        plane = ransac_plane(scene, params.plane_tau, params.plane_iterations, params.seed)
+        basis = _plane_basis(plane.normal)
+        hull = ConvexHull(scene.points[plane.inlier_indices] @ basis.T)
         for cand in candidates:
-            assert cand.flags["size_ok"] and not cand.flags["near_edge"]
+            size = np.max(cand.cloud.points.max(axis=0) - cand.cloud.points.min(axis=0))
+            assert params.min_size <= size <= params.max_size
+            center2d = (cand.cloud.points.mean(axis=0) @ basis.T)[None, :]
+            assert reference_inside(hull, center2d)[0]
+            assert reference_boundary_distance(hull, center2d)[0] >= params.edge_margin
             # each candidate should be at least 95 % points of one object
             got = {tuple(p) for p in cand.cloud.points}
             best = max(
@@ -254,3 +285,53 @@ class TestDetectObjects:
     def test_refined_cluster_still_oversize_dropped(self):
         scene, _ = self.touching_boxes()
         assert detect_objects(scene, SegmentationParams(seed=0, max_pts=200)) == []
+
+
+class TestEdgeGap:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 40), st.floats(0.0, 0.5))
+    def test_matches_edge_walk(self, seed, n, margin):
+        # random hull and query points inside, on both sides of, and well
+        # outside its boundary
+        rng = np.random.default_rng(seed)
+        hull = ConvexHull(rng.uniform(-1, 1, size=(n, 2)) * rng.uniform(0.1, 2.0, size=2))
+        query = rng.uniform(-2.5, 2.5, size=(50, 2))
+        gap = _edge_gap(hull, query)
+        walk = reference_boundary_distance(hull, query)
+        inside = reference_inside(hull, query)
+        np.testing.assert_allclose(gap[inside], walk[inside], rtol=0, atol=1e-12)
+        assert np.all(gap[~inside] < 0)
+        # detect_objects keeps a centre when gap >= margin; the walk kept it
+        # when inside and walk >= margin
+        decided = np.abs(walk - margin) > 1e-9
+        np.testing.assert_array_equal(
+            (gap >= margin)[decided], (inside & (walk >= margin))[decided]
+        )
+
+
+class TestSegmentationParams:
+    @pytest.mark.parametrize("name,value", [
+        ("plane_tau", 0.0),
+        ("plane_tau", float("nan")),
+        ("plane_iterations", 0),
+        ("prism_min", float("nan")),
+        ("prism_max", 0.005),
+        ("prism_max", float("inf")),
+        ("link_dist", 0.0),
+        ("link_dist", float("nan")),
+        ("min_pts", 0),
+        ("max_pts", 29),
+        ("min_size", -0.01),
+        ("min_size", float("nan")),
+        ("max_size", float("nan")),
+        ("max_size", -1.0),
+        ("edge_margin", float("nan")),
+        ("edge_margin", -0.01),
+    ])
+    def test_bad_field_rejected(self, name, value):
+        with pytest.raises(SegmentationError, match=f"^{name} must"):
+            SegmentationParams(**{name: value})
+
+    def test_defaults_and_bounds_accepted(self):
+        SegmentationParams()
+        SegmentationParams(min_pts=1, max_pts=1, min_size=0.0, max_size=0.0, edge_margin=0.0)
