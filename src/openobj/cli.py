@@ -120,7 +120,7 @@ def build_config(args) -> tuple[ExperimentConfig, dict]:
                 raise CliError(f"{args.config}: {exc}") from None
     values.update((key, value) for key, value in vars(args).items() if key in SCHEMA)
     gen_values = {key: values.pop(key) for key in GEN_KEYS if key in values}
-    return ExperimentConfig(**values).validate(), gen_values
+    return ExperimentConfig(**values), gen_values
 
 
 def _read_json(path):
@@ -246,13 +246,7 @@ def cmd_cv(args) -> int:
     if config.ct is not None:
         raise CliError("cv does not take ct: UNKNOWN is not a dataset category")
     dataset = load_dataset(args.dataset)
-    cm = kfold(
-        dataset,
-        k=config.folds,
-        pipeline=make_cv_pipeline(config),
-        seed=config.seed,
-        jobs=args.jobs or 1,
-    )
+    cm = kfold(dataset, k=config.folds, pipeline=make_cv_pipeline(config), seed=config.seed)
     result = metrics(cm)
     out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -381,7 +375,6 @@ def main(argv=None) -> int:
 
     p_cv = sub.add_parser("cv", help="k-fold cross-validation on a dataset tree")
     p_cv.add_argument("dataset", help="dataset root directory")
-    p_cv.add_argument("--jobs", type=int, help="parallel workers for CV folds")
     _add_common(p_cv, cmd_cv)
 
     p_proto = sub.add_parser("protocol", help="simulated-teacher experiment")

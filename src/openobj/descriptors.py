@@ -291,7 +291,7 @@ def compute_spin_image(
         raise DescriptorError("need keypoints and normals of matching shape (3,) or (k, 3)")
     if np.any(np.abs(np.linalg.norm(normals, axis=-1) - 1.0) > 1e-9):
         raise DescriptorError("keypoint normal must be unit length")
-    # the bounds ExperimentConfig.validate sets; each check fails for NaN
+    # the bounds ExperimentConfig sets; each check fails for NaN
     if not 0 < support_length < np.inf:
         raise DescriptorError("support length must be positive and finite")
     if not isinstance(image_width, (int, np.integer)) or image_width < 1:

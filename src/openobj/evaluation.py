@@ -217,9 +217,11 @@ def kfold(
     ``pipeline(train, test_views) -> predicted labels`` where train is a
     list of (label, view) pairs. Views of each category are shuffled once
     (seeded) and dealt round-robin into folds, so categories with fewer
-    than k views simply miss some folds. Deterministic per seed for any
-    job count.
+    than k views simply miss some folds, which run in order. Deterministic
+    per seed. ``jobs`` must be 1.
     """
+    if jobs != 1:
+        raise EvaluationError("kfold runs its folds in order: jobs must be 1")
     if k < 2:
         raise EvaluationError("need at least 2 folds")
     rng = np.random.default_rng(seed)
@@ -233,20 +235,9 @@ def kfold(
     labels = tuple(dataset.categories)
     index = {lab: i for i, lab in enumerate(labels)}
     counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
-
-    def run_fold(i):
+    for i, test in enumerate(folds):
         train = [item for j, fold in enumerate(folds) if j != i for item in fold]
-        test = folds[i]
-        return test, pipeline(train, [view for _, view in test])
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_fold, range(k)))
-    else:
-        results = [run_fold(i) for i in range(k)]
-    for i, (test, predicted) in enumerate(results):
+        predicted = pipeline(train, [view for _, view in test])
         if len(predicted) != len(test):
             raise EvaluationError(
                 f"fold {i}: the pipeline returned {len(predicted)} labels for {len(test)} views"

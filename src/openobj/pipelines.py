@@ -14,15 +14,14 @@ cross-validation builds one per fold from training views only.
 
 from __future__ import annotations
 
-import math
 import weakref
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import descriptors, evaluation, nbv, representations
 from .descriptors import compute_feature_set, compute_good
-from .errors import OpenobjError
+from .errors import OpenobjError, check_fields
 from .learning import (
     BayesMemory,
     InstanceCategory,
@@ -55,16 +54,17 @@ __all__ = [
 
 REPRESENTATIONS = ("good", "spinset", "bow", "lda", "local_lda")
 LEARNERS = ("instance", "bayes")
+_NEEDS_DICTIONARY = {"bow", "lda", "local_lda"}
 
 
 class ConfigError(OpenobjError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Every knob of an experiment; validated before any work starts. A
-    default that a library function shares is that module's DEFAULT_*."""
+    """Every knob of an experiment, checked when built (ConfigError names a
+    bad field). A default a library function shares is its module's DEFAULT_*."""
 
     representation: str = "good"
     learner: str = "instance"
@@ -90,7 +90,8 @@ class ExperimentConfig:
     max_dictionary_pool: int = 8000
     seed: int = 0
 
-    def validate(self) -> "ExperimentConfig":
+    def __post_init__(self):
+        check_fields(self, ConfigError)
         if self.representation not in REPRESENTATIONS:
             raise ConfigError(f"unknown representation {self.representation!r}")
         if self.learner not in LEARNERS:
@@ -100,28 +101,21 @@ class ExperimentConfig:
         if self.ct is not None and self.learner == "bayes":
             # only the instance memory can return UNKNOWN
             raise ConfigError("ct applies to the instance learner only")
-        for f in fields(self):  # annotations are strings here
-            if f.type == "int" and not isinstance(getattr(self, f.name), (int, np.integer)):
-                raise ConfigError(f"{f.name} must be an integer")
         for name, least in (("good_bins", 2), ("image_width", 1), ("dictionary_size", 2),
                             ("topics", 1), ("gibbs_iters", 1), ("folds", 2), ("window_mult", 1),
                             ("breakpoint_limit", 1), ("views_per_teach", 1), ("seed", 0),
                             ("max_dictionary_pool", 1), ("nbv_resolution", 1)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be at least {least}")
-        # every check below fails for NaN
         for name in ("voxel", "support_length", "alpha", "beta", "sigma_nbv"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be positive and finite")
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
         if not 0 < self.support_angle <= 180:
             raise ConfigError("support_angle must lie in (0, 180]")
-        if self.ct is not None and not math.isfinite(self.ct):
-            raise ConfigError("ct must be finite or none")
         if not 0 < self.tau < 1:
             raise ConfigError("tau must lie in (0, 1)")
         if self.nocd_mode not in ("A1", "A2"):
             raise ConfigError("nocd_mode must be A1 or A2")
-        return self
 
     def spin_image_args(self) -> dict:
         """compute_feature_set's keyword arguments."""
@@ -155,7 +149,7 @@ class _FeatureCache:
         )
 
     def _lookup(self, kind, cloud, compute):
-        per_view = self._store.setdefault(cloud, {})  # atomic for cv's fold threads
+        per_view = self._store.setdefault(cloud, {})
         if kind not in per_view:
             per_view[kind] = compute()
         return per_view[kind]
@@ -191,6 +185,8 @@ class Learner:
 
     def __init__(self, config: ExperimentConfig, dictionary: Dictionary | None = None,
                  features: _FeatureCache | None = None):
+        if config.representation in _NEEDS_DICTIONARY and dictionary is None:
+            raise ConfigError(f"{config.representation} needs a visual-word dictionary")
         self.config = config
         self.dictionary = dictionary
         self.features = features or _FeatureCache(config)
@@ -270,15 +266,9 @@ class Learner:
         return inferred.counts if self.bayes else inferred.theta
 
 
-_NEEDS_DICTIONARY = {"bow", "lda", "local_lda"}
-
-
 def build_learner(config: ExperimentConfig, dictionary: Dictionary | None = None,
                   features: _FeatureCache | None = None) -> Learner:
     """The learner for the config's representation/learner combination."""
-    config.validate()
-    if config.representation in _NEEDS_DICTIONARY and dictionary is None:
-        raise ConfigError(f"{config.representation} needs a visual-word dictionary")
     return Learner(config, dictionary, features)
 
 
@@ -307,7 +297,6 @@ def make_cv_pipeline(config: ExperimentConfig):
     """Fold closure for evaluation.kfold: train on (label, cloud) pairs,
     predict labels for the test clouds. One shared feature cache spans the
     folds; dictionaries are rebuilt per fold from training views only."""
-    config.validate()
     cache = _FeatureCache(config)
 
     def pipeline(train, test_clouds):

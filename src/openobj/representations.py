@@ -7,14 +7,14 @@ from __future__ import annotations
 
 import zlib
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import accumulate
 from operator import mul, truediv
 
 import numpy as np
 from scipy import sparse
 
-from .errors import OpenobjError
+from .errors import OpenobjError, check_fields
 
 __all__ = [
     "Dictionary",
@@ -75,6 +75,25 @@ class Dictionary:
         return cls(words=words)
 
 
+def _counter(value, shape: tuple, name: str) -> np.ndarray:
+    """A topic model's counter as int64: zeros for None, else ``value``
+    when it holds non-negative integers of the given shape."""
+    if value is None:
+        try:  # zeros left unread cost only address space
+            return np.zeros(shape, dtype=np.int64)
+        except (ValueError, MemoryError):
+            raise RepresentationError(f"{name} of shape {shape} does not fit in memory") from None
+    try:
+        counts = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        counts = np.asarray(None)
+    if counts.dtype.kind in "iu":
+        counts = counts.astype(np.int64, copy=False)  # a huge uint64 turns negative
+    if counts.dtype != np.int64 or counts.shape != shape or counts.min(initial=0) < 0:
+        raise RepresentationError(f"{name} must hold non-negative integers of shape {shape}")
+    return counts
+
+
 @dataclass
 class TopicModel:
     """Word-topic counters for collapsed Gibbs sampling.
@@ -96,22 +115,22 @@ class TopicModel:
     n_k: np.ndarray = None
 
     def __post_init__(self):
-        if self.k < 1 or self.v < 1:
-            raise RepresentationError("topic and vocabulary sizes must be positive")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise RepresentationError("alpha and beta must be positive")
-        if self.n_wk is None:
-            self.n_wk = np.zeros((self.v, self.k), dtype=np.int64)
-        else:
-            self.n_wk = np.asarray(self.n_wk, dtype=np.int64)
-        if self.n_k is None:
-            self.n_k = np.zeros(self.k, dtype=np.int64)
-        else:
-            self.n_k = np.asarray(self.n_k, dtype=np.int64)
+        check_fields(self, RepresentationError)
+        for name, least in (("k", 1), ("v", 1), ("rng_seed", 0), ("n_updates", 0)):
+            if getattr(self, name) < least:
+                raise RepresentationError(f"{name} must be at least {least}")
+        for name in ("alpha", "beta"):
+            if getattr(self, name) <= 0:
+                raise RepresentationError(f"{name} must be positive")
+        counted = self.n_wk is not None or self.n_k is not None
+        self.n_wk = _counter(self.n_wk, (self.v, self.k), "n_wk")
+        self.n_k = _counter(self.n_k, (self.k,), "n_k")
+        if counted:
+            self.check_consistent()
 
     def check_consistent(self):
         if not np.array_equal(self.n_wk.sum(axis=0), self.n_k):
-            raise RepresentationError("topic totals drifted from word-topic counts")
+            raise RepresentationError("n_k must equal the column sums of n_wk")
 
     def to_json_dict(self) -> dict:
         return {
@@ -128,17 +147,10 @@ class TopicModel:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TopicModel":
-        return cls(
-            k=data["k"],
-            v=data["v"],
-            alpha=data["alpha"],
-            beta=data["beta"],
-            scope=data["scope"],
-            rng_seed=data["rng_seed"],
-            n_updates=data["n_updates"],
-            n_wk=np.asarray(data["n_wk"], dtype=np.int64),
-            n_k=np.asarray(data["n_k"], dtype=np.int64),
-        )
+        names = {f.name for f in fields(cls)}
+        if not isinstance(data, dict) or set(data) != names:
+            raise RepresentationError(f"topic model JSON needs exactly the keys {sorted(names)}")
+        return cls(**data)
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,13 @@ above the plane, Euclidean clustering and the object-candidate filter
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
-from .errors import OpenobjError
+from .errors import OpenobjError, check_fields
 from .pointcloud import PointCloud, PointCloudError
 
 __all__ = [
@@ -66,9 +65,8 @@ class ObjectCandidate:
 @dataclass(frozen=True)
 class SegmentationParams:
     """Tunables for the detection pipeline; plane tau/iterations follow the
-    reference setup, the rest are configuration. Checked on construction:
-    every float is finite, and a bad value raises SegmentationError naming
-    its field."""
+    reference setup, the rest are configuration. Checked when built: a bad
+    value raises SegmentationError naming its field."""
 
     plane_tau: float = 0.02
     plane_iterations: int = 200
@@ -83,10 +81,7 @@ class SegmentationParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("plane_tau", "prism_min", "prism_max", "link_dist", "min_size",
-                     "max_size", "edge_margin"):
-            if not math.isfinite(getattr(self, name)):
-                raise SegmentationError(f"{name} must be finite")
+        check_fields(self, SegmentationError)
         for name, ok, rule in (
             ("plane_tau", self.plane_tau > 0, "be positive"),
             ("plane_iterations", self.plane_iterations >= 1, "be at least 1"),
@@ -97,6 +92,7 @@ class SegmentationParams:
             ("min_size", self.min_size >= 0, "be non-negative"),
             ("max_size", self.max_size >= self.min_size, "be at least min_size"),
             ("edge_margin", self.edge_margin >= 0, "be non-negative"),
+            ("seed", self.seed >= 0, "be non-negative"),
         ):
             if not ok:
                 raise SegmentationError(f"{name} must {rule}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import OpenobjError
+from .errors import OpenobjError, check_fields, finite_number
 from .pointcloud import PointCloud, save_pcd
 
 __all__ = [
@@ -34,6 +34,20 @@ class SynthgenError(OpenobjError):
     pass
 
 
+def _check_shape(spec) -> None:
+    """ShapeSpec's and CategorySpec's shared check, run when either is built."""
+    check_fields(spec, SynthgenError)
+    if spec.kind not in SHAPE_KINDS:
+        raise SynthgenError(f"unknown shape kind {spec.kind!r}")
+    dims = spec.dimensions
+    if not isinstance(dims, (tuple, list)) or not all(finite_number(d) and d > 0 for d in dims):
+        raise SynthgenError("dimensions must be positive and finite")
+    if spec.points < 50:
+        raise SynthgenError("points must be at least 50")
+    if spec.noise_sigma < 0:
+        raise SynthgenError(f"noise_sigma must be non-negative, got {spec.noise_sigma}")
+
+
 @dataclass(frozen=True)
 class ShapeSpec:
     """One parametric object view: primitive kind, metric dimensions,
@@ -48,23 +62,16 @@ class ShapeSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in SHAPE_KINDS:
-            raise SynthgenError(f"unknown shape kind {self.kind!r}")
-        if any(d <= 0 for d in self.dimensions):
-            raise SynthgenError("dimensions must be positive")
-        if self.points < 50:
-            raise SynthgenError("need at least 50 points per view")
-        if not 0 <= self.noise_sigma < np.inf:  # fails for NaN too
-            raise SynthgenError(
-                f"noise_sigma must be non-negative and finite, got {self.noise_sigma}"
-            )
+        _check_shape(self)
+        if self.seed < 0:
+            raise SynthgenError("seed must be non-negative")
         object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=np.float64))
 
 
 @dataclass(frozen=True)
 class CategorySpec:
     """A family of shapes forming one category; views jitter the base
-    dimensions by +-jitter (relative) to create intra-class variation."""
+    dimensions by +-jitter (relative, in [0, 1)) for intra-class variation."""
 
     name: str
     kind: str
@@ -72,6 +79,11 @@ class CategorySpec:
     points: int = 400
     noise_sigma: float = 0.0
     jitter: float = 0.15
+
+    def __post_init__(self):
+        _check_shape(self)
+        if not 0 <= self.jitter < 1:
+            raise SynthgenError("jitter must lie in [0, 1)")
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

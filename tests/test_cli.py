@@ -320,16 +320,6 @@ class TestCv:
             outs.append((out / "metrics.json").read_text())
         assert outs[0] == outs[1]
 
-    def test_jobs_leave_results_unchanged(self, small_dataset, tmp_path):
-        outs = []
-        for jobs in ("1", "2"):
-            out = tmp_path / jobs
-            assert run_cli("cv", str(small_dataset), "--out-dir", str(out), "--seed", "9",
-                           "--representation", "good", "--good-bins", "5", "--folds", "4",
-                           "--jobs", jobs) == 0
-            outs.append((out / "confusion.csv").read_text())
-        assert outs[0] == outs[1]
-
     def test_ct_rejected_before_loading(self, small_dataset, tmp_path, capsys):
         # a CV confusion matrix has no UNKNOWN column
         for root in (small_dataset, tmp_path / "missing"):
@@ -341,6 +331,7 @@ class TestCv:
 
     @pytest.mark.parametrize("argv", [
         ("gen",), ("describe", "view.pcd"), ("protocol", "data"), ("nbv", "w.pcd", "p.json"),
+        ("cv", "data"),
     ])
     def test_jobs_refused_outside_cv(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

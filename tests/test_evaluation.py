@@ -147,12 +147,12 @@ class TestKfold:
         b = kfold(data, k=4, pipeline=self.nn_pipeline, seed=5)
         np.testing.assert_array_equal(a.counts, b.counts)
 
-    def test_jobs_do_not_change_result(self):
-        rng = np.random.default_rng(3)
-        data = self.dataset(rng)
-        a = kfold(data, k=4, pipeline=self.nn_pipeline, seed=6, jobs=1)
-        b = kfold(data, k=4, pipeline=self.nn_pipeline, seed=6, jobs=4)
-        np.testing.assert_array_equal(a.counts, b.counts)
+    @pytest.mark.parametrize("jobs", [2, 0])
+    def test_jobs_other_than_one_rejected(self, jobs):
+        data = self.dataset(np.random.default_rng(3))
+        kfold(data, k=4, pipeline=self.nn_pipeline, seed=6, jobs=1)
+        with pytest.raises(EvaluationError, match="jobs must be 1"):
+            kfold(data, k=4, pipeline=self.nn_pipeline, seed=6, jobs=jobs)
 
     def test_every_view_tested_once(self):
         rng = np.random.default_rng(4)

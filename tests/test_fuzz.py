@@ -1,9 +1,12 @@
-"""Fuzzed input files: the readers either return or raise an OpenobjError,
-never a stray Python or numpy exception."""
+"""Fuzzed input files and parameter records: the readers either return or
+raise an OpenobjError, and a record is either built or raises its module's
+error, never a stray Python or numpy exception."""
 
 import argparse
 import json
+from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -11,8 +14,11 @@ from hypothesis import strategies as st
 from openobj.cli import SCHEMA, build_config, load_dataset, parse_config_file
 from openobj.errors import OpenobjError
 from openobj.nbv import load_poses
+from openobj.pipelines import ConfigError, ExperimentConfig
 from openobj.pointcloud import load_pcd, save_pcd
-from openobj.synthgen import ShapeSpec, generate_view
+from openobj.representations import RepresentationError, TopicModel
+from openobj.segmentation import SegmentationError, SegmentationParams
+from openobj.synthgen import CategorySpec, ShapeSpec, SynthgenError, generate_view
 
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -125,3 +131,31 @@ def test_config_file(tmp_path, content):
         build_config(argparse.Namespace(config=str(path)))
 
     returns_or_raises_openobj_error(read, path)
+
+
+SHAPE = {"kind": "box", "dimensions": (0.1, 0.1, 0.1)}
+# (record, its module's error, the arguments it needs)
+RECORDS = [
+    (ExperimentConfig, ConfigError, {}),
+    (SegmentationParams, SegmentationError, {}),
+    (ShapeSpec, SynthgenError, SHAPE),
+    (CategorySpec, SynthgenError, {"name": "box", **SHAPE}),
+    (TopicModel, RepresentationError, {"k": 3, "v": 4}),
+]
+field_values = (
+    numbers | st.sampled_from([10**400, -(10**400), np.nan, np.inf, -np.inf])
+    | st.booleans() | st.integers(-(2**63), 2**63 - 1).map(np.int64) | st.floats().map(np.float64)
+    | st.none() | st.text(max_size=4)
+)
+
+
+@FUZZ
+@pytest.mark.parametrize("record,error,required", RECORDS, ids=[r.__name__ for r, _, _ in RECORDS])
+@given(data=st.data())
+def test_parameter_record(record, error, required, data):
+    # a spec's rotation is a matrix, which the field rule does not cover
+    name = data.draw(st.sampled_from([f.name for f in fields(record) if f.name != "rotation"]))
+    try:
+        record(**{**required, name: data.draw(field_values)})
+    except error:
+        pass

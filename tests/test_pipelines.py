@@ -1,6 +1,7 @@
 """Representation/learner wiring: config validation and the learner
 wrappers driven by the simulated teacher."""
 
+import dataclasses
 import inspect
 import math
 from unittest import mock
@@ -18,6 +19,7 @@ from openobj.pipelines import (
     REPRESENTATIONS,
     ConfigError,
     ExperimentConfig,
+    Learner,
     build_dictionary_from_clouds,
     build_learner,
     make_cv_pipeline,
@@ -44,63 +46,87 @@ def tiny_dataset():
 
 class TestConfig:
     def test_defaults_valid(self):
-        ExperimentConfig().validate()
+        ExperimentConfig()
 
     def test_bad_representation(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(representation="vfh").validate()
+            ExperimentConfig(representation="vfh")
 
     def test_spinset_bayes_rejected(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(representation="spinset", learner="bayes").validate()
+            ExperimentConfig(representation="spinset", learner="bayes")
 
     def test_ct_with_bayes_rejected(self):
         # only the instance memory can answer UNKNOWN
-        ExperimentConfig(learner="instance", ct=0.5).validate()
+        ExperimentConfig(learner="instance", ct=0.5)
         with pytest.raises(ConfigError, match="ct"):
-            ExperimentConfig(representation="bow", learner="bayes", ct=0.5).validate()
+            ExperimentConfig(representation="bow", learner="bayes", ct=0.5)
 
     @pytest.mark.parametrize("name", [
         "voxel", "support_length", "support_angle", "alpha", "beta", "sigma_nbv", "ct",
     ])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
     def test_non_finite_rejected(self, name, value):
         with pytest.raises(ConfigError, match=name):
-            ExperimentConfig(**{name: value}).validate()
+            ExperimentConfig(**{name: value})
 
     @pytest.mark.parametrize("name", ["window_mult", "breakpoint_limit", "views_per_teach"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_teacher_counts_must_be_positive(self, name, value):
         with pytest.raises(ConfigError, match=f"{name} must be at least 1"):
-            ExperimentConfig(**{name: value}).validate()
+            ExperimentConfig(**{name: value})
 
     @pytest.mark.parametrize("name,least", [
         ("seed", 0), ("max_dictionary_pool", 1), ("nbv_resolution", 1),
     ])
     def test_seed_and_sizes_have_a_floor(self, name, least):
-        ExperimentConfig(**{name: least}).validate()
+        ExperimentConfig(**{name: least})
         with pytest.raises(ConfigError, match=f"{name} must be at least {least}"):
-            ExperimentConfig(**{name: least - 1}).validate()
+            ExperimentConfig(**{name: least - 1})
 
     @pytest.mark.parametrize("name,value", [
         ("image_width", 2.5), ("good_bins", 5.5), ("topics", 3.7), ("seed", 1.0),
         ("folds", "10"),
     ])
     def test_counts_must_be_integers(self, name, value):
-        ExperimentConfig(**{name: np.int64(getattr(ExperimentConfig(), name))}).validate()
+        ExperimentConfig(**{name: np.int64(getattr(ExperimentConfig(), name))})
         with pytest.raises(ConfigError, match=f"{name} must be an integer"):
-            ExperimentConfig(**{name: value}).validate()
+            ExperimentConfig(**{name: value})
 
     @pytest.mark.parametrize("angle", [0.0, -10.0, 180.5])
     def test_support_angle_range(self, angle):
-        ExperimentConfig(support_angle=180.0).validate()
+        ExperimentConfig(support_angle=180.0)
         with pytest.raises(ConfigError, match="support_angle"):
-            ExperimentConfig(support_angle=angle).validate()
+            ExperimentConfig(support_angle=angle)
+
+    @pytest.mark.parametrize("name,value", [
+        ("voxel", "0.01"), ("ct", "x"), ("tau", None), ("alpha", True), ("sigma_nbv", -(10**400)),
+    ])
+    def test_non_numbers_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be a finite number"):
+            ExperimentConfig(**{name: value})
+
+    def test_fields_cannot_be_assigned(self):
+        config = ExperimentConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.seed = -1
+
+    @pytest.mark.parametrize("name", ["max_dictionary_pool", "seed"])
+    def test_dictionary_build_never_sees_a_negative_value(self, tiny_dataset, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be at least"):
+            build_dictionary_from_clouds(tiny_dataset.views["box"], ExperimentConfig(**{name: -1}))
 
     def test_dictionary_required(self):
         cfg = ExperimentConfig(representation="bow", learner="bayes")
         with pytest.raises(ConfigError):
             build_learner(cfg, dictionary=None)
+
+    @pytest.mark.parametrize("learner", LEARNERS)
+    @pytest.mark.parametrize("representation", ["bow", "lda", "local_lda"])
+    def test_learner_refuses_to_start_without_a_dictionary(self, representation, learner):
+        config = ExperimentConfig(representation=representation, learner=learner)
+        with pytest.raises(ConfigError, match=f"{representation} needs a visual-word dictionary"):
+            Learner(config)
 
 
 # (function, parameter, config field): each function's default is the

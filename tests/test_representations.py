@@ -426,6 +426,38 @@ class TestSerialization:
             assert back[name].n_updates == models[name].n_updates
 
 
+class TestTopicModelChecks:
+    """A topic model refuses a bad field or counter when built."""
+
+    @pytest.mark.parametrize("name,value", [
+        ("alpha", float("nan")), ("beta", float("inf")), ("k", 2.5), ("v", 0),
+        ("rng_seed", -1), ("n_updates", -1), ("n_updates", True),
+    ])
+    def test_bad_field_rejected(self, name, value):
+        with pytest.raises(RepresentationError, match=f"^{name} must"):
+            TopicModel(**{"k": 3, "v": 4, name: value})
+
+    @pytest.mark.parametrize("name,value", [
+        ("n_wk", [[1]]),
+        ("n_k", [1, 2]),
+        ("n_k", [5, 0, 0]),
+        ("n_wk", [[0.0] * 3] * 4),
+        ("n_wk", [[-1, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 0]]),
+        ("n_wk", [[0, 0], [0, 0, 0]]),
+    ])
+    def test_bad_counters_rejected(self, name, value):
+        data = dict(TopicModel(k=3, v=4).to_json_dict(), **{name: value})
+        with pytest.raises(RepresentationError, match=f"^{name} must"):
+            TopicModel.from_json_dict(data)
+
+    def test_json_keys_must_match_the_fields(self):
+        data = TopicModel(k=3, v=4).to_json_dict()
+        TopicModel.from_json_dict(data)
+        for bad in ({k: v for k, v in data.items() if k != "n_wk"}, dict(data, extra=1), [1]):
+            with pytest.raises(RepresentationError, match="needs exactly the keys"):
+                TopicModel.from_json_dict(bad)
+
+
 def reference_sweeps(n_wk, n_k, doc, z, m_k, alpha, beta, iters, rng):
     """Per-token numpy formulation of the collapsed Gibbs sweep: one
     rng.random() per token, cumsum and searchsorted over the K weights."""

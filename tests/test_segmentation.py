@@ -314,12 +314,14 @@ class TestSegmentationParams:
         ("plane_tau", 0.0),
         ("plane_tau", float("nan")),
         ("plane_iterations", 0),
+        ("plane_iterations", 2.5),
         ("prism_min", float("nan")),
         ("prism_max", 0.005),
         ("prism_max", float("inf")),
         ("link_dist", 0.0),
         ("link_dist", float("nan")),
         ("min_pts", 0),
+        ("min_pts", 2.5),
         ("max_pts", 29),
         ("min_size", -0.01),
         ("min_size", float("nan")),
@@ -327,6 +329,8 @@ class TestSegmentationParams:
         ("max_size", -1.0),
         ("edge_margin", float("nan")),
         ("edge_margin", -0.01),
+        ("seed", -1),
+        ("seed", True),
     ])
     def test_bad_field_rejected(self, name, value):
         with pytest.raises(SegmentationError, match=f"^{name} must"):

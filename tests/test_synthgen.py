@@ -91,6 +91,43 @@ class TestGenerateDataset:
                     assert abs(got - base) <= cat.jitter * base + 1e-12
 
 
+def shape_spec(**kwargs):
+    return ShapeSpec(**{"kind": "box", "dimensions": (0.1, 0.1, 0.1), **kwargs})
+
+
+def category_spec(**kwargs):
+    return CategorySpec(**{"name": "box", "kind": "box", "dimensions": (0.1, 0.1, 0.1), **kwargs})
+
+
+class TestSpecChecks:
+    """Both spec records refuse a bad value when built, naming its field."""
+
+    @pytest.mark.parametrize("build", [shape_spec, category_spec])
+    @pytest.mark.parametrize("name,value", [
+        ("kind", "torus"),
+        ("dimensions", (float("nan"), 0.1, 0.1)),
+        ("dimensions", (float("inf"), 0.1, 0.1)),
+        ("dimensions", (0.1, -0.1, 0.1)),
+        ("dimensions", 0.1),
+        ("points", 60.5),
+        ("points", 49),
+        ("noise_sigma", -0.001),
+    ])
+    def test_bad_field_rejected(self, build, name, value):
+        with pytest.raises(SynthgenError, match=name if name == "kind" else f"^{name} must"):
+            build(**{name: value})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(SynthgenError, match="^seed must"):
+            shape_spec(seed=-1)
+
+    @pytest.mark.parametrize("jitter", [float("nan"), 2.0, 1.0, -0.1])
+    def test_jitter_must_lie_in_unit_interval(self, jitter):
+        category_spec(jitter=0.0)
+        with pytest.raises(SynthgenError, match="^jitter must"):
+            category_spec(jitter=jitter)
+
+
 class TestGenerateScene:
     def test_labels_cover_everything(self):
         objects = [
