@@ -11,7 +11,7 @@ Submodules:
 - ``nbv``: viewpoint entropy and next-best-view selection
 - ``synthgen``: deterministic synthetic datasets and scenes
 - ``pipelines``: representation/learner wiring for experiments
-- ``errors``: ``OpenobjError``, the base of every error raised for bad input
+- ``errors``: ``OpenobjError``, the field rule and the JSON rule of the records
 """
 
 from . import (

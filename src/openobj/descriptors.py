@@ -12,7 +12,7 @@ from functools import cmp_to_key
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import OpenobjError
+from .errors import OpenobjError, check_count, integer
 from .pointcloud import PointCloud, PointCloudError, ReferenceFrame, compute_reference_frame
 
 __all__ = [
@@ -131,7 +131,7 @@ def project_distribution(
     """
     if plane not in _PLANE_AXES:
         raise DescriptorError(f"unknown projection plane {plane!r}")
-    if not isinstance(n, (int, np.integer)) or n < 2:
+    if not integer(n) or n < 2:
         raise DescriptorError("need an integer number of at least 2 bins per side")
     if l <= 0:
         raise DescriptorError("enclosing square side must be positive")
@@ -294,8 +294,7 @@ def compute_spin_image(
     # the bounds ExperimentConfig sets; each check fails for NaN
     if not 0 < support_length < np.inf:
         raise DescriptorError("support length must be positive and finite")
-    if not isinstance(image_width, (int, np.integer)) or image_width < 1:
-        raise DescriptorError("image width must be an integer of at least 1")
+    check_count("image width", image_width, 1, DescriptorError)
     if not 0 < support_angle <= 180:
         raise DescriptorError("support angle must lie in (0, 180]")
     iw = int(image_width)

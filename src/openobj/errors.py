@@ -1,5 +1,5 @@
 """The base class of every error openobj raises for bad input, and the one
-field rule by which every parameter record checks itself when built."""
+field rule and one JSON rule by which its records check, save and load."""
 
 import math
 from dataclasses import fields
@@ -24,17 +24,91 @@ def finite_number(value) -> bool:
         return False
 
 
+def integer(value) -> bool:
+    """An integer, a numpy one too, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_count(name: str, value, least: int, error) -> None:
+    """Raise ``error`` unless ``value`` is an integer of at least ``least``."""
+    if not integer(value) or value < least:
+        raise error(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def finite_array(value, ndims: tuple, error, message: str) -> np.ndarray:
+    """``value`` as a finite float64 array of ``ndims`` dimensions, or raise."""
+    try:
+        array = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):  # not numbers, or ragged
+        raise error(message) from None
+    if array.ndim not in ndims or not np.all(np.isfinite(array)):
+        raise error(message)
+    return array
+
+
+def check_pose(record, error) -> None:
+    """Store the frozen ``record``'s ``rotation`` (9 finite numbers) and
+    ``translation`` (3) as float64 arrays of shape (3, 3) and (3,)."""
+    for name, shape in (("rotation", (3, 3)), ("translation", (3,))):
+        message = f"{name} must hold {math.prod(shape)} finite numbers"
+        array = finite_array(getattr(record, name), (1, 2), error, message)
+        if array.size != math.prod(shape):
+            raise error(message)
+        object.__setattr__(record, name, array.reshape(shape))
+
+
+# annotation -> (test, what a value must be)
+_FIELD_RULES = {
+    "int": (integer, "an integer"),
+    "float": (finite_number, "a finite number"),
+    "str": (lambda value: isinstance(value, str), "a string"),
+    "bool": (lambda value: isinstance(value, (bool, np.bool_)), "a bool"),
+}
+
+
 def check_fields(record, error) -> None:
     """Raise ``error`` naming the first field of the dataclass ``record``
-    that breaks its annotation: an ``int`` field holds an integer (a numpy
-    one too, never a bool), a ``float`` field a finite number and a
-    ``float | None`` field one or None. The annotations are strings, as
-    every module here imports ``annotations`` from ``__future__``."""
+    that breaks its annotation's rule; a ``T | None`` field may be None. The
+    annotations are strings: every module imports ``annotations``."""
     for f in fields(record):
+        base = f.type.removesuffix(" | None")
+        test, what = _FIELD_RULES.get(base, (None, ""))
         value = getattr(record, f.name)
-        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
-            raise error(f"{f.name} must be an integer")
-        if f.type == "float" and not finite_number(value):
-            raise error(f"{f.name} must be a finite number")
-        if f.type == "float | None" and not (value is None or finite_number(value)):
-            raise error(f"{f.name} must be a finite number or none")
+        if test and not (test(value) or (value is None and base != f.type)):
+            raise error(f"{f.name} must be {what}" + (" or none" if base != f.type else ""))
+
+
+def _plain(value):
+    """``value`` as plain JSON: arrays as lists, records by their fields."""
+    if isinstance(value, JsonRecord):
+        return value.to_json_dict()
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
+
+
+class JsonRecord:
+    """A dataclass record's JSON form, one key per init field. A load takes
+    exactly those keys and builds the record, so it runs a construction's
+    checks; a stray ``TypeError`` or ``ValueError`` becomes ``error``."""
+
+    error = OpenobjError
+
+    def to_json_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self) if f.init}
+
+    @classmethod
+    def from_json_dict(cls, data):
+        names = {f.name for f in fields(cls) if f.init}
+        if not isinstance(data, dict) or data.keys() != names:
+            raise cls.error(f"{cls.__name__} JSON needs exactly the keys {sorted(names)}")
+        try:
+            return cls(**data)
+        except OpenobjError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise cls.error(f"malformed {cls.__name__} JSON: {exc}") from None

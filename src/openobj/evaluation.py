@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OpenobjError
+from .errors import JsonRecord, OpenobjError, check_count, check_fields
 
 __all__ = [
     "ConfusionMatrix",
@@ -96,7 +96,8 @@ class LabeledDataset:
 
 
 @dataclass(frozen=True)
-class ProtocolEvent:
+class ProtocolEvent(JsonRecord):
+    error = EvaluationError
     iteration: int
     action: str  # teach | ask | correct
     category: str
@@ -106,17 +107,8 @@ class ProtocolEvent:
     accuracy: float | None = None  # sliding-window accuracy after an ask
     known: int | None = None  # categories introduced when the event fired
 
-    def to_json_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "action": self.action,
-            "category": self.category,
-            "view_id": self.view_id,
-            "predicted": self.predicted,
-            "correct": self.correct,
-            "accuracy": self.accuracy,
-            "known": self.known,
-        }
+    def __post_init__(self):
+        check_fields(self, EvaluationError)
 
 
 @dataclass
@@ -222,8 +214,7 @@ def kfold(
     """
     if jobs != 1:
         raise EvaluationError("kfold runs its folds in order: jobs must be 1")
-    if k < 2:
-        raise EvaluationError("need at least 2 folds")
+    check_count("k", k, 2, EvaluationError)
     rng = np.random.default_rng(seed)
     folds = [[] for _ in range(k)]
     for label in dataset.categories:
@@ -311,6 +302,9 @@ def run_protocol(
             raise EvaluationError("context protocol needs a context map")
     if not 0 < tau < 1:
         raise EvaluationError("tau must lie in (0, 1)")
+    for name, count in (("window_mult", window_mult), ("breakpoint_limit", breakpoint_limit),
+                        ("views_per_teach", views_per_teach)):
+        check_count(name, count, 1, EvaluationError)
     # without rho every category is in context A and the switch never comes
     contexts = dataset.contexts if rho is not None else dict.fromkeys(dataset.views, "A")
     switch_after = rho if rho is not None else len(contexts)
@@ -443,6 +437,7 @@ def replay_accuracies(log: ProtocolLog, window_mult: int = DEFAULT_WINDOW_MULT) 
     first teach marks its introduction, asks since the latest introduction
     bound the window at min(k, window_mult * n).
     """
+    check_count("window_mult", window_mult, 1, EvaluationError)
     out = []
     history = []
     seen = set()

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import OpenobjError
+from .errors import JsonRecord, OpenobjError, check_fields, finite_array
 
 __all__ = [
     "UNKNOWN",
@@ -43,18 +43,16 @@ class LearningError(OpenobjError):
 
 
 def _as_feature_matrix(rep) -> np.ndarray:
-    rep = np.asarray(rep, dtype=np.float64)
+    rep = finite_array(rep, (1, 2), LearningError, "feature set must be a finite 1-D or 2-D array")
     if rep.ndim == 1:
         rep = rep.reshape(1, -1)  # a fixed-size vector is a one-feature set
-    if rep.ndim != 2 or len(rep) == 0:
-        raise LearningError("feature-set representation must be a non-empty 2D array")
-    if not np.all(np.isfinite(rep)):
-        raise LearningError("feature-set representation must be finite")
+    if len(rep) == 0:
+        raise LearningError("a feature set must not be empty")
     return rep
 
 
 @dataclass
-class InstanceCategory:
+class InstanceCategory(JsonRecord):
     """Instance store of one category plus its intra-category distance.
 
     ``icd`` is the mean distance over ordered instance pairs; the reference
@@ -67,9 +65,11 @@ class InstanceCategory:
     remembers the instances it came from, by identity: the pairs are trimmed
     to the longest unchanged prefix of ``instances`` and the stack is
     rebuilt whenever the list differs, so editing ``instances`` directly is
-    safe. Neither is serialized.
+    safe. Neither is serialized. Instances are built or loaded as finite
+    1-D or 2-D float64 arrays.
     """
 
+    error = LearningError
     label: str
     instances: list = field(default_factory=list)
     icd: float | None = None
@@ -77,6 +77,13 @@ class InstanceCategory:
     _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _paired: list = field(default_factory=list, init=False, repr=False, compare=False)
     _stack: _Stack | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        check_fields(self, LearningError)
+        if not isinstance(self.instances, (list, tuple)):
+            raise LearningError("instances must be a list of arrays")
+        message = "an instance must be a finite 1-D or 2-D array of numbers"
+        self.instances = [finite_array(x, (1, 2), LearningError, message) for x in self.instances]
 
     def add(self, representation):
         self.instances.append(representation)
@@ -101,23 +108,6 @@ class InstanceCategory:
         ):
             self._stack = stack = _Stack.of(self.instances)
         return stack
-
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "instances": [np.asarray(inst).tolist() for inst in self.instances],
-            "icd": self.icd,
-            "icd_provisional": self.icd_provisional,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "InstanceCategory":
-        return cls(
-            label=data["label"],
-            instances=[np.asarray(inst, dtype=np.float64) for inst in data["instances"]],
-            icd=data["icd"],
-            icd_provisional=data["icd_provisional"],
-        )
 
 
 @dataclass(frozen=True)
@@ -307,10 +297,7 @@ def _per_category(query, check):
 
 
 def _fixed_vector(target) -> np.ndarray:
-    vec = np.asarray(target, dtype=np.float64)
-    if vec.ndim != 1:
-        raise LearningError("nn_fixed mode expects a fixed-size vector")
-    return vec
+    return finite_array(target, (1,), LearningError, "nn_fixed needs a finite fixed-size vector")
 
 
 def classify_instances(
@@ -373,12 +360,18 @@ def lowest_score(scores: dict, ct: float | None = None) -> Prediction:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class BayesCategory:
+class BayesCategory(JsonRecord):
     """Category model: instance count and per-bin accumulators."""
 
-    label: str
+    error = LearningError
     n_k: int
     accumulators: np.ndarray
+
+    def __post_init__(self):
+        check_fields(self, LearningError)
+        if self.n_k < 1:
+            raise LearningError("n_k must be at least 1")
+        self.accumulators = _check_histogram(self.accumulators, "accumulators")
 
     def conditionals(self) -> np.ndarray:
         """Laplace-smoothed bin probabilities (a_ki + 1) / sum_j (a_kj + 1)."""
@@ -386,43 +379,40 @@ class BayesCategory:
         return smoothed / smoothed.sum()
 
 
-class BayesMemory:
-    """All category models plus the global instance counter."""
+@dataclass
+class BayesMemory(JsonRecord):
+    """Category models by label, all of one width. A category given in its
+    JSON form is loaded."""
 
-    def __init__(self):
-        self.categories: dict[str, BayesCategory] = {}
-        self.total = 0
+    error = LearningError
+    categories: dict = field(default_factory=dict)
 
-    def __len__(self):
-        return len(self.categories)
+    def __post_init__(self):
+        if not isinstance(self.categories, Mapping):
+            raise LearningError("categories must map labels to categories")
+        self.categories = {
+            label: cat if isinstance(cat, BayesCategory) else BayesCategory.from_json_dict(cat)
+            for label, cat in self.categories.items()
+        }
+        if len({cat.accumulators.shape for cat in self.categories.values()}) > 1:
+            raise LearningError("categories must have accumulators of one width")
+
+    @property
+    def total(self) -> int:
+        """Instances taught: the sum of the categories' n_k."""
+        return sum(cat.n_k for cat in self.categories.values())
 
     def prior(self, label: str) -> float:
         return self.categories[label].n_k / self.total
 
-    def to_json_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "categories": {
-                lab: {"n_k": c.n_k, "accumulators": c.accumulators.tolist()}
-                for lab, c in self.categories.items()
-            },
-        }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "BayesMemory":
-        memory = cls()
-        memory.total = data["total"]
-        for lab, c in data["categories"].items():
-            memory.categories[lab] = BayesCategory(
-                label=lab, n_k=c["n_k"], accumulators=np.asarray(c["accumulators"])
-            )
-        return memory
-
-
-def _check_histogram(x) -> np.ndarray:
-    x = np.asarray(x)
-    if x.ndim != 1 or not np.all(np.isfinite(x)) or np.any(x < 0):
-        raise LearningError("representation must be a finite non-negative vector")
+def _check_histogram(x, name: str = "representation") -> np.ndarray:
+    try:
+        x = np.asarray(x)
+    except ValueError:  # a ragged nesting
+        x = np.asarray(None)
+    if x.dtype.kind not in "iuf" or x.ndim != 1 or not np.all(np.isfinite(x)) or np.any(x < 0):
+        raise LearningError(f"{name} must be a finite non-negative vector")
     return x
 
 
@@ -430,19 +420,18 @@ def bayes_teach(memory: BayesMemory, label: str, x) -> BayesMemory:
     """Fold one instance into the category models.
 
     A new label starts a category (N_k = 1, accumulators = x); an existing
-    one increments its counter and adds x bin-wise. Priors and conditionals
-    follow from the counters, so teaching order cannot matter.
+    one increments its counter and adds x bin-wise. Every x has the width
+    of the memory's accumulators. Priors and conditionals follow from the
+    counters, so teaching order cannot matter.
     """
     x = _check_histogram(x)
-    memory.total += 1
+    known = next(iter(memory.categories.values()), None)
+    if known is not None and known.accumulators.shape != x.shape:
+        raise LearningError(f"representation of shape {x.shape} does not match the memory")
     if label not in memory.categories:
-        memory.categories[label] = BayesCategory(label=label, n_k=1, accumulators=x.copy())
+        memory.categories[label] = BayesCategory(n_k=1, accumulators=x.copy())
     else:
         cat = memory.categories[label]
-        if cat.accumulators.shape != x.shape:
-            raise LearningError(
-                f"representation size {x.shape} does not match category {label!r}"
-            )
         cat.n_k += 1
         cat.accumulators = cat.accumulators + x
     return memory

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OpenobjError
+from .errors import OpenobjError, check_count, check_pose
 from .pointcloud import PointCloud
 
 __all__ = [
@@ -41,14 +41,9 @@ class CameraPose:
     translation: np.ndarray
 
     def __post_init__(self):
-        rot = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
-        translation = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        if not (np.all(np.isfinite(rot)) and np.all(np.isfinite(translation))):
-            raise NbvError("camera rotation and translation must be finite")
-        if abs(np.linalg.det(rot) - 1.0) > 1e-9:
+        check_pose(self, NbvError)
+        if abs(np.linalg.det(self.rotation) - 1.0) > 1e-9:
             raise NbvError("camera rotation must have determinant +1")
-        object.__setattr__(self, "rotation", rot)
-        object.__setattr__(self, "translation", translation)
 
     def to_camera(self, points: np.ndarray) -> np.ndarray:
         return (np.asarray(points, dtype=np.float64) - self.translation) @ self.rotation
@@ -98,8 +93,7 @@ def render_virtual(
     """
     if len(world) == 0:
         raise NbvError("empty world cloud")
-    if resolution < 1:
-        raise NbvError("resolution must be positive")
+    check_count("resolution", resolution, 1, NbvError)
     cam = pose.to_camera(world.points)
     xy = cam[:, :2]
     lo = xy.min(axis=0)
@@ -159,15 +153,10 @@ def load_poses(path) -> list:
         raise NbvError(f"{path}: expected a JSON list of poses")
     poses = []
     for i, entry in enumerate(raw):
+        if not isinstance(entry, dict) or not {"rotation", "translation"} <= entry.keys():
+            raise NbvError(f"{path}: pose {i} needs a 9-value rotation and a 3-value translation")
         try:
-            rot = np.asarray(entry["rotation"], dtype=np.float64).reshape(3, 3)
-            translation = np.asarray(entry["translation"], dtype=np.float64).reshape(3)
-        except (KeyError, TypeError, ValueError, OverflowError):
-            raise NbvError(
-                f"{path}: pose {i} needs a 9-value rotation and a 3-value translation"
-            ) from None
-        try:
-            poses.append(CameraPose(rotation=rot, translation=translation))
+            poses.append(CameraPose(rotation=entry["rotation"], translation=entry["translation"]))
         except NbvError as exc:
             raise NbvError(f"{path}: pose {i}: {exc}") from None
     return poses

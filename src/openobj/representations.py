@@ -7,14 +7,14 @@ from __future__ import annotations
 
 import zlib
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul, truediv
 
 import numpy as np
 from scipy import sparse
 
-from .errors import OpenobjError, check_fields
+from .errors import JsonRecord, OpenobjError, check_count, check_fields, finite_array
 
 __all__ = [
     "Dictionary",
@@ -44,35 +44,22 @@ class RepresentationError(OpenobjError):
 
 
 @dataclass(frozen=True)
-class Dictionary:
+class Dictionary(JsonRecord):
     """Visual words: cluster centers in flattened spin-image space."""
 
+    error = RepresentationError
     words: np.ndarray
 
     def __post_init__(self):
-        words = np.asarray(self.words, dtype=np.float64)
-        if words.ndim != 2 or len(words) < 2:
+        message = "words must be a finite 2D array of numbers"
+        words = finite_array(self.words, (2,), RepresentationError, message)
+        if len(words) < 2:
             raise RepresentationError("dictionary needs at least 2 word vectors")
-        if not np.all(np.isfinite(words)):
-            raise RepresentationError("dictionary words must be finite")
         object.__setattr__(self, "words", words)
 
     @property
     def size(self) -> int:
         return len(self.words)
-
-    def to_json_dict(self) -> dict:
-        return {"words": self.words.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Dictionary":
-        try:
-            words = np.asarray(data["words"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError, OverflowError):
-            raise RepresentationError(
-                "dictionary JSON needs 'words': a list of equal-length number lists"
-            ) from None
-        return cls(words=words)
 
 
 def _counter(value, shape: tuple, name: str) -> np.ndarray:
@@ -95,7 +82,7 @@ def _counter(value, shape: tuple, name: str) -> np.ndarray:
 
 
 @dataclass
-class TopicModel:
+class TopicModel(JsonRecord):
     """Word-topic counters for collapsed Gibbs sampling.
 
     ``scope`` is "shared" or a category label. ``n_updates`` counts the
@@ -104,6 +91,7 @@ class TopicModel:
     the identical sequence.
     """
 
+    error = RepresentationError
     k: int
     v: int
     alpha: float = DEFAULT_ALPHA
@@ -131,26 +119,6 @@ class TopicModel:
     def check_consistent(self):
         if not np.array_equal(self.n_wk.sum(axis=0), self.n_k):
             raise RepresentationError("n_k must equal the column sums of n_wk")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "scope": self.scope,
-            "k": self.k,
-            "v": self.v,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "rng_seed": self.rng_seed,
-            "n_updates": self.n_updates,
-            "n_wk": self.n_wk.tolist(),
-            "n_k": self.n_k.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TopicModel":
-        names = {f.name for f in fields(cls)}
-        if not isinstance(data, dict) or set(data) != names:
-            raise RepresentationError(f"topic model JSON needs exactly the keys {sorted(names)}")
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -241,16 +209,11 @@ def build_dictionary(pool, v: int = DEFAULT_DICTIONARY_SIZE, seed: int = 0) -> D
     whose re-seed reads the centers updated so far, and for a one-column
     pool, whose column numpy sums pairwise.
     """
-    if not isinstance(v, (int, np.integer)) or v < 2:
-        raise RepresentationError(f"dictionary size must be an integer of at least 2, got {v!r}")
-    try:
-        pool = np.asarray(pool, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise RepresentationError("feature pool must be a 2D array of numbers") from None
-    if pool.ndim != 2 or pool.shape[1] == 0:
-        raise RepresentationError("feature pool must be a 2D array with at least one column")
-    if not np.all(np.isfinite(pool)):
-        raise RepresentationError("feature pool entries must be finite")
+    check_count("dictionary size", v, 2, RepresentationError)
+    message = "feature pool must be a finite 2D array of numbers"
+    pool = finite_array(pool, (2,), RepresentationError, message)
+    if pool.shape[1] == 0:
+        raise RepresentationError("feature pool must have at least one column")
     n = len(pool)
     if n < v:
         raise RepresentationError(f"pool of {n} features cannot fill {v} words")
@@ -279,9 +242,10 @@ def build_dictionary(pool, v: int = DEFAULT_DICTIONARY_SIZE, seed: int = 0) -> D
 def bow_encode(features, dictionary: Dictionary) -> np.ndarray:
     """Int64 visual-word counts of a (k, d) feature matrix: each feature
     goes to its nearest word (Euclidean, ties to the lowest word index)."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or len(features) == 0:
-        raise RepresentationError("need a non-empty 2D feature matrix")
+    message = "need a non-empty finite 2D feature matrix"
+    features = finite_array(features, (2,), RepresentationError, message)
+    if len(features) == 0:
+        raise RepresentationError(message)
     if features.shape[1] != dictionary.words.shape[1]:
         raise RepresentationError(
             f"feature dimension {features.shape[1]} does not match dictionary "
@@ -362,8 +326,7 @@ def _validate_doc(doc, v: int, iters: int) -> np.ndarray:
         raise RepresentationError("document must be a flat word-index sequence")
     if len(doc) and (doc.min() < 0 or doc.max() >= v):
         raise RepresentationError("word index out of vocabulary range")
-    if iters < 1:
-        raise RepresentationError("need at least one Gibbs sweep")
+    check_count("iters", iters, 1, RepresentationError)
     return doc
 
 

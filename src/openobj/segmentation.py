@@ -11,7 +11,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
-from .errors import OpenobjError, check_fields
+from .errors import OpenobjError, check_count, check_fields
 from .pointcloud import PointCloud, PointCloudError
 
 __all__ = [
@@ -113,6 +113,7 @@ def ransac_plane(scene: PointCloud, tau: float, iterations: int, seed: int) -> P
         raise SegmentationError("need at least 3 points for a plane")
     if tau <= 0:
         raise SegmentationError("tau must be positive")
+    check_count("iterations", iterations, 1, SegmentationError)
     rng = np.random.default_rng(seed)
     best_count = -1
     best = None

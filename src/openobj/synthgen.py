@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import OpenobjError, check_fields, finite_number
+from .errors import OpenobjError, check_count, check_fields, check_pose, finite_number
 from .pointcloud import PointCloud, save_pcd
 
 __all__ = [
@@ -27,7 +27,8 @@ __all__ = [
     "SynthgenError",
 ]
 
-SHAPE_KINDS = ("box", "cylinder", "sphere", "cone", "plate")
+# each shape kind and the number of dimensions it takes
+SHAPE_KINDS = {"box": 3, "cylinder": 2, "sphere": 1, "cone": 2, "plate": 2}
 
 
 class SynthgenError(OpenobjError):
@@ -39,9 +40,10 @@ def _check_shape(spec) -> None:
     check_fields(spec, SynthgenError)
     if spec.kind not in SHAPE_KINDS:
         raise SynthgenError(f"unknown shape kind {spec.kind!r}")
-    dims = spec.dimensions
-    if not isinstance(dims, (tuple, list)) or not all(finite_number(d) and d > 0 for d in dims):
-        raise SynthgenError("dimensions must be positive and finite")
+    dims, count = spec.dimensions, SHAPE_KINDS[spec.kind]
+    if not (isinstance(dims, (tuple, list)) and len(dims) == count
+            and all(finite_number(d) and d > 0 for d in dims)):
+        raise SynthgenError(f"dimensions must be {count} positive finite numbers for a {spec.kind}")
     if spec.points < 50:
         raise SynthgenError("points must be at least 50")
     if spec.noise_sigma < 0:
@@ -58,14 +60,14 @@ class ShapeSpec:
     points: int = 400
     noise_sigma: float = 0.0
     rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
-    translation: tuple = (0.0, 0.0, 0.0)
+    translation: np.ndarray = (0.0, 0.0, 0.0)
     seed: int = 0
 
     def __post_init__(self):
         _check_shape(self)
         if self.seed < 0:
             raise SynthgenError("seed must be non-negative")
-        object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=np.float64))
+        check_pose(self, SynthgenError)
 
 
 @dataclass(frozen=True)
@@ -172,7 +174,7 @@ def _sample_cone(rng, dims, m):
 
 
 def _sample_plate(rng, dims, m):
-    a, b = dims[:2]
+    a, b = dims
     pts = np.empty((m, 3))
     pts[:, 0] = rng.uniform(-a / 2, a / 2, size=m)
     pts[:, 1] = rng.uniform(-b / 2, b / 2, size=m)
@@ -193,7 +195,7 @@ def generate_view(spec: ShapeSpec) -> PointCloud:
     """Surface-sampled, rigidly posed points with per-axis Gaussian noise."""
     rng = np.random.default_rng(spec.seed)
     pts = _SAMPLERS[spec.kind](rng, spec.dimensions, spec.points)
-    pts = pts @ spec.rotation.T + np.asarray(spec.translation, dtype=np.float64)
+    pts = pts @ spec.rotation.T + spec.translation
     if spec.noise_sigma > 0:
         pts = pts + rng.normal(scale=spec.noise_sigma, size=pts.shape)
     return PointCloud(pts)
@@ -210,7 +212,7 @@ def _view_spec(category: CategorySpec, rng: np.random.Generator, seed: int) -> S
         points=category.points,
         noise_sigma=category.noise_sigma,
         rotation=random_rotation(rng),
-        translation=tuple(rng.uniform(-0.1, 0.1, size=3)),
+        translation=rng.uniform(-0.1, 0.1, size=3),
         seed=seed,
     )
 
@@ -229,8 +231,7 @@ def generate_dataset(
     ``manifest.json`` recording the seed, the specs and the optional
     context map.
     """
-    if views_per_category < 1:
-        raise SynthgenError(f"views_per_category must be at least 1, got {views_per_category}")
+    check_count("views_per_category", views_per_category, 1, SynthgenError)
     rng = np.random.default_rng(seed)
     dataset = {}
     manifest = {"seed": seed, "views_per_category": views_per_category, "specs": {}}
@@ -243,15 +244,8 @@ def generate_dataset(
             view_seed = int(rng.integers(0, 2**31 - 1))
             spec = _view_spec(cat, rng, view_seed)
             views.append(generate_view(spec))
-            specs.append(
-                {
-                    "kind": spec.kind,
-                    "dimensions": list(spec.dimensions),
-                    "points": spec.points,
-                    "noise_sigma": spec.noise_sigma,
-                    "seed": spec.seed,
-                }
-            )
+            specs.append({name: getattr(spec, name)
+                          for name in ("kind", "dimensions", "points", "noise_sigma", "seed")})
         dataset[cat.name] = views
         manifest["specs"][cat.name] = specs
     if root is not None:
@@ -292,15 +286,8 @@ def generate_scene(
     parts = [generate_view(table_spec).points]
     labels = [np.zeros(table_points, dtype=np.int64)]
     for i, obj in enumerate(objects):
-        lifted = replace(
-            obj,
-            translation=(
-                obj.translation[0],
-                obj.translation[1],
-                obj.translation[2] + table_height,
-            ),
-        )
-        cloud = generate_view(lifted)
+        lifted = (*obj.translation[:2], obj.translation[2] + table_height)
+        cloud = generate_view(replace(obj, translation=lifted))
         parts.append(cloud.points)
         labels.append(np.full(len(cloud), i + 1, dtype=np.int64))
     if n_outliers > 0:

@@ -1,6 +1,7 @@
-"""Fuzzed input files and parameter records: the readers either return or
-raise an OpenobjError, and a record is either built or raises its module's
-error, never a stray Python or numpy exception."""
+"""Fuzzed input files, parameter records and record JSON: the readers
+either return or raise an OpenobjError, and a record is either built or
+loaded or raises its module's error, never a stray Python or numpy
+exception."""
 
 import argparse
 import json
@@ -13,10 +14,12 @@ from hypothesis import strategies as st
 
 from openobj.cli import SCHEMA, build_config, load_dataset, parse_config_file
 from openobj.errors import OpenobjError
+from openobj.evaluation import EvaluationError, ProtocolEvent
+from openobj.learning import BayesCategory, BayesMemory, InstanceCategory, LearningError
 from openobj.nbv import load_poses
 from openobj.pipelines import ConfigError, ExperimentConfig
 from openobj.pointcloud import load_pcd, save_pcd
-from openobj.representations import RepresentationError, TopicModel
+from openobj.representations import Dictionary, RepresentationError, TopicModel
 from openobj.segmentation import SegmentationError, SegmentationParams
 from openobj.synthgen import CategorySpec, ShapeSpec, SynthgenError, generate_view
 
@@ -153,9 +156,55 @@ field_values = (
 @pytest.mark.parametrize("record,error,required", RECORDS, ids=[r.__name__ for r, _, _ in RECORDS])
 @given(data=st.data())
 def test_parameter_record(record, error, required, data):
-    # a spec's rotation is a matrix, which the field rule does not cover
-    name = data.draw(st.sampled_from([f.name for f in fields(record) if f.name != "rotation"]))
+    name = data.draw(st.sampled_from([f.name for f in fields(record)]))
     try:
-        record(**{**required, name: data.draw(field_values)})
+        record(**{**required, name: data.draw(field_values | vectors)})
     except error:
         pass
+
+
+# (record, its module's error, a valid JSON form)
+JSON_RECORDS = [
+    (Dictionary, RepresentationError, {"words": [[0.0, 1.0], [1.0, 0.0]]}),
+    (TopicModel, RepresentationError, TopicModel(k=2, v=2).to_json_dict()),
+    (InstanceCategory, LearningError,
+     {"label": "mug", "instances": [[[0.0, 1.0]], [[1.0, 2.0], [3.0, 4.0]]], "icd": 1.5,
+      "icd_provisional": True}),
+    (BayesCategory, LearningError, {"n_k": 2, "accumulators": [1, 0, 3]}),
+    (BayesMemory, LearningError,
+     {"categories": {"mug": {"n_k": 2, "accumulators": [1, 0]},
+                     "bowl": {"n_k": 1, "accumulators": [0.5, 2.0]}}}),
+    (ProtocolEvent, EvaluationError,
+     {"iteration": 3, "action": "ask", "category": "mug", "view_id": 7, "predicted": "bowl",
+      "correct": False, "accuracy": 0.5, "known": 2}),
+]
+
+
+@st.composite
+def near_valid(draw, valid):
+    """A valid JSON form with one key dropped, added or given another value."""
+    data = dict(valid)
+    key = draw(st.sampled_from(sorted(data)))
+    change = draw(st.sampled_from(["drop", "add", "replace"]))
+    if change == "drop":
+        del data[key]
+    elif change == "add":
+        data[draw(st.text(max_size=8))] = draw(json_values)
+    else:
+        data[key] = draw(json_values | vectors)
+    return data
+
+
+@FUZZ
+@pytest.mark.parametrize("record,error,valid", JSON_RECORDS,
+                         ids=[r.__name__ for r, _, _ in JSON_RECORDS])
+@given(data=st.data())
+def test_json_record(record, error, valid, data):
+    record.from_json_dict(valid)
+    try:
+        loaded = record.from_json_dict(data.draw(json_values | near_valid(valid)))
+    except OpenobjError as exc:
+        assert isinstance(exc, error)
+        return
+    text = json.dumps(loaded.to_json_dict(), allow_nan=False)
+    assert record.from_json_dict(json.loads(text)).to_json_dict() == loaded.to_json_dict()

@@ -14,6 +14,7 @@ from scipy.spatial.distance import cdist
 from openobj import learning
 from openobj.learning import (
     UNKNOWN,
+    BayesCategory,
     BayesMemory,
     InstanceCategory,
     LearningError,
@@ -406,6 +407,11 @@ class TestClassifyInstances:
         assert pred.label == "b"
         assert pred.score == 0.0
 
+    @pytest.mark.parametrize("query", [[np.nan, 1.0], [np.inf, 1.0], ["a", "b"]])
+    def test_non_finite_fixed_query_rejected(self, query):
+        with pytest.raises(LearningError, match="finite fixed-size vector"):
+            classify_instances(query, self.fixed_memory(), mode="nn_fixed")
+
     def test_matches_exhaustive_scoring(self):
         rng = np.random.default_rng(4)
         mem = []
@@ -699,6 +705,66 @@ class TestBayes:
         pred_a = bayes_classify(back, np.array([1, 2]))
         assert pred_a.label == "a"
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_json_round_trip_is_bit_identical(self, dtype):
+        rng = np.random.default_rng(12)
+        mem = BayesMemory()
+        for i in range(12):
+            x = rng.integers(0, 9, size=5).astype(dtype)
+            bayes_teach(mem, f"c{i % 3}", x / 7 if dtype is np.float64 else x)
+        back = BayesMemory.from_json_dict(json.loads(json.dumps(mem.to_json_dict())))
+        assert list(back.categories) == list(mem.categories)
+        for label, cat in mem.categories.items():
+            loaded = back.categories[label]
+            assert loaded.n_k == cat.n_k
+            assert loaded.accumulators.dtype == cat.accumulators.dtype
+            assert np.array_equal(loaded.accumulators, cat.accumulators)
+        y = rng.integers(0, 9, size=5)
+        assert bayes_classify(back, y).scores == bayes_classify(mem, y).scores
+        bayes_teach(mem, "c0", y)
+        bayes_teach(back, "c0", y)
+        assert back.to_json_dict() == mem.to_json_dict()
+
+    def test_total_is_the_sum_of_the_counts(self):
+        mem = BayesMemory()
+        assert mem.total == 0
+        for label in "abab":
+            bayes_teach(mem, label, np.array([1, 2]))
+        assert mem.total == 4 == sum(c.n_k for c in mem.categories.values())
+        assert "total" not in mem.to_json_dict()
+
+    def test_new_category_must_match_the_memory_width(self):
+        mem = BayesMemory()
+        bayes_teach(mem, "a", np.array([1, 2]))
+        with pytest.raises(LearningError, match="does not match the memory"):
+            bayes_teach(mem, "b", np.array([1, 2, 3]))
+        assert list(mem.categories) == ["a"] and mem.total == 1
+
+    @pytest.mark.parametrize("n_k,accumulators,message", [
+        (0, [1, 2], "^n_k must be at least 1"),
+        (2.5, [1, 2], "^n_k must be an integer"),
+        (True, [1, 2], "^n_k must be an integer"),
+        (1, [-1, 2], "^accumulators must be"),
+        (1, [np.nan, 2], "^accumulators must be"),
+        (1, [[1, 2]], "^accumulators must be"),
+        (1, ["a", "b"], "^accumulators must be"),
+        (1, [[1, 2], [3]], "^accumulators must be"),
+        (1, [10**400], "^accumulators must be"),
+    ])
+    def test_category_checks_itself(self, n_k, accumulators, message):
+        with pytest.raises(LearningError, match=message):
+            BayesCategory(n_k=n_k, accumulators=accumulators)
+
+    @pytest.mark.parametrize("categories,message", [
+        ([], "^categories must map"),
+        ({"a": {"n_k": 1}}, "BayesCategory JSON needs exactly the keys"),
+        ({"a": {"n_k": 1, "accumulators": [1, 2]}, "b": {"n_k": 1, "accumulators": [1]}},
+         "^categories must have accumulators of one width"),
+    ])
+    def test_memory_checks_itself(self, categories, message):
+        with pytest.raises(LearningError, match=message):
+            BayesMemory(categories)
+
 
 @st.composite
 def fixed_memories(draw):
@@ -802,6 +868,47 @@ class TestPerCategoryQueries:
 
 
 class TestInstanceSerialization:
+    @pytest.mark.parametrize("kind", ["spin-like sets", "fixed vectors"])
+    def test_json_round_trip_is_bit_identical(self, kind):
+        rng = np.random.default_rng(13)
+        cat = InstanceCategory("x")
+        for _ in range(4):
+            cat.add(spin_like(rng) if kind == "spin-like sets" else rng.normal(size=6) / 3)
+        back = InstanceCategory.from_json_dict(json.loads(json.dumps(cat.to_json_dict())))
+        assert (back.label, back.icd, back.icd_provisional) == (cat.label, cat.icd, False)
+        for stored, original in zip(back.instances, cat.instances, strict=True):
+            assert stored.dtype == np.float64 and np.array_equal(stored, original)
+        extra = spin_like(rng) if kind == "spin-like sets" else rng.normal(size=6)
+        cat.add(extra)
+        back.add(extra)
+        assert back.to_json_dict() == cat.to_json_dict()
+
+    @pytest.mark.parametrize("changes,message", [
+        ({"instances": [[np.nan, 1.0]]}, "finite 1-D or 2-D"),
+        ({"instances": [[[[1.0]]]]}, "finite 1-D or 2-D"),
+        ({"instances": [1.0]}, "finite 1-D or 2-D"),
+        ({"instances": [["a", "b"]]}, "finite 1-D or 2-D"),
+        ({"instances": [[[1.0, 2.0], [3.0]]]}, "finite 1-D or 2-D"),
+        ({"instances": "abc"}, "^instances must be a list"),
+        ({"icd": np.inf}, "^icd must be a finite number or none"),
+        ({"icd": True}, "^icd must be a finite number or none"),
+        ({"icd_provisional": "no"}, "^icd_provisional must be a bool"),
+        ({"label": 3}, "^label must be a string"),
+    ])
+    def test_category_checks_itself(self, changes, message):
+        fields = {"label": "x", "instances": [[1.0, 2.0]], "icd": None, "icd_provisional": False}
+        InstanceCategory(**fields)
+        with pytest.raises(LearningError, match=message):
+            InstanceCategory(**{**fields, **changes})
+        with pytest.raises(LearningError, match=message):
+            InstanceCategory.from_json_dict({**fields, **changes})
+
+    def test_instances_become_float_arrays(self):
+        cat = InstanceCategory("x", [[1, 2], np.array([[3, 4]])])
+        assert [inst.dtype for inst in cat.instances] == [np.float64, np.float64]
+        with pytest.raises(LearningError, match="needs exactly the keys"):
+            InstanceCategory.from_json_dict({})
+
     def test_fixed_vectors_round_trip(self):
         cat = InstanceCategory("x")
         cat.add(np.array([0.0, 1.0]))

@@ -1,6 +1,7 @@
 """Dictionary building, BoW encoding and the incremental topic models."""
 
 import json
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -267,6 +268,13 @@ class TestBowEncode:
         with pytest.raises(RepresentationError):
             bow_encode(np.zeros((2, 5)), self.DICT)
 
+    @pytest.mark.parametrize("features", [
+        [[1.0, 2.0], [3.0]], [[np.nan, 0.0]], [[np.inf, 0.0]], [0.0, 1.0], np.zeros((0, 2)),
+    ], ids=["ragged", "nan", "inf", "1-D", "empty"])
+    def test_malformed_features_rejected(self, features):
+        with pytest.raises(RepresentationError, match="non-empty finite 2D feature matrix"):
+            bow_encode(features, self.DICT)
+
     def test_one_buffer_distances_match_three_temporaries(self):
         rng = np.random.default_rng(14)
         for _ in range(50):
@@ -424,6 +432,31 @@ class TestSerialization:
             np.testing.assert_array_equal(back[name].n_wk, models[name].n_wk)
             assert back[name].rng_seed == models[name].rng_seed
             assert back[name].n_updates == models[name].n_updates
+
+    def test_round_trip_after_updates_is_bit_identical(self):
+        rng = np.random.default_rng(15)
+        model = TopicModel(k=4, v=6, alpha=0.3, beta=0.07, scope="mug", rng_seed=9)
+        for _ in range(3):
+            lda_update(model, rng.integers(0, 6, size=10), iters=3)
+        back = TopicModel.from_json_dict(json.loads(json.dumps(model.to_json_dict())))
+        for f in fields(TopicModel):
+            got, want = getattr(back, f.name), getattr(model, f.name)
+            assert type(got) is type(want)
+            assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
+        doc = rng.integers(0, 6, size=8)
+        assert np.array_equal(lda_infer(back, doc, 3).counts, lda_infer(model, doc, 3).counts)
+        lda_update(model, doc, iters=3)
+        lda_update(back, doc, iters=3)
+        assert back.to_json_dict() == model.to_json_dict()
+
+    def test_dictionary_json_takes_only_words(self):
+        data = Dictionary(np.eye(3)).to_json_dict()
+        assert np.array_equal(Dictionary.from_json_dict(data).words, np.eye(3))
+        for bad in ({}, dict(data, size=3), [data["words"]]):
+            with pytest.raises(RepresentationError, match="needs exactly the keys"):
+                Dictionary.from_json_dict(bad)
+        with pytest.raises(RepresentationError, match="finite 2D array"):
+            Dictionary.from_json_dict({"words": [[1.0, 2.0], [3.0]]})
 
 
 class TestTopicModelChecks:

@@ -121,6 +121,26 @@ class TestSpecChecks:
         with pytest.raises(SynthgenError, match="^seed must"):
             shape_spec(seed=-1)
 
+    @pytest.mark.parametrize("name,value", [
+        ("rotation", "ab"), ("rotation", None), ("rotation", np.eye(2)),
+        ("rotation", np.full((3, 3), np.nan)), ("rotation", [[1, 0, 0], [0, 1]]),
+        ("translation", None), ("translation", (0.0, 0.0)), ("translation", "abc"),
+        ("translation", (np.inf, 0.0, 0.0)), ("translation", (10**400, 0, 0)),
+    ])
+    def test_bad_pose_rejected(self, name, value):
+        shape_spec(rotation=[[0, -1, 0], [1, 0, 0], [0, 0, 1]], translation=[1, 2, 3])
+        with pytest.raises(SynthgenError, match=f"^{name} must hold [39] finite numbers"):
+            shape_spec(**{name: value})
+
+    @pytest.mark.parametrize("build", [shape_spec, category_spec])
+    @pytest.mark.parametrize("kind,dimensions,count", [
+        ("box", (0.1,), 3), ("box", (), 3), ("cylinder", (0.1,), 2), ("sphere", (0.1, 0.1), 1),
+        ("cone", (0.1, 0.1, 0.1), 2), ("plate", (0.1, 0.1, 0.1), 2),
+    ])
+    def test_each_kind_takes_its_number_of_dimensions(self, build, kind, dimensions, count):
+        with pytest.raises(SynthgenError, match=f"^dimensions must be {count} positive .* {kind}$"):
+            build(kind=kind, dimensions=dimensions)
+
     @pytest.mark.parametrize("jitter", [float("nan"), 2.0, 1.0, -0.1])
     def test_jitter_must_lie_in_unit_interval(self, jitter):
         category_spec(jitter=0.0)
