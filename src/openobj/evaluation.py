@@ -296,8 +296,7 @@ def run_protocol(
     the run terminates at a breakpoint.
     """
     if rho is not None:
-        if rho < 1:
-            raise EvaluationError("rho must be at least 1")
+        check_count("rho", rho, 1, EvaluationError)
         if dataset.contexts is None:
             raise EvaluationError("context protocol needs a context map")
     if not 0 < tau < 1:

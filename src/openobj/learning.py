@@ -160,7 +160,8 @@ class Prediction:
 # exactly in any summation order: the norms, each partial sum of -2 a.b
 # (at most 2|a||b|), |b|^2 - 2 a.b and |a - b|^2 <= (|a| + |b|)^2 < 4 * 2**51.
 # The nearest squared distance is then exact, and its square root is
-# cdist's value bit for bit.
+# cdist's value bit for bit. k-means++ seeding in representations takes its
+# squared distances by the same rule.
 _EXACT_SQ_NORM_BOUND = 2.0**51
 _WHOLE = np.zeros(1, dtype=np.intp)  # block offsets of a single feature set
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 from operator import mul, truediv
 
@@ -15,6 +16,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import JsonRecord, OpenobjError, check_count, check_fields, finite_array
+from .learning import _exact_sq_norms
 
 __all__ = [
     "Dictionary",
@@ -141,29 +143,35 @@ class TopicHistogram:
 # Dictionary building and encoding
 # ---------------------------------------------------------------------------
 
-def _kmeans_pp_init(pool: np.ndarray, v: int, rng: np.random.Generator) -> np.ndarray:
-    centers = np.empty((v, pool.shape[1]))
-    # one (n, d) buffer takes every pool - center difference; the ops are
-    # those of np.sum((pool - center) ** 2, axis=1), in the same order
-    diff = np.empty_like(pool)
+def _kmeans_pp_init(pool: np.ndarray, v: int, rng: np.random.Generator, norms) -> np.ndarray:
+    """k-means++ centres, each a pool row. With ``norms`` from
+    _exact_sq_norms a squared distance is (|p|^2 - 2 pool.c) + |c|^2, one
+    matrix-vector product per word: every value is an integer below 2**53,
+    so it is the exact distance, which the sum of squared differences gives
+    too. Otherwise one (n, d) buffer takes every pool - centre difference,
+    in the operations of np.sum((pool - center) ** 2, axis=1)."""
+    if norms is None:
+        diff = np.empty_like(pool)
 
-    def sq_dist(center):
-        np.subtract(pool, center, out=diff)
-        np.square(diff, out=diff)
-        return np.sum(diff, axis=1)
+        def sq_dist(i):
+            np.subtract(pool, pool[i], out=diff)
+            np.square(diff, out=diff)
+            return np.sum(diff, axis=1)
+    else:
+        def sq_dist(i):
+            return (norms - 2 * (pool @ pool[i])) + norms[i]
 
-    centers[0] = pool[rng.integers(len(pool))]
-    dist_sq = sq_dist(centers[0])
-    for i in range(1, v):
+    chosen = [rng.integers(len(pool))]
+    dist_sq = sq_dist(chosen[0])
+    for _ in range(1, v):
         total = dist_sq.sum()
         if total <= 0:
             # all remaining mass on existing centers: pick any point
-            centers[i] = pool[rng.integers(len(pool))]
+            chosen.append(rng.integers(len(pool)))
             continue
-        probs = dist_sq / total
-        centers[i] = pool[rng.choice(len(pool), p=probs)]
-        dist_sq = np.minimum(dist_sq, sq_dist(centers[i]))
-    return centers
+        chosen.append(rng.choice(len(pool), p=dist_sq / total))
+        dist_sq = np.minimum(dist_sq, sq_dist(chosen[-1]))
+    return pool[chosen]
 
 
 def _sq_distances(pool: np.ndarray, centers: np.ndarray, pool_terms=None) -> np.ndarray:
@@ -182,6 +190,84 @@ def _sq_distances(pool: np.ndarray, centers: np.ndarray, pool_terms=None) -> np.
 def _assign(pool: np.ndarray, centers: np.ndarray, pool_terms=None) -> np.ndarray:
     # ties go to the lowest center index (argmin)
     return np.argmin(_sq_distances(pool, centers, pool_terms), axis=1)
+
+
+# The float32 screen of a Lloyd step. Integers up to 2**24 are float32
+# values, so an integer pool whose squared norms lie below 2**24 converts to
+# float32 with every entry and norm unchanged. Its centres are pool rows or
+# means of them, so no product underflows.
+#
+# Rounding margin. Take such a row p, a word c, the exact distance
+# delta = |p|^2 - 2 p.c + |c|^2 and R = |p| + max_j |c_j|, so 2|p||c| <= R^2 / 2.
+# In a format of unit roundoff u a score is
+#   g = fl(fl(2c).p)      rounding 2c costs u R^2 / 2 (0 in float64, where
+#                         the step doubles p exactly); the product costs
+#                         gamma_d R^2 / 2, gamma_d = d u / (1 - d u), in any
+#                         summation order, fused multiply-adds or not
+#   s = fl(|p|^2 - g)     u R^2
+#   D = fl(s + |c|^2)     |c|^2 is summed in float64 (gamma_d R^2 there) and
+#                         rounded to float32 (u R^2); the sum costs u R^2
+# Once d u <= 2**-4, u / 2 holds the products of two roundings and, in
+# float32, the float64 sum's error. So a float32 score lies within
+# (gamma_d / 2 + 4u) R^2 of delta, and a float64 one within
+# (3 gamma_d / 2 + 5u / 2) R^2 in its own u = 2**-53, which is below one
+# float32 u R^2 as d <= 2**20. A float32 score is thus within
+# e32 = (gamma_d / 2 + 5u) R^2 of the float64 step's, and two float64 scores
+# within e64 = (3 gamma_d + 5u) R^2 of each other.
+#
+# A row is decided when one word alone scores at most best + 2e + 2u R^2:
+# every other word scores more than 2e above it, so more in the step too,
+# and the lone word is the step's argmin, with no tie to break. The 2u R^2
+# covers rounding best + margin, a sum of at most 2R^2. The margin is
+# 2E(p), E(p) = kappa_d R^2 with kappa_d = 2(e / R^2 + u), a factor of 2 for
+# safety that also covers rounding R and the margin: gamma_d + 12u in
+# float32 (about 3.4e-6 for d = 45) and 6 gamma_d + 12u in float64. Both
+# grow with d, as the product's error does.
+_FLOAT32_EXACT_BOUND = 2.0**24
+
+
+def _kappas(d: int) -> tuple:
+    """kappa_d of the float32 screen and of the float64 arbitration."""
+    u32, u64 = 2.0**-24, 2.0**-53
+    gamma32, gamma64 = (d * u / (1 - d * u) for u in (u32, u64))
+    return gamma32 + 12 * u32, 6 * gamma64 + 12 * u64
+
+
+def _screened_assign(pool, centers, screen) -> np.ndarray:
+    """_assign's argmin for an integer pool that is exact in float32, with
+    ``screen`` the pool's (C-contiguous float32 pool.T, float32 |p|^2, |p|).
+    A float32 (V, n) step decides each row whose best word leads every
+    other by more than the rounding margin; the rest get float64 distances.
+    Those are exact for integer words; otherwise a float64 margin applies,
+    and a row still within it, a true tie, sends the step to _assign."""
+    pool32_t, norms32, roots = screen
+    v, d = centers.shape
+    kappa32, kappa64 = _kappas(d)
+    centers_sq = np.sum(centers**2, axis=1)
+    reach = (roots + np.sqrt(centers_sq.max())) ** 2  # R^2 per row
+    scores = (2 * centers).astype(np.float32) @ pool32_t
+    np.subtract(norms32, scores, out=scores)
+    scores += centers_sq.astype(np.float32)[:, None]
+    limit = scores.min(axis=0)
+    limit += (2 * kappa32 * reach).astype(np.float32)
+    np.less_equal(scores, limit, out=scores)  # 1 where a word is within the margin
+    # the count and the index sum of those words: the count is exact, and
+    # so is the sum of one word's index while V <= 2**24
+    count, index = np.array([np.ones(v), np.arange(v)], dtype=np.float32) @ scores
+    del scores  # freed before a fallback builds its (n, V) float64 buffer
+    assignment = index.astype(np.intp)
+    rows = np.flatnonzero(count != 1)
+    if len(rows):
+        near = _sq_distances(pool[rows], centers)
+        # integer words (pool rows, as in step 1) keep every float64 score an
+        # exact integer by the 2**51 rule, the step's too, so argmin settles ties
+        if not np.array_equal(centers, np.trunc(centers)):
+            best = near.min(axis=1)
+            margin = 2 * kappa64 * reach[rows]
+            if np.any(np.count_nonzero(near <= (best + margin)[:, None], axis=1) != 1):
+                return _assign(pool, centers)
+        assignment[rows] = near.argmin(axis=1)
+    return assignment
 
 
 def _update_each_center(pool: np.ndarray, assignment: np.ndarray, centers: np.ndarray) -> None:
@@ -208,31 +294,41 @@ def build_dictionary(pool, v: int = DEFAULT_DICTIONARY_SIZE, seed: int = 0) -> D
     bit. The per-center update stays for a step with an empty cluster,
     whose re-seed reads the centers updated so far, and for a one-column
     pool, whose column numpy sums pairwise.
+
+    An integer pool with squared norms below 2**24 is screened in float32
+    at each step (_screened_assign), which gives _assign's assignment; the
+    dictionary is the same bit for bit either way.
     """
     check_count("dictionary size", v, 2, RepresentationError)
     message = "feature pool must be a finite 2D array of numbers"
     pool = finite_array(pool, (2,), RepresentationError, message)
-    if pool.shape[1] == 0:
+    n, d = pool.shape
+    if d == 0:
         raise RepresentationError("feature pool must have at least one column")
-    n = len(pool)
     if n < v:
         raise RepresentationError(f"pool of {n} features cannot fill {v} words")
     rng = np.random.default_rng(seed)
-    centers = _kmeans_pp_init(pool, v, rng)
-    # the pool's factors of every assignment's distances, computed once
-    terms = 2 * pool, np.sum(pool**2, axis=1)
+    norms = _exact_sq_norms(pool)
+    centers = _kmeans_pp_init(pool, v, rng, norms)
+    # the screen's proof needs d u <= 2**-4 and its tally V <= 2**24
+    if norms is not None and norms.max() < _FLOAT32_EXACT_BOUND and d <= 2**20 and v <= 2**24:
+        screen = np.ascontiguousarray(pool.T, np.float32), norms.astype(np.float32), np.sqrt(norms)
+        step = partial(_screened_assign, pool, screen=screen)
+    else:
+        # the pool's factors of every assignment's distances, computed once
+        step = partial(_assign, pool, pool_terms=(2 * pool, np.sum(pool**2, axis=1)))
     ones, columns = np.ones(n), np.arange(n + 1)
-    assignment = _assign(pool, centers, terms)
+    assignment = step(centers)
     for _ in range(_MAX_LLOYD_ITERS):
         counts = np.bincount(assignment, minlength=v)
-        if pool.shape[1] == 1 or not counts.all():
+        if d == 1 or not counts.all():
             _update_each_center(pool, assignment, centers)
         else:
             # column i holds pool row i's one membership; the CSC product
             # walks the columns in order
             members = sparse.csc_array((ones, assignment, columns), shape=(v, n))
             centers = (members @ pool) / counts[:, None]
-        new_assignment = _assign(pool, centers, terms)
+        new_assignment = step(centers)
         if np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment

@@ -350,8 +350,9 @@ class TestContextProtocol:
 
     def test_rho_checks(self):
         data = self.context_dataset(per_context=2, views=10)
-        with pytest.raises(EvaluationError, match="rho must be at least 1"):
-            run_protocol(data, PerfectLearner(), rho=0)
+        for rho in (0, 1.5):
+            with pytest.raises(EvaluationError, match="rho must be an integer of at least 1"):
+                run_protocol(data, PerfectLearner(), rho=rho)
         no_map = LabeledDataset(views=data.views)
         with pytest.raises(EvaluationError, match="needs a context map"):
             run_protocol(no_map, PerfectLearner(), rho=1)

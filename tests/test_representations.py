@@ -57,7 +57,7 @@ class TestBuildDictionary:
         # run Lloyd manually mirroring the implementation and track the objective
         from openobj.representations import _assign, _kmeans_pp_init
 
-        centers = _kmeans_pp_init(pool, 8, np.random.default_rng(3))
+        centers = _kmeans_pp_init(pool, 8, np.random.default_rng(3), None)
         prev = objective(centers)
         assignment = _assign(pool, centers)
         for _ in range(10):
@@ -120,6 +120,26 @@ class TestDictionaryInput:
     def test_collect_feature_pool_rejects(self, matrices):
         with pytest.raises(RepresentationError, match="feature matrices"):
             collect_feature_pool(matrices, cap=100, seed=0)
+
+    @pytest.mark.parametrize("cap", [0, 2.5, "3", None])
+    def test_collect_feature_pool_cap_must_be_a_count(self, cap):
+        with pytest.raises(RepresentationError, match="cap must be an integer of at least 1"):
+            collect_feature_pool([np.zeros((5, 2))], cap=cap, seed=0)
+
+    def test_collect_feature_pool_draws_rows_of_the_stack(self):
+        # past the cap the pool is the stack's rows at the drawn indices, in
+        # the order drawn, with the stack's dtype
+        rng = np.random.default_rng(17)
+        matrices = [rng.normal(size=(int(k), 3)) for k in rng.integers(0, 9, size=40)]
+        matrices[3] = rng.integers(0, 5, size=(6, 3))
+        stack = np.vstack(matrices)
+        for cap in (1, 50, len(stack) - 1, len(stack), len(stack) + 5):
+            pool = collect_feature_pool(matrices, cap=cap, seed=8)
+            want = stack
+            if cap < len(stack):
+                want = stack[np.random.default_rng(8).choice(len(stack), size=cap, replace=False)]
+            assert pool.dtype == want.dtype
+            assert_same_bits(pool, want)
 
     def test_numpy_integer_size_accepted(self):
         pool = np.random.default_rng(1).uniform(size=(30, 2))
@@ -189,6 +209,32 @@ def kmeans_pools(draw):
     return pool, draw(st.integers(2, n))
 
 
+@st.composite
+def tied_integer_pools(draw):
+    """Integer pools of a few distinct rows, each repeated, so exact ties
+    come at every step. Entries are small, or one row's squared norm lies
+    just below, at or just above 2**24; the pool is screened in float32
+    below 2**24 only."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 200))
+    distinct = rng.integers(-6, 7, size=(draw(st.integers(2, 12)), d)).astype(np.float64)
+    edge = draw(st.sampled_from(["small", "below", "at", "above"]))
+    # the other entries add at most 199 * 36 < 2**24 - 4095**2 to the norm
+    if edge == "below":
+        distinct[0, 0] = 4095.0
+    elif edge != "small":
+        distinct[0, 0] = 4096.0
+        distinct[0, 1:] = 0.0
+        if edge == "above":
+            distinct[0, min(1, d - 1)] += 1.0  # 4096**2 + 1, or 4097**2 when d = 1
+    rows = rng.integers(0, len(distinct), size=draw(st.integers(20, 150)))
+    rows[0] = 0
+    pool = distinct[rows]
+    if draw(st.booleans()):
+        pool[pool == 0] = -0.0
+    return pool, draw(st.integers(2, 14)), edge in ("small", "below")
+
+
 class TestLloydKernel:
     """build_dictionary's one-product Lloyd step against the per-center
     loop, bit for bit."""
@@ -197,8 +243,41 @@ class TestLloydKernel:
     @given(kmeans_pools(), st.integers(0, 2**32 - 1))
     def test_matches_per_center_reference(self, run, seed):
         pool, v = run
+        screened = mock.Mock(wraps=representations._screened_assign)
         for s in (seed, seed + 1):
-            assert_same_bits(build_dictionary(pool, v, s).words, reference_dictionary(pool, v, s))
+            with mock.patch.object(representations, "_screened_assign", screened):
+                words = build_dictionary(pool, v, s).words
+            assert_same_bits(words, reference_dictionary(pool, v, s))
+        # the drawn integer pools are exact in float32; a float pool never is
+        assert screened.called == np.array_equal(pool, np.trunc(pool))
+
+    @settings(max_examples=60, deadline=None)
+    @given(tied_integer_pools(), st.integers(0, 2**32 - 1))
+    def test_float32_screen_matches_reference(self, run, seed):
+        pool, v, screens = run
+        screened = mock.Mock(wraps=representations._screened_assign)
+        with mock.patch.object(representations, "_screened_assign", screened):
+            words = build_dictionary(pool, v, seed).words
+        assert screened.called == screens
+        assert_same_bits(words, reference_dictionary(pool, v, seed))
+
+    @pytest.mark.parametrize("column, words, full_steps", [
+        # integer words tie the row 6 between 2 and 10 (step 1), then 5
+        # between 2 and 8 (step 3): exact float64 scores settle both
+        ([8, 10, 0, 6, 0, 3, 2, 5], [2, 8], 0),
+        # step 2 ties the row 7 between the means 5.5 and 8.5: the full
+        # float64 step settles it
+        ([9, 5, 4, 8, 7, 6], [5.5, 8.5], 1),
+    ], ids=["integer-words", "mean-words"])
+    def test_tie_goes_to_the_lower_word(self, column, words, full_steps):
+        pool = np.repeat(np.array(column, dtype=np.float64)[:, None], 2, axis=1)
+        full = mock.Mock(wraps=representations._assign)
+        with mock.patch.object(representations, "_assign", full):
+            got = build_dictionary(pool, 2, 0).words
+        assert full.call_count == full_steps
+        # the tied row joined word 0; word 1 would have moved both words
+        assert got.tolist() == [[w, w] for w in words]
+        assert_same_bits(got, reference_dictionary(pool, 2, 0))
 
     def test_empty_cluster_mid_run_takes_the_loop(self):
         # found by search: Lloyd step 2 of 5 leaves a cluster empty
@@ -217,6 +296,23 @@ class TestLloydKernel:
         assert calls == [True]
         assert steps.call_count - 1 > len(calls)  # the other steps took the product
         assert_same_bits(words, reference_dictionary(pool, 6, 0))
+
+    def test_screen_leaves_near_ties_to_float64(self):
+        # each of the first 40 rows is nearly as far from two words: the gap,
+        # 4e-5 to 1.3e-4, lies below one float32 u R^2 (about 1.5e-3) and far
+        # above the float64 margin (below 2e-9), so float64 alone orders them
+        rng = np.random.default_rng(21)
+        pool = rng.integers(0, 20, size=(400, 45)).astype(np.float64)
+        offsets = rng.normal(scale=0.3, size=(40, 45))
+        stretch = 1 + rng.choice([-1e-5, 1e-5], size=(40, 1))
+        centers = np.vstack([pool[:40] + offsets, pool[:40] - offsets * stretch])
+        norms = np.sum(pool**2, axis=1)
+        screen = np.ascontiguousarray(pool.T, np.float32), norms.astype(np.float32), np.sqrt(norms)
+        want = representations._assign(pool, centers)
+        with mock.patch.object(representations, "_assign") as full:
+            got = representations._screened_assign(pool, centers, screen)
+        assert not full.called
+        assert np.array_equal(got, want)
 
     def test_one_column_pool(self):
         # numpy sums a lone contiguous column pairwise, past 8 members
@@ -238,7 +334,14 @@ class TestLloydKernel:
         rng = np.random.default_rng(90)
         profiles = rng.gamma(0.5, 4.0, size=(120, 45))
         pool = rng.poisson(profiles[rng.integers(0, 120, size=8000)]).astype(np.float64)
-        assert_same_bits(build_dictionary(pool, 90, 0).words, reference_dictionary(pool, 90, 0))
+        full = mock.Mock(wraps=representations._assign)
+        screened = mock.Mock(wraps=representations._screened_assign)
+        with mock.patch.object(representations, "_assign", full), \
+                mock.patch.object(representations, "_screened_assign", screened):
+            words = build_dictionary(pool, 90, 0).words
+        # the screen runs, and at most 2 steps need the full float64 step
+        assert screened.call_count > 2 >= full.call_count
+        assert_same_bits(words, reference_dictionary(pool, 90, 0))
 
 
 class TestBowEncode:
