@@ -218,13 +218,13 @@ def _keypoint_indices(points: np.ndarray, voxel: float) -> np.ndarray:
     """Index of the point nearest each occupied voxel's center."""
     origin = points.min(axis=0)
     idx = np.floor((points - origin) / voxel).astype(np.int64)
-    cells, inverse = np.unique(idx, axis=0, return_inverse=True)
-    centers = origin + (cells + 0.5) * voxel
-    dist = np.linalg.norm(points - centers[inverse], axis=1)
-    # first point per voxel after ranking by distance (ties: lowest index)
-    order = np.lexsort((np.arange(len(points)), dist, inverse))
+    dist = np.linalg.norm(points - (origin + (idx + 0.5) * voxel), axis=1)
+    # points grouped by voxel in (x, y, z) order, each voxel's by distance;
+    # the sort is stable, so equal distances keep the lowest index first
+    order = np.lexsort((dist, idx[:, 2], idx[:, 1], idx[:, 0]))
+    cells = idx[order]
     first = np.ones(len(order), dtype=bool)
-    first[1:] = inverse[order[1:]] != inverse[order[:-1]]
+    first[1:] = np.any(cells[1:] != cells[:-1], axis=1)
     return order[first]
 
 

@@ -128,6 +128,12 @@ class _FeatureCache:
     the learner and every cross-validation fold: the (k, d) spin-image
     matrix (``get``) and the GOOD bins (``good``).
 
+    Spin images are point counts, so ``get`` holds each view's matrix,
+    read-only, in the smallest unsigned integer type that holds its largest
+    count (uint8 on every benchmark view): a byte per count where float64
+    takes eight. Every consumer converts to float64 before it computes, so
+    results are the same bit for bit.
+
     Entries are held weakly by their cloud and go when it is freed, so a
     later cloud is never served a freed one's features and one-off queries
     leave nothing behind. The cache itself is not kept alive by its clouds.
@@ -140,7 +146,9 @@ class _FeatureCache:
     def get(self, cloud) -> np.ndarray:
         return self._lookup(
             "spin", cloud,
-            lambda: compute_feature_set(cloud, **self.config.spin_image_args()).as_matrix(),
+            lambda: _compact_counts(
+                compute_feature_set(cloud, **self.config.spin_image_args()).as_matrix()
+            ),
         )
 
     def good(self, cloud) -> np.ndarray:
@@ -153,6 +161,14 @@ class _FeatureCache:
         if kind not in per_view:
             per_view[kind] = compute()
         return per_view[kind]
+
+
+def _compact_counts(matrix: np.ndarray) -> np.ndarray:
+    """A matrix of non-negative integer counts as a read-only array of the
+    smallest unsigned integer type that holds its largest entry."""
+    counts = matrix.astype(np.min_scalar_type(int(matrix.max(initial=0))))
+    counts.flags.writeable = False
+    return counts
 
 
 def collect_feature_pool(matrices, cap: int, seed: int) -> np.ndarray:

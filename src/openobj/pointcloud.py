@@ -121,7 +121,9 @@ def load_pcd(path) -> PointCloud:
 
     Rows containing NaN coordinates are dropped; the order of the remaining
     points is preserved. Unknown header lines (VERSION, WIDTH, ...) are
-    ignored so files written by other tools still load.
+    ignored so files written by other tools still load, but every COUNT
+    entry must be 1. Each data row holds one value per field, and an rgb
+    value is a packed integer in [0, 2^32).
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -145,6 +147,9 @@ def load_pcd(path) -> PointCloud:
                 declared = int(parts[1])
             except (IndexError, ValueError):
                 raise PointCloudError(f"{path}: malformed POINTS header on line {i + 1}")
+        elif key == "COUNT":
+            if any(p != "1" for p in parts[1:]):
+                raise PointCloudError(f"{path}: line {i + 1}: every COUNT entry must be 1")
         elif key == "DATA":
             if len(parts) < 2 or parts[1].lower() != "ascii":
                 raise PointCloudError(f"{path}: only DATA ascii is supported (line {i + 1})")
@@ -163,17 +168,22 @@ def load_pcd(path) -> PointCloud:
         if not token:
             continue
         parts = token.split()
-        if len(parts) < len(fields):
+        if len(parts) != len(fields):
             raise PointCloudError(
                 f"{path}: line {lineno + 1}: expected {len(fields)} fields, got {len(parts)}"
             )
         try:
-            values = [float(p) for p in parts[: len(fields)]]
+            values = [float(p) for p in parts]
         except ValueError:
             raise PointCloudError(f"{path}: line {lineno + 1}: non-numeric field")
         rows.append(values[:3])
         if has_rgb:
-            rgb.append(values[3])
+            if not (values[3].is_integer() and 0 <= values[3] < 2**32):
+                raise PointCloudError(
+                    f"{path}: line {lineno + 1}: rgb must be an integer in [0, 2^32), "
+                    f"got {parts[3]}"
+                )
+            rgb.append(int(values[3]))
 
     pts = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
     if declared is not None and len(pts) != declared:
@@ -183,7 +193,7 @@ def load_pcd(path) -> PointCloud:
     keep = np.all(np.isfinite(pts), axis=1)
     colors = None
     if has_rgb:
-        colors = _unpack_rgb(np.asarray(rgb, dtype=np.float64)[keep].astype(np.uint32))
+        colors = _unpack_rgb(np.asarray(rgb, dtype=np.uint32)[keep])
     return PointCloud(pts[keep], colors)
 
 

@@ -177,8 +177,10 @@ def _kmeans_pp_init(pool: np.ndarray, v: int, rng: np.random.Generator, norms) -
 def _sq_distances(pool: np.ndarray, centers: np.ndarray, pool_terms=None) -> np.ndarray:
     """(n, V) squared distances (|p|^2 - 2 p.c) + |c|^2, built in one
     (n, V) buffer. ``pool_terms`` is the pool's (2 * pool, |p|^2) when the
-    caller already holds them."""
+    caller already holds them. An integer pool (a cached spin-image matrix)
+    is taken as float64 first: in uint8, 2 * pool and pool**2 wrap."""
     if pool_terms is None:
+        pool = np.asarray(pool, dtype=np.float64)
         pool_terms = 2 * pool, np.sum(pool**2, axis=1)
     twice_pool, pool_sq = pool_terms
     d = twice_pool @ centers.T
@@ -354,12 +356,14 @@ def bow_encode(features, dictionary: Dictionary) -> np.ndarray:
 # Collapsed Gibbs sampling
 # ---------------------------------------------------------------------------
 
-def _gibbs_sweeps(n_wk, n_k, doc, z, m_k, alpha, beta, iters, rng):
-    """In-place collapsed Gibbs sweeps for one document.
+def _gibbs_sweeps(n_wk, n_k, doc, z, m_k, alpha, beta, iters, rng, commit):
+    """Collapsed Gibbs sweeps for one document.
 
     n_wk / n_k must already contain the document's current assignments;
-    m_k is the doc-topic count vector. The document-topic denominator is
-    dropped (it does not depend on the candidate topic).
+    m_k is the doc-topic count vector, updated in place. With ``commit``
+    the sweeps' word-topic and topic counts are written back to n_wk and
+    n_k; without it they are left as given. The document-topic denominator
+    is dropped (it does not depend on the candidate topic).
 
     Stream contract: the caller draws the initial topics from ``rng``
     first; this function then draws every sweep's uniforms in one block,
@@ -409,11 +413,11 @@ def _gibbs_sweeps(n_wk, n_k, doc, z, m_k, alpha, beta, iters, rng):
             factor[k] = row[k] + beta
             doc_factor[k] = doc_n[k] + alpha
             topic_denom[k] = topic_n[k] + vbeta
-    for w, row in rows.items():
-        n_wk[w] = row
-    n_k[:] = topic_n
+    if commit:
+        for w, row in rows.items():
+            n_wk[w] = row
+        n_k[:] = topic_n
     m_k[:] = doc_n
-    z[:] = topics
 
 
 def _validate_doc(doc, v: int, iters: int) -> np.ndarray:
@@ -426,15 +430,15 @@ def _validate_doc(doc, v: int, iters: int) -> np.ndarray:
     return doc
 
 
-def _fold_in(n_wk, n_k, doc, k, alpha, beta, iters, rng) -> np.ndarray:
+def _fold_in(n_wk, n_k, doc, k, alpha, beta, iters, rng, commit) -> np.ndarray:
     """Draw the document's initial topics from ``rng``, add them to the
-    counters, run the Gibbs sweeps in place and return the doc-topic
-    counts."""
+    counters, run the Gibbs sweeps and return the doc-topic counts. With
+    ``commit`` the counters end holding the sweeps' final assignments."""
     z = rng.integers(0, k, size=len(doc))
     m_k = np.bincount(z, minlength=k)
     np.add.at(n_wk, (doc, z), 1)
     n_k += m_k
-    _gibbs_sweeps(n_wk, n_k, doc, z, m_k, alpha, beta, iters, rng)
+    _gibbs_sweeps(n_wk, n_k, doc, z, m_k, alpha, beta, iters, rng, commit)
     return m_k
 
 
@@ -450,7 +454,8 @@ def lda_update(model: TopicModel, doc, iters: int = DEFAULT_GIBBS_ITERS) -> Topi
     rng = np.random.default_rng((model.rng_seed, model.n_updates))
     model.n_updates += 1
     if len(doc):
-        _fold_in(model.n_wk, model.n_k, doc, model.k, model.alpha, model.beta, iters, rng)
+        _fold_in(model.n_wk, model.n_k, doc, model.k, model.alpha, model.beta, iters, rng,
+                 commit=True)
     return model
 
 
@@ -458,7 +463,8 @@ def lda_infer(model: TopicModel, doc, iters: int = DEFAULT_GIBBS_ITERS) -> Topic
     """Topic distribution of a document against a frozen model.
 
     The sampler runs on a temporary copy of the counters, so the model is
-    left bit-identical; theta_k = (n_{doc,k} + alpha) / (n_doc + K alpha).
+    left bit-identical, and reads back only the document's topic counts;
+    theta_k = (n_{doc,k} + alpha) / (n_doc + K alpha).
     """
     doc = _validate_doc(doc, model.v, iters)
     k, alpha = model.k, model.alpha
@@ -466,7 +472,8 @@ def lda_infer(model: TopicModel, doc, iters: int = DEFAULT_GIBBS_ITERS) -> Topic
         theta = np.full(k, 1.0 / k)
         return TopicHistogram(theta=theta, counts=np.zeros(k, dtype=np.int64))
     rng = np.random.default_rng((model.rng_seed, model.n_updates, 1))
-    m_k = _fold_in(model.n_wk.copy(), model.n_k.copy(), doc, k, alpha, model.beta, iters, rng)
+    m_k = _fold_in(model.n_wk.copy(), model.n_k.copy(), doc, k, alpha, model.beta, iters, rng,
+                   commit=False)
     theta = (m_k + alpha) / (len(doc) + k * alpha)
     return TopicHistogram(theta=theta, counts=m_k)
 

@@ -199,8 +199,42 @@ def keypoints_of(cloud, voxel):
     return cloud.points[descriptors._keypoint_indices(cloud.points, voxel)]
 
 
+def reference_keypoint_indices(points, voxel):
+    """The keypoint rule by np.unique over the voxel rows, then a ranking of
+    each voxel's points by distance and index."""
+    origin = points.min(axis=0)
+    idx = np.floor((points - origin) / voxel).astype(np.int64)
+    cells, inverse = np.unique(idx, axis=0, return_inverse=True)
+    centers = origin + (cells + 0.5) * voxel
+    dist = np.linalg.norm(points - centers[inverse], axis=1)
+    order = np.lexsort((np.arange(len(points)), dist, inverse))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = inverse[order[1:]] != inverse[order[:-1]]
+    return order[first]
+
+
+@st.composite
+def keypoint_clouds(draw):
+    """Uniform clouds, or clouds on a coarse grid with repeated points, whose
+    equal distances to a voxel's center test the tie rule."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 300))
+    if draw(st.booleans()):
+        points = rng.uniform(-0.3, 0.3, size=(m, 3))
+    else:
+        points = rng.integers(-4, 5, size=(m, 3)) * draw(st.sampled_from([0.01, 0.025, 0.1]))
+    return points, draw(st.floats(0.005, 0.2))
+
+
 class TestKeypoints:
     """compute_feature_set keeps one keypoint per occupied voxel."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(keypoint_clouds())
+    def test_matches_unique_reference(self, case):
+        points, voxel = case
+        got = descriptors._keypoint_indices(points, voxel)
+        np.testing.assert_array_equal(got, reference_keypoint_indices(points, voxel))
 
     def test_single_point(self):
         cloud = PointCloud([[0.4, 0.5, 0.6]])

@@ -18,7 +18,7 @@ from openobj.evaluation import EvaluationError, ProtocolEvent
 from openobj.learning import BayesCategory, BayesMemory, InstanceCategory, LearningError
 from openobj.nbv import load_poses
 from openobj.pipelines import ConfigError, ExperimentConfig
-from openobj.pointcloud import load_pcd, save_pcd
+from openobj.pointcloud import PointCloudError, load_pcd, save_pcd
 from openobj.representations import Dictionary, RepresentationError, TopicModel
 from openobj.segmentation import SegmentationError, SegmentationParams
 from openobj.synthgen import CategorySpec, ShapeSpec, SynthgenError, generate_view
@@ -114,6 +114,43 @@ def test_load_pcd(tmp_path, content):
     path = tmp_path / "view.pcd"
     write(path, content)
     returns_or_raises_openobj_error(load_pcd, path)
+
+
+# one whitespace-free token each, so every row keeps its four fields
+rgb_tokens = (tokens | st.sampled_from(["-5", "4.5", "1e20", "-inf", "4294967296", "0x10"])
+              | st.integers(0, 2**32 - 1).map(str)).filter(lambda t: t and "#" not in t)
+coordinates = st.floats(-10, 10, allow_nan=False).map(repr)
+rgb_rows = st.lists(st.tuples(coordinates, coordinates, coordinates, rgb_tokens), min_size=1,
+                    max_size=6)
+
+
+def rgb_problem(token) -> str | None:
+    """What load_pcd reports for an rgb token, or None for a packed integer."""
+    try:
+        value = float(token)
+    except ValueError:
+        return "non-numeric field"
+    return None if value.is_integer() and 0 <= value < 2**32 else "rgb must be an integer"
+
+
+@FUZZ
+@given(rgb_rows)
+def test_load_pcd_rgb(tmp_path, rows):
+    """A well-formed header, so every row reaches the rgb decode: the file
+    loads when each rgb token is a packed integer, and otherwise raises for
+    the first row whose token is not."""
+    path = tmp_path / "view.pcd"
+    lines = ["FIELDS x y z rgb", f"POINTS {len(rows)}", "DATA ascii"]
+    write(path, "\n".join(lines + [" ".join(row) for row in rows]))
+    problems = [(i, rgb_problem(row[3])) for i, row in enumerate(rows) if rgb_problem(row[3])]
+    if not problems:
+        packed = [int(float(row[3])) for row in rows]
+        want = [[p >> 16 & 255, p >> 8 & 255, p & 255] for p in packed]
+        assert load_pcd(path).colors.tolist() == want
+    else:
+        i, problem = problems[0]
+        with pytest.raises(PointCloudError, match=f": line {i + 4}: {problem}"):
+            load_pcd(path)
 
 
 keys = st.sampled_from(sorted(SCHEMA)) | st.text(max_size=8)

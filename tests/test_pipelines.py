@@ -8,12 +8,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from openobj.descriptors import compute_feature_set, compute_good
 from openobj.evaluation import LabeledDataset, kfold, metrics, run_protocol
 from openobj.nbv import render_virtual
 from openobj import pipelines
-from openobj.learning import LearningError, chi2, log_posterior
+from openobj.learning import InstanceCategory, LearningError, chi2, log_posterior, set_distance
 from openobj.pipelines import (
     LEARNERS,
     REPRESENTATIONS,
@@ -26,6 +28,7 @@ from openobj.pipelines import (
 )
 from openobj.representations import (
     TopicModel,
+    bow_encode,
     build_dictionary,
     lda_infer,
     lda_update,
@@ -383,3 +386,83 @@ class TestFeatureCache:
         cfg = ExperimentConfig(representation="good", learner="instance", good_bins=5)
         kfold(tiny_dataset, k=5, pipeline=make_cv_pipeline(cfg), seed=0)
         assert len(calls) == len({id(c) for c in calls}) == 30
+
+
+@st.composite
+def count_matrices(draw):
+    """(n, d) integer counts up to 255 or 2**16, holding an entry of at
+    least 16, where uint8 x**2 wraps, and one of at least 128, where uint8
+    2 * x does too."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(6, 30)), draw(st.integers(1, 12))
+    high = draw(st.sampled_from([255, 2**16]))
+    counts = rng.integers(0, draw(st.integers(1, high)) + 1, size=(n, d))
+    counts.flat[rng.choice(n * d, size=2, replace=False)] = (
+        draw(st.integers(16, 127)), draw(st.integers(128, high)))
+    return counts.astype(np.float64), draw(st.integers(2, 4))
+
+
+class TestCompactCounts:
+    """The feature cache holds spin images in the smallest exact integer type,
+    and every consumer gives the bits it gives for float64 counts."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(count_matrices())
+    def test_consumers_match_float64(self, case):
+        matrix, v = case
+        compact = pipelines._compact_counts(matrix)
+        assert compact.dtype == np.min_scalar_type(int(matrix.max()))
+        assert not compact.flags.writeable
+        np.testing.assert_array_equal(compact.astype(np.float64), matrix)
+        split = len(matrix) // 2
+        parts, float_parts = [compact[:split], compact[split:]], [matrix[:split], matrix[split:]]
+        # capped and uncapped pools
+        for cap in (len(matrix), len(matrix) - 1):
+            pool = pipelines.collect_feature_pool(float_parts, cap, 3)
+            dictionary = build_dictionary(pool, v=v)
+            pool = pipelines.collect_feature_pool(parts, cap, 3)
+            assert build_dictionary(pool, v=v).words.tobytes() == dictionary.words.tobytes()
+        np.testing.assert_array_equal(bow_encode(compact, dictionary),
+                                      bow_encode(matrix, dictionary))
+        learner = Learner(ExperimentConfig(representation="lda"), dictionary,
+                          features=mock.Mock(get=lambda cloud: compact))
+        want = pipelines._assign(matrix, dictionary.words)
+        np.testing.assert_array_equal(learner._doc(None), want)
+        for a, b in ((parts[0], parts[1]), (parts[1], parts[0])):
+            want = set_distance(a.astype(np.float64), b.astype(np.float64))
+            assert set_distance(a, b) == want
+
+    def test_cv_fold_caches_uint8(self, tiny_dataset, monkeypatch):
+        caches = []
+
+        class Recorded(pipelines._FeatureCache):
+            def __init__(self, config):
+                super().__init__(config)
+                caches.append(self)
+
+        monkeypatch.setattr(pipelines, "_FeatureCache", Recorded)
+        pipeline = make_cv_pipeline(ExperimentConfig(representation="bow", learner="bayes",
+                                                     dictionary_size=10))
+        views = [(label, view) for label, views in tiny_dataset.views.items() for view in views]
+        pipeline(views[1:], [views[0][1]])
+        (cache,) = caches
+        for _, view in views:
+            spin = cache._store[view]["spin"]
+            assert spin.dtype == np.uint8 and not spin.flags.writeable
+            assert spin.nbytes == len(spin) * 45
+
+    def test_spinset_memory_saves_integers(self, tiny_dataset):
+        learner = build_learner(ExperimentConfig(representation="spinset"))
+        for view in tiny_dataset.views["box"][:3]:
+            learner.teach("box", view)
+        (category,) = learner.memory
+        assert all(inst.dtype == np.uint8 for inst in category.instances)
+        saved = category.to_json_dict()
+        assert all(isinstance(x, int) for inst in saved["instances"] for row in inst for x in row)
+        loaded = InstanceCategory.from_json_dict(saved)
+        query = tiny_dataset.views["box"][5]
+        for inst, back in zip(category.instances, loaded.instances):
+            assert back.dtype == np.float64
+            np.testing.assert_array_equal(back, inst)
+            assert set_distance(learner.features.get(query), back) == \
+                set_distance(learner.features.get(query), inst)

@@ -80,6 +80,30 @@ class TestPcdIO:
         with pytest.raises(PointCloudError, match="declares 5"):
             load_pcd(path)
 
+    @pytest.mark.parametrize("rgb", ["nan", "1e20", "-5", "4.5", "inf", "4294967296"])
+    def test_rgb_must_be_a_packed_integer(self, tmp_path, rgb):
+        path = tmp_path / "bad.pcd"
+        path.write_text(f"FIELDS x y z rgb\nPOINTS 2\nDATA ascii\n0 0 0 255\n1 2 3 {rgb}\n")
+        with pytest.raises(PointCloudError, match="line 5: rgb"):
+            load_pcd(path)
+
+    def test_largest_packed_rgb_loads(self, tmp_path):
+        path = tmp_path / "a.pcd"
+        path.write_text("FIELDS x y z rgb\nPOINTS 2\nDATA ascii\n0 0 0 4294967295\n1 2 3 6.0\n")
+        np.testing.assert_array_equal(load_pcd(path).colors, [[255, 255, 255], [0, 0, 6]])
+
+    def test_count_other_than_one_rejected(self, tmp_path):
+        path = tmp_path / "bad.pcd"
+        path.write_text("FIELDS x y z\nCOUNT 2 1 1\nPOINTS 1\nDATA ascii\n1 2 3 4\n")
+        with pytest.raises(PointCloudError, match="line 2: every COUNT"):
+            load_pcd(path)
+
+    def test_row_with_extra_values_rejected(self, tmp_path):
+        path = tmp_path / "bad.pcd"
+        path.write_text("FIELDS x y z\nPOINTS 2\nDATA ascii\n0 0 0\n1 2 3 4\n")
+        with pytest.raises(PointCloudError, match="line 5: expected 3 fields, got 4"):
+            load_pcd(path)
+
     def test_foreign_header_lines_ignored(self, tmp_path):
         path = tmp_path / "full.pcd"
         path.write_text(

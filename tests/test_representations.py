@@ -594,9 +594,11 @@ class TestTopicModelChecks:
                 TopicModel.from_json_dict(bad)
 
 
-def reference_sweeps(n_wk, n_k, doc, z, m_k, alpha, beta, iters, rng):
+def reference_sweeps(n_wk, n_k, doc, z, m_k, alpha, beta, iters, rng, commit):
     """Per-token numpy formulation of the collapsed Gibbs sweep: one
-    rng.random() per token, cumsum and searchsorted over the K weights."""
+    rng.random() per token, cumsum and searchsorted over the K weights. It
+    updates the counters it is given whatever ``commit`` says; lda_infer
+    gives it a throw-away copy."""
     v = n_wk.shape[0]
     vbeta = v * beta
     for _ in range(iters):
