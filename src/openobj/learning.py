@@ -17,6 +17,7 @@ from .errors import JsonRecord, OpenobjError, check_fields, finite_array
 __all__ = [
     "UNKNOWN",
     "InstanceCategory",
+    "InstanceMemory",
     "BayesCategory",
     "BayesMemory",
     "Prediction",
@@ -26,6 +27,7 @@ __all__ = [
     "ocd_mean",
     "nocd_approach1",
     "nocd_approach2",
+    "instance_teach",
     "classify_instances",
     "lowest_score",
     "chi2",
@@ -36,6 +38,7 @@ __all__ = [
 ]
 
 UNKNOWN = "UNKNOWN"
+_INSTANCE = "an instance must be a finite 1-D or 2-D array of numbers"
 
 
 class LearningError(OpenobjError):
@@ -66,7 +69,8 @@ class InstanceCategory(JsonRecord):
     to the longest unchanged prefix of ``instances`` and the stack is
     rebuilt whenever the list differs, so editing ``instances`` directly is
     safe. Neither is serialized. Instances are built or loaded as finite
-    1-D or 2-D float64 arrays.
+    1-D or 2-D float64 arrays; ``add`` checks one so, and as wide as the
+    first, then stores it as given (a spin set keeps its integer counts).
     """
 
     error = LearningError
@@ -82,12 +86,15 @@ class InstanceCategory(JsonRecord):
         check_fields(self, LearningError)
         if not isinstance(self.instances, (list, tuple)):
             raise LearningError("instances must be a list of arrays")
-        message = "an instance must be a finite 1-D or 2-D array of numbers"
-        self.instances = [finite_array(x, (1, 2), LearningError, message) for x in self.instances]
+        self.instances = [finite_array(x, (1, 2), LearningError, _INSTANCE) for x in self.instances]
 
-    def add(self, representation):
-        self.instances.append(representation)
-        if len(self.instances) >= 2:
+    def add(self, representation, spread: bool = True):
+        """Check, then store one instance; with ``spread`` keep the ICD current."""
+        width = finite_array(representation, (1, 2), LearningError, _INSTANCE).shape[-1]
+        if self.instances and width != np.shape(self.instances[0])[-1]:
+            raise LearningError(f"an instance of width {width} does not match the category's")
+        self.instances.append(np.asarray(representation))
+        if spread and len(self.instances) >= 2:
             self.icd = icd(self)
             self.icd_provisional = len(self.instances) < 3
 
@@ -129,6 +136,39 @@ class _Stack:
         matrix = np.vstack(mats)
         offsets = np.cumsum([0] + [len(m) for m in mats[:-1]])
         return cls(tuple(instances), matrix, _exact_sq_norms(matrix), offsets)
+
+
+def _load_categories(categories, kind) -> dict:
+    """A memory's categories by label, each a ``kind`` record; one given in
+    its JSON form is loaded."""
+    if not isinstance(categories, Mapping):
+        raise LearningError("categories must map labels to categories")
+    return {label: cat if isinstance(cat, kind) else kind.from_json_dict(cat)
+            for label, cat in categories.items()}
+
+
+@dataclass
+class InstanceMemory(JsonRecord):
+    """Instance categories by label, each filed under its own label.
+    ``instance_teach`` grows it; ``classify_instances`` reads it."""
+
+    error = LearningError
+    categories: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.categories = _load_categories(self.categories, InstanceCategory)
+        if any(label != cat.label for label, cat in self.categories.items()):
+            raise LearningError("each category must be filed under its own label")
+
+
+def instance_teach(memory: InstanceMemory, label: str, x, spread: bool = True) -> InstanceMemory:
+    """Store one instance under its label; a new label starts a category.
+    ``x`` is checked before anything is stored, and with ``spread`` the
+    category's ICD is kept current."""
+    category = memory.categories.get(label) or InstanceCategory(label)
+    category.add(x, spread)
+    memory.categories[label] = category
+    return memory
 
 
 def _shared_prefix(old, new) -> int:
@@ -303,26 +343,27 @@ def _fixed_vector(target) -> np.ndarray:
 
 def classify_instances(
     target,
-    memory: list,
+    memory: InstanceMemory,
     mode: str = "nn_fixed",
     metric: str = "L2",
     ct: float | None = None,
 ) -> Prediction:
-    """Instance-based classification over a list of InstanceCategory.
+    """Instance-based classification over an InstanceMemory.
 
     Modes A1/A2 score feature sets by the normalized object-category
     distance to each category whose ICD is positive (ICD-bar averages those),
     or by ``ocd_min`` while none is; nn_fixed takes the nearest stored
-    fixed-size vector under ``metric``. The winner is ``lowest_score``'s.
-    ``target`` is one query, or a mapping from each category's label to the
-    query as that category represents it.
+    fixed-size vector (one row per instance) under ``metric``. The winner
+    is ``lowest_score``'s. ``target`` is one query, or a mapping from each
+    category's label to the query as that category represents it.
     """
+    categories = memory.categories.values()
     scores = {}
     if mode in ("A1", "A2"):
         view = _per_category(target, lambda query: query)
-        ready = [c for c in memory if c.icd is not None and c.icd > 0]
+        ready = [c for c in categories if c.icd is not None and c.icd > 0]
         if not ready:
-            scores = {c.label: ocd_min(view(c.label), c) for c in memory if c.instances}
+            scores = {c.label: ocd_min(view(c.label), c) for c in categories if c.instances}
         elif mode == "A1":
             scores = {c.label: nocd_approach1(view(c.label), c) for c in ready}
         else:
@@ -331,11 +372,13 @@ def classify_instances(
     elif mode == "nn_fixed":
         view = _per_category(target, _fixed_vector)
         dist = _FIXED_METRICS[metric]
-        for cat in memory:
+        for cat in categories:
             if not cat.instances:
                 raise LearningError(f"category {cat.label!r} has no instances")
             target_vec = view(cat.label)
-            stored = np.asarray(cat.instances, dtype=np.float64)
+            stored = cat._stacked().matrix
+            if len(stored) != len(cat.instances):
+                raise LearningError("nn_fixed needs one fixed-size vector per instance")
             if stored.shape[1] != target_vec.shape[0]:
                 raise LearningError("representation size mismatch")
             scores[cat.label] = min(dist(target_vec, inst) for inst in stored)
@@ -389,12 +432,7 @@ class BayesMemory(JsonRecord):
     categories: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.categories, Mapping):
-            raise LearningError("categories must map labels to categories")
-        self.categories = {
-            label: cat if isinstance(cat, BayesCategory) else BayesCategory.from_json_dict(cat)
-            for label, cat in self.categories.items()
-        }
+        self.categories = _load_categories(self.categories, BayesCategory)
         if len({cat.accumulators.shape for cat in self.categories.values()}) > 1:
             raise LearningError("categories must have accumulators of one width")
 

@@ -24,10 +24,11 @@ from .descriptors import compute_feature_set, compute_good
 from .errors import OpenobjError, check_count, check_fields
 from .learning import (
     BayesMemory,
-    InstanceCategory,
+    InstanceMemory,
     bayes_classify,
     bayes_teach,
     classify_instances,
+    instance_teach,
 )
 from .representations import (
     Dictionary,
@@ -202,13 +203,14 @@ def collect_feature_pool(matrices, cap: int, seed: int) -> np.ndarray:
 class Learner:
     """teach/classify over raw point clouds. ``config.representation``
     picks the encoder (good, spinset, bow, lda, local_lda) and
-    ``config.learner`` the memory: a list of InstanceCategory (instance) or
-    a BayesMemory (bayes).
+    ``config.learner`` the memory, one record either way: an
+    InstanceMemory (instance) or a BayesMemory (bayes).
 
     The instance memory scores by the nearest stored instance (L2 on GOOD
-    and BoW, chi-squared on topic proportions), or for spin-image sets by
-    the normalized object-category distance; it returns UNKNOWN when the
-    best score exceeds ``config.ct``. The Bayes memory keeps counts.
+    and BoW, chi-squared on topic proportions), or for spin-image sets,
+    the only ones that keep an ICD, by the normalized object-category
+    distance; it returns UNKNOWN when the best score exceeds ``config.ct``.
+    The Bayes memory keeps counts. Mode and metric are set when built.
     """
 
     def __init__(self, config: ExperimentConfig, dictionary: Dictionary | None = None,
@@ -219,8 +221,10 @@ class Learner:
         self.dictionary = dictionary
         self.features = features or _FeatureCache(config)
         self.bayes = config.learner == "bayes"
-        self.memory: list[InstanceCategory] | BayesMemory = BayesMemory() if self.bayes else []
-        self._index: dict[str, InstanceCategory] = {}
+        self.memory = BayesMemory() if self.bayes else InstanceMemory()
+        rep = config.representation
+        self.mode = config.nocd_mode if rep == "spinset" else "nn_fixed"
+        self.metric = "chi2" if rep in ("lda", "local_lda") else "L2"
         # lda shares one topic model; local_lda grows one per category
         self.model = None
         self.models: dict[str, TopicModel] = {}
@@ -232,27 +236,14 @@ class Learner:
         x = self._encode(cloud, category, learn=True)
         if self.bayes:
             bayes_teach(self.memory, category, x)
-            return
-        if category not in self._index:
-            self._index[category] = InstanceCategory(category)
-            self.memory.append(self._index[category])
-        if self.config.representation == "spinset":
-            self._index[category].add(x)  # keeps the category's ICD current
         else:
-            self._index[category].instances.append(x)
+            instance_teach(self.memory, category, x, spread=self.mode != "nn_fixed")
 
     def classify(self, cloud):
-        rep = self.config.representation
         target = self._encode(cloud)
         if self.bayes:
             return bayes_classify(self.memory, target).label
-        mode = self.config.nocd_mode if rep == "spinset" else "nn_fixed"
-        metric = "chi2" if rep in ("lda", "local_lda") else "L2"
-        return classify_instances(target, self.memory, mode, metric, self.config.ct).label
-
-    def stored_instances(self) -> int:
-        """Instances held by the instance memory."""
-        return sum(len(c.instances) for c in self.memory)
+        return classify_instances(target, self.memory, self.mode, self.metric, self.config.ct).label
 
     # -- encoders ------------------------------------------------------------
 

@@ -20,7 +20,14 @@ from openobj.evaluation import (
     replay_accuracies,
     run_protocol,
 )
-from openobj.learning import BayesCategory, BayesMemory, InstanceCategory, bayes_teach
+from openobj.learning import (
+    BayesCategory,
+    BayesMemory,
+    InstanceCategory,
+    InstanceMemory,
+    bayes_teach,
+    instance_teach,
+)
 from openobj.pipelines import ConfigError, ExperimentConfig
 from openobj.pointcloud import PointCloud
 from openobj.representations import (
@@ -85,6 +92,8 @@ def sample_records():
     lda_update(model, [0, 2, 2], iters=2)
     memory = BayesMemory()
     bayes_teach(memory, "mug", np.array([1, 0, 2]))
+    taught = InstanceMemory()
+    instance_teach(taught, "mug", np.array([[1, 2], [3, 4]], dtype=np.uint8))
     return [
         Dictionary(np.eye(2)),
         model,
@@ -93,6 +102,7 @@ def sample_records():
         memory,
         ProtocolEvent(iteration=1, action="ask", category="mug", view_id=4, predicted="mug",
                       correct=True, accuracy=1.0, known=2),
+        taught,
     ]
 
 
@@ -102,6 +112,7 @@ JSON_KEYS = {
     InstanceCategory: {"label", "instances", "icd", "icd_provisional"},
     BayesCategory: {"n_k", "accumulators"},
     BayesMemory: {"categories"},
+    InstanceMemory: {"categories"},
     ProtocolEvent: {"iteration", "action", "category", "view_id", "predicted", "correct",
                     "accuracy", "known"},
 }
@@ -113,6 +124,7 @@ def test_json_keys_are_pinned():
     for record in records:
         assert set(record.to_json_dict()) == JSON_KEYS[type(record)]
     assert set(records[4].to_json_dict()["categories"]["mug"]) == JSON_KEYS[BayesCategory]
+    assert set(records[6].to_json_dict()["categories"]["mug"]) == JSON_KEYS[InstanceCategory]
 
 
 def dataset():

@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 from openobj.cli import SCHEMA, build_config, load_dataset, parse_config_file
 from openobj.errors import OpenobjError
 from openobj.evaluation import EvaluationError, ProtocolEvent
-from openobj.learning import BayesCategory, BayesMemory, InstanceCategory, LearningError
+from openobj.learning import (
+    BayesCategory,
+    BayesMemory,
+    InstanceCategory,
+    InstanceMemory,
+    LearningError,
+)
 from openobj.nbv import load_poses
 from openobj.pipelines import ConfigError, ExperimentConfig
 from openobj.pointcloud import PointCloudError, load_pcd, save_pcd
@@ -207,6 +213,11 @@ JSON_RECORDS = [
     (InstanceCategory, LearningError,
      {"label": "mug", "instances": [[[0.0, 1.0]], [[1.0, 2.0], [3.0, 4.0]]], "icd": 1.5,
       "icd_provisional": True}),
+    (InstanceMemory, LearningError,
+     {"categories": {"mug": {"label": "mug", "instances": [[1.0, 2.0]], "icd": None,
+                             "icd_provisional": False},
+                     "bowl": {"label": "bowl", "instances": [[[0, 1], [2, 3]], [[1, 1]]],
+                              "icd": 0.5, "icd_provisional": True}}}),
     (BayesCategory, LearningError, {"n_k": 2, "accumulators": [1, 0, 3]}),
     (BayesMemory, LearningError,
      {"categories": {"mug": {"n_k": 2, "accumulators": [1, 0]},

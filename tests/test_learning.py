@@ -17,12 +17,14 @@ from openobj.learning import (
     BayesCategory,
     BayesMemory,
     InstanceCategory,
+    InstanceMemory,
     LearningError,
     bayes_classify,
     bayes_teach,
     chi2,
     classify_instances,
     icd,
+    instance_teach,
     log_posterior,
     lowest_score,
     nocd_approach1,
@@ -35,6 +37,11 @@ from openobj.learning import (
 
 def feats(*rows):
     return np.asarray(rows, dtype=float)
+
+
+def memory_of(categories):
+    """The instance memory that holds these categories, in order."""
+    return InstanceMemory({cat.label: cat for cat in categories})
 
 
 class TestSetDistance:
@@ -380,14 +387,14 @@ class TestNocd:
                 cat.add(rng.uniform(0, 1, size=(3, 2)))
             cats.append(cat)
         target = rng.uniform(0, 1, size=(3, 2))
-        base = classify_instances(target, cats, mode="A1")
+        base = classify_instances(target, memory_of(cats), mode="A1")
         scaled_cats = []
         for cat in cats:
             sc = InstanceCategory(cat.label)
             for inst in cat.instances:
                 sc.add(inst * 7.0)
             scaled_cats.append(sc)
-        scaled = classify_instances(target * 7.0, scaled_cats, mode="A1")
+        scaled = classify_instances(target * 7.0, memory_of(scaled_cats), mode="A1")
         assert base.label == scaled.label
 
 
@@ -399,18 +406,19 @@ class TestClassifyInstances:
 
     def test_single_category_wins(self):
         mem = [InstanceCategory("only", [np.array([5.0, 5.0])])]
-        pred = classify_instances(np.array([0.0, 0.0]), mem, mode="nn_fixed")
+        pred = classify_instances(np.array([0.0, 0.0]), memory_of(mem), mode="nn_fixed")
         assert pred.label == "only"
 
     def test_stored_instance_score_zero(self):
-        pred = classify_instances(np.array([1.0, 1.0]), self.fixed_memory(), mode="nn_fixed")
+        pred = classify_instances(np.array([1.0, 1.0]), memory_of(self.fixed_memory()),
+                                  mode="nn_fixed")
         assert pred.label == "b"
         assert pred.score == 0.0
 
     @pytest.mark.parametrize("query", [[np.nan, 1.0], [np.inf, 1.0], ["a", "b"]])
     def test_non_finite_fixed_query_rejected(self, query):
         with pytest.raises(LearningError, match="finite fixed-size vector"):
-            classify_instances(query, self.fixed_memory(), mode="nn_fixed")
+            classify_instances(query, memory_of(self.fixed_memory()), mode="nn_fixed")
 
     def test_matches_exhaustive_scoring(self):
         rng = np.random.default_rng(4)
@@ -420,7 +428,7 @@ class TestClassifyInstances:
             mem.append(cat)
         for _ in range(20):
             t = rng.uniform(0, 1, size=4)
-            pred = classify_instances(t, mem, mode="nn_fixed", metric="L2")
+            pred = classify_instances(t, memory_of(mem), mode="nn_fixed", metric="L2")
             oracle = {
                 c.label: min(np.linalg.norm(t - inst) for inst in c.instances) for c in mem
             }
@@ -429,14 +437,15 @@ class TestClassifyInstances:
 
     def test_unknown_threshold(self):
         pred = classify_instances(
-            np.array([10.0, 10.0]), self.fixed_memory(), mode="nn_fixed", ct=1.0
+            np.array([10.0, 10.0]), memory_of(self.fixed_memory()), mode="nn_fixed", ct=1.0
         )
         assert pred.label == UNKNOWN
 
     def test_chi2_metric_path(self):
         a = InstanceCategory("a", [np.array([0.9, 0.1])])
         b = InstanceCategory("b", [np.array([0.1, 0.9])])
-        pred = classify_instances(np.array([0.8, 0.2]), [a, b], mode="nn_fixed", metric="chi2")
+        pred = classify_instances(np.array([0.8, 0.2]), memory_of([a, b]), mode="nn_fixed",
+                                  metric="chi2")
         assert pred.label == "a"
 
     def test_1nn_training_instance_identity(self):
@@ -446,10 +455,27 @@ class TestClassifyInstances:
             mem.append(InstanceCategory(label, [rng.uniform(0, 1, size=6) for _ in range(4)]))
         for cat in mem:
             for inst in cat.instances:
-                pred = classify_instances(inst, mem, mode="nn_fixed")
+                pred = classify_instances(inst, memory_of(mem), mode="nn_fixed")
                 assert pred.label == cat.label
                 assert pred.score == 0.0
 
+
+    def test_instances_of_unequal_length_rejected(self):
+        mem = memory_of([InstanceCategory("a", [np.zeros(2), np.ones(3)])])
+        with pytest.raises(LearningError, match="unequal width"):
+            classify_instances(np.zeros(2), mem, mode="nn_fixed")
+
+    def test_a_feature_set_instance_rejected(self):
+        mem = memory_of([InstanceCategory("a", [np.arange(6.0).reshape(2, 3)])])
+        with pytest.raises(LearningError, match="one fixed-size vector per instance"):
+            classify_instances(np.arange(3.0), mem, mode="nn_fixed")
+
+    def test_queries_reuse_the_category_stack(self):
+        mem = self.fixed_memory()
+        with mock.patch.object(learning._Stack, "of", wraps=learning._Stack.of) as stack:
+            for query in ([0.0, 0.0], [1.0, 0.5], [2.0, 2.0]):
+                classify_instances(np.array(query), memory_of(mem), mode="nn_fixed")
+        assert stack.call_count == 2  # once per category
 
 def classify_sets_oracle(target, memory, mode, ct=None):
     """The Learner's spin-set rule as it stood before classify_instances
@@ -503,9 +529,9 @@ class TestSpinSetRule:
         expected = classify_sets_oracle(target, memory, mode, ct)
         if expected is None:
             with pytest.raises(LearningError, match="no categories"):
-                classify_instances(target, memory, mode=mode, ct=ct)
+                classify_instances(target, memory_of(memory), mode=mode, ct=ct)
             return
-        pred = classify_instances(target, memory, mode=mode, ct=ct)
+        pred = classify_instances(target, memory_of(memory), mode=mode, ct=ct)
         assert (pred.label, pred.score, pred.scores) == expected
 
     def test_a1_skips_a_category_without_icd(self):
@@ -513,7 +539,7 @@ class TestSpinSetRule:
         for inst in (feats([0, 0]), feats([2, 0])):
             ready.add(inst)
         fresh = InstanceCategory("fresh", [feats([5, 5])])
-        pred = classify_instances(feats([5, 5]), [fresh, ready], mode="A1")
+        pred = classify_instances(feats([5, 5]), memory_of([fresh, ready]), mode="A1")
         assert pred.label == "ready" and list(pred.scores) == ["ready"]
 
     def test_a2_skips_a_category_with_zero_icd(self):
@@ -524,7 +550,7 @@ class TestSpinSetRule:
         for _ in range(2):
             flat.add(feats([5, 5]))
         assert flat.icd == 0.0
-        pred = classify_instances(feats([5, 5]), [flat, ready], mode="A2")
+        pred = classify_instances(feats([5, 5]), memory_of([flat, ready]), mode="A2")
         assert list(pred.scores) == ["ready"]
         assert pred.score == pytest.approx(2 * ocd_mean(feats([5, 5]), ready) / (2 * ready.icd))
 
@@ -532,7 +558,7 @@ class TestSpinSetRule:
     def test_no_ready_category_falls_back_to_ocd_min(self, mode):
         a = InstanceCategory("a", [feats([0, 0]), feats([4, 0])])
         b = InstanceCategory("b", [feats([1, 1])])
-        pred = classify_instances(feats([3, 0]), [a, b], mode=mode)
+        pred = classify_instances(feats([3, 0]), memory_of([a, b]), mode=mode)
         assert pred.scores == {"a": 1.0, "b": pytest.approx(np.sqrt(5))}
         assert pred.label == "a"
 
@@ -543,7 +569,7 @@ class TestLowestScore:
         with pytest.raises(LearningError, match="no categories in memory"):
             lowest_score({})
         with pytest.raises(LearningError, match="no categories in memory"):
-            classify_instances(np.zeros(2), [], mode=mode)
+            classify_instances(np.zeros(2), memory_of([]), mode=mode)
 
     def test_ties_go_to_the_earliest_category(self):
         assert lowest_score({"b": 1.0, "a": 1.0, "c": 2.0}).label == "b"
@@ -794,8 +820,10 @@ class TestPerCategoryQueries:
     that category represents it (local LDA's per-category topic space)."""
 
     SCORERS = {
-        "L2": lambda taught, y: classify_instances(y, instance_memory(taught), metric="L2"),
-        "chi2": lambda taught, y: classify_instances(y, instance_memory(taught), metric="chi2"),
+        "L2": lambda taught, y: classify_instances(
+            y, memory_of(instance_memory(taught)), metric="L2"),
+        "chi2": lambda taught, y: classify_instances(
+            y, memory_of(instance_memory(taught)), metric="chi2"),
         "bayes": lambda taught, y: bayes_classify(bayes_memory(taught), y),
     }
 
@@ -815,9 +843,9 @@ class TestPerCategoryQueries:
     def test_each_instance_category_scores_its_own_view(self, case, metric):
         taught, _, views = case
         memory = instance_memory(taught)
-        pred = classify_instances(views, memory, metric=metric)
+        pred = classify_instances(views, memory_of(memory), metric=metric)
         for cat in memory:
-            alone = classify_instances(views[cat.label], [cat], metric=metric)
+            alone = classify_instances(views[cat.label], memory_of([cat]), metric=metric)
             assert pred.scores[cat.label] == alone.score
         assert pred.label == min(pred.scores, key=pred.scores.get)
 
@@ -845,8 +873,9 @@ class TestPerCategoryQueries:
         memory = self.spin_memory(rng)
         target = spin_like(rng, rows=7)
         for mode in ("A1", "A2"):
-            plain = classify_instances(target, memory, mode=mode)
-            mapped = classify_instances({c.label: target for c in memory}, memory, mode=mode)
+            plain = classify_instances(target, memory_of(memory), mode=mode)
+            mapped = classify_instances({c.label: target for c in memory}, memory_of(memory),
+                                        mode=mode)
             assert mapped.scores == plain.scores and mapped.label == plain.label
 
     def test_a_missing_label_raises(self):
@@ -856,7 +885,7 @@ class TestPerCategoryQueries:
                 score(taught, {"a": np.array([1, 1])})
         memory = self.spin_memory(np.random.default_rng(13))
         with pytest.raises(LearningError, match="no view for category"):
-            classify_instances({}, memory, mode="A2")
+            classify_instances({}, memory_of(memory), mode="A2")
 
     def test_a_mapping_entry_is_checked_when_read(self):
         taught = {"a": [np.array([1, 2])], "b": [np.array([2, 1])]}
@@ -940,3 +969,59 @@ class TestInstanceSerialization:
         assert icd(back) == cat.icd
         for stored, original in zip(back.instances, cat.instances):
             assert np.array_equal(stored, original)
+
+
+class TestInstanceMemory:
+    @staticmethod
+    def two_instances():
+        cat = InstanceCategory("x")
+        for inst in (feats([0, 0]), feats([2, 0])):
+            cat.add(inst)
+        return cat
+
+    @pytest.mark.parametrize("bad", [
+        feats([np.nan, 1.0]), [[1.0, 2.0], [3.0]], feats([1.0, 2.0, 3.0]), np.zeros(3),
+    ], ids=["nan", "ragged", "wrong-width set", "wrong-width vector"])
+    def test_a_refused_instance_changes_nothing(self, bad):
+        cat = self.two_instances()
+        before = (list(cat.instances), cat.icd, cat.icd_provisional)
+        assert before[1:] == (2.0, True)
+        with pytest.raises(LearningError, match="finite 1-D or 2-D|width"):
+            cat.add(bad)
+        assert len(cat.instances) == 2
+        assert all(a is b for a, b in zip(cat.instances, before[0]))
+        assert (cat.icd, cat.icd_provisional) == before[1:]
+        assert ocd_min(feats([1, 0]), cat) == 1.0
+
+    def test_a_refused_first_instance_starts_no_category(self):
+        memory = InstanceMemory()
+        with pytest.raises(LearningError, match="finite 1-D or 2-D"):
+            instance_teach(memory, "x", [np.nan, 1.0])
+        with pytest.raises(LearningError, match="label must be a string"):
+            instance_teach(memory, 3, [0.0, 1.0])
+        assert memory.categories == {}
+
+    def test_teach_stores_the_given_array(self):
+        memory = InstanceMemory()
+        counts = [np.array([[1, 2], [3, 0]], dtype=np.uint8), np.array([[2, 2]], dtype=np.uint8)]
+        for x in counts:
+            instance_teach(memory, "x", x)
+        (cat,) = memory.categories.values()
+        assert all(a is b for a, b in zip(cat.instances, counts, strict=True))
+        assert cat.icd == icd(InstanceCategory("x", counts)) and cat.icd_provisional
+
+    def test_spread_off_keeps_no_icd(self):
+        memory = InstanceMemory()
+        for x in ([0.0, 1.0], [1.0, 0.0], [2.0, 2.0]):
+            instance_teach(memory, "x", np.array(x), spread=False)
+        assert memory.categories["x"].icd is None
+        assert len(memory.categories["x"].instances) == 3
+
+    @pytest.mark.parametrize("categories,message", [
+        ([1, 2], "categories must map labels"),
+        ({"y": InstanceCategory("x")}, "its own label"),
+        ({"x": {"label": "x"}}, "needs exactly the keys"),
+    ])
+    def test_memory_checks_itself(self, categories, message):
+        with pytest.raises(LearningError, match=message):
+            InstanceMemory(categories)

@@ -1,8 +1,10 @@
 """Representation/learner wiring: config validation and the learner
 wrappers driven by the simulated teacher."""
 
+import contextlib
 import dataclasses
 import inspect
+import json
 import math
 from unittest import mock
 
@@ -15,7 +17,14 @@ from openobj.descriptors import compute_feature_set, compute_good
 from openobj.evaluation import LabeledDataset, kfold, metrics, run_protocol
 from openobj.nbv import render_virtual
 from openobj import pipelines
-from openobj.learning import InstanceCategory, LearningError, chi2, log_posterior, set_distance
+from openobj.learning import (
+    InstanceCategory,
+    InstanceMemory,
+    LearningError,
+    chi2,
+    log_posterior,
+    set_distance,
+)
 from openobj.pipelines import (
     LEARNERS,
     REPRESENTATIONS,
@@ -231,7 +240,7 @@ class TestLearnerWrappers:
             ExperimentConfig(representation="spinset", voxel=0.025, ct=gap / 2)
         )
         strict.teach("box", box)
-        assert all(c.icd is None for c in strict.memory)
+        assert all(c.icd is None for c in strict.memory.categories.values())
         assert strict.classify(box) == "box"
         assert strict.classify(sphere) == UNKNOWN
 
@@ -285,7 +294,7 @@ class TestLearnerWrappers:
                     else:
                         scores = {c.label: min(chi2(views[c.label].theta, inst)
                                                for inst in c.instances)
-                                  for c in learner.memory}
+                                  for c in learner.memory.categories.values()}
                         best = min(scores, key=scores.get)
                     assert learner.classify(cloud) == best
                     assert predictions[-1].scores == scores
@@ -297,8 +306,58 @@ class TestLearnerWrappers:
         learner = build_learner(cfg)
         log, summary = run_protocol(tiny_dataset, learner, seed=2)
         taught = sum(1 for e in log.events if e.action in ("teach", "correct"))
-        assert learner.stored_instances() == taught
+        assert sum(len(c.instances) for c in learner.memory.categories.values()) == taught
 
+
+    @pytest.mark.parametrize("representation", REPRESENTATIONS)
+    def test_memory_resumes_from_json(self, tiny_dataset, representation):
+        # teaching half, saving and loading the memory and teaching the rest
+        # stores and answers what teaching everything does
+        cfg = ExperimentConfig(representation=representation, voxel=0.025,
+                               dictionary_size=20, topics=8, gibbs_iters=10)
+        views = tiny_dataset.views
+        dictionary = None
+        if representation in ("bow", "lda", "local_lda"):
+            dictionary = build_dictionary_from_clouds([v[0] for v in views.values()], cfg)
+        lessons = [(label, views[label][i]) for i in range(4) for label in views]
+        whole, resumed = build_learner(cfg, dictionary), build_learner(cfg, dictionary)
+        for n, (label, cloud) in enumerate(lessons):
+            if n == len(lessons) // 2:
+                saved = json.dumps(resumed.memory.to_json_dict())
+                resumed.memory = InstanceMemory.from_json_dict(json.loads(saved))
+            whole.teach(label, cloud)
+            resumed.teach(label, cloud)
+        assert resumed.memory.to_json_dict() == whole.memory.to_json_dict()
+        for cloud in (c for label in views for c in views[label][4:7]):
+            assert resumed.classify(cloud) == whole.classify(cloud)
+
+    def test_teach_and_classify_look_the_memory_functions_up_per_call(self, tiny_dataset):
+        # a tracer swaps these module names after the learners are built
+        cfg = {"voxel": 0.025, "dictionary_size": 20, "topics": 8, "gibbs_iters": 10}
+        clouds = [views[0] for views in tiny_dataset.views.values()]
+        learners = []
+        for rep in REPRESENTATIONS:
+            dictionary = None
+            if rep in ("bow", "lda", "local_lda"):
+                dictionary = build_dictionary_from_clouds(clouds, ExperimentConfig(**cfg))
+            learners += [build_learner(ExperimentConfig(representation=rep, learner=mem, **cfg),
+                                       dictionary)
+                         for mem in LEARNERS if (rep, mem) != ("spinset", "bayes")]
+        assert len(learners) == 9
+        names = ("bayes_teach", "instance_teach", "classify_instances", "bayes_classify")
+        with contextlib.ExitStack() as patches:
+            spies = {name: patches.enter_context(
+                mock.patch.object(pipelines, name, wraps=getattr(pipelines, name)))
+                for name in names}
+            for learner in learners:
+                assert not {"teach", "classify"} & set(vars(learner))
+                calls = [spy.call_count for spy in spies.values()]
+                learner.teach("box", clouds[0])
+                learner.classify(clouds[1])
+                pair = ("bayes_teach", "bayes_classify") if learner.bayes else \
+                    ("instance_teach", "classify_instances")
+                assert [spy.call_count for spy in spies.values()] == [
+                    n + (name in pair) for n, name in zip(calls, names)]
 
 class TestCvPipeline:
     def test_good_cv_runs(self, tiny_dataset):
@@ -455,7 +514,7 @@ class TestCompactCounts:
         learner = build_learner(ExperimentConfig(representation="spinset"))
         for view in tiny_dataset.views["box"][:3]:
             learner.teach("box", view)
-        (category,) = learner.memory
+        (category,) = learner.memory.categories.values()
         assert all(inst.dtype == np.uint8 for inst in category.instances)
         saved = category.to_json_dict()
         assert all(isinstance(x, int) for inst in saved["instances"] for row in inst for x in row)
