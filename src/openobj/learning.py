@@ -62,80 +62,78 @@ class InstanceCategory(JsonRecord):
     dataset protocol initializes it from three views, so with only two the
     value is kept but flagged provisional.
 
-    Two caches derive from ``instances``, whose entries are treated as
-    immutable: the set distance of every ordered pair that ``icd`` has
-    computed, and the stacked instance matrix that OCD scores against. Each
-    remembers the instances it came from, by identity: the pairs are trimmed
-    to the longest unchanged prefix of ``instances`` and the stack is
-    rebuilt whenever the list differs, so editing ``instances`` directly is
-    safe. Neither is serialized. Instances are built or loaded as finite
-    1-D or 2-D float64 arrays; ``add`` checks one so, and as wide as the
-    first, then stores it as given (a spin set keeps its integer counts).
+    The instances live in one read-only (rows, d) matrix in their common
+    dtype, next to the first row of each instance and the rows' exact
+    squared norms (None when the exact product path does not apply).
+    ``instances`` is a tuple of read-only views into it, each of the shape
+    it was given, and the category only grows, so the set distances ``icd``
+    has computed stay on it by pair index. Direct edits of ``instances``
+    are not supported. Each instance is a finite, non-empty 1-D or 2-D
+    array as wide as the first; a built or loaded one is stored as float64,
+    an added one in its own dtype (a spin set keeps its integer counts).
+    Only ``instances`` and the ICD fields are serialized.
     """
 
     error = LearningError
     label: str
-    instances: list = field(default_factory=list)
+    instances: tuple = ()
     icd: float | None = None
     icd_provisional: bool = False
+    _matrix: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _starts: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _norms: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _paired: list = field(default_factory=list, init=False, repr=False, compare=False)
-    _stack: _Stack | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_fields(self, LearningError)
         if not isinstance(self.instances, (list, tuple)):
             raise LearningError("instances must be a list of arrays")
-        self.instances = [finite_array(x, (1, 2), LearningError, _INSTANCE) for x in self.instances]
+        given, self.instances = self.instances, ()
+        for x in given:
+            self._append(_instance(x))
+
+    @property
+    def width(self) -> int | None:
+        """The instances' width, None before the first."""
+        return None if self._matrix is None else self._matrix.shape[1]
 
     def add(self, representation, spread: bool = True):
         """Check, then store one instance; with ``spread`` keep the ICD current."""
-        width = finite_array(representation, (1, 2), LearningError, _INSTANCE).shape[-1]
-        if self.instances and width != np.shape(self.instances[0])[-1]:
-            raise LearningError(f"an instance of width {width} does not match the category's")
-        self.instances.append(np.asarray(representation))
+        self._append(_instance(representation), np.asarray(representation))
         if spread and len(self.instances) >= 2:
             self.icd = icd(self)
             self.icd_provisional = len(self.instances) < 3
 
-    def _pair_distances(self) -> dict:
-        """{(i, j): D(instance i, instance j)} for the pairs computed so far
-        whose instances are still at positions i and j."""
-        kept = _shared_prefix(self._paired, self.instances)
-        if kept < len(self._paired):
-            self._pairs = {ij: d for ij, d in self._pairs.items() if max(ij) < kept}
-        self._paired = list(self.instances)
-        return self._pairs
+    def _append(self, checked: np.ndarray, given: np.ndarray | None = None):
+        """Append one checked float64 instance's rows to the matrix, in the
+        ``given`` array's dtype when it is a number type."""
+        rows = checked.reshape(-1, checked.shape[-1])
+        norms = _exact_sq_norms(rows)  # from the float64 form: uint8 squares wrap
+        if given is not None and given.dtype.kind in "biuf":
+            rows = given.reshape(rows.shape)
+        if self._matrix is None:
+            self._starts, parts = [0], [rows]
+        elif rows.shape[1] != self.width:
+            raise LearningError(f"an instance of width {rows.shape[1]} does not match the category")
+        else:
+            self._starts.append(len(self._matrix))
+            parts = [self._matrix, rows]
+            exact = self._norms is not None and norms is not None
+            norms = np.concatenate([self._norms, norms]) if exact else None
+        self._matrix, self._norms = np.concatenate(parts), norms
+        self._matrix.flags.writeable = False
+        shapes = [x.shape for x in self.instances] + [checked.shape]
+        ends = self._starts[1:] + [len(self._matrix)]
+        self.instances = tuple(self._matrix[a:b].reshape(shape)
+                               for a, b, shape in zip(self._starts, ends, shapes))
 
-    def _stacked(self) -> _Stack:
-        """The stack of exactly the current instances, rebuilt if needed."""
-        stack = self._stack
-        if stack is None or len(stack.instances) != len(self.instances) or (
-            _shared_prefix(stack.instances, self.instances) < len(self.instances)
-        ):
-            self._stack = stack = _Stack.of(self.instances)
-        return stack
 
-
-@dataclass(frozen=True)
-class _Stack:
-    """A category's instances as one (N, d) matrix, its row squared norms
-    and the first row of each instance. ``norms`` is None, and OCD goes
-    instance by instance, when the exact product path does not apply."""
-
-    instances: tuple
-    matrix: np.ndarray
-    norms: np.ndarray | None
-    offsets: np.ndarray
-
-    @classmethod
-    def of(cls, instances) -> _Stack:
-        mats = [_as_feature_matrix(inst) for inst in instances]
-        if len({m.shape[1] for m in mats}) != 1:
-            raise LearningError(f"instances of unequal width {[m.shape[1] for m in mats]}")
-        matrix = np.vstack(mats)
-        offsets = np.cumsum([0] + [len(m) for m in mats[:-1]])
-        return cls(tuple(instances), matrix, _exact_sq_norms(matrix), offsets)
+def _instance(x) -> np.ndarray:
+    """``x`` as a finite, non-empty 1-D or 2-D float64 array, or raise."""
+    checked = finite_array(x, (1, 2), LearningError, _INSTANCE)
+    if checked.size == 0:
+        raise LearningError("an instance must not be empty")
+    return checked
 
 
 def _load_categories(categories, kind) -> dict:
@@ -159,26 +157,21 @@ class InstanceMemory(JsonRecord):
         self.categories = _load_categories(self.categories, InstanceCategory)
         if any(label != cat.label for label, cat in self.categories.items()):
             raise LearningError("each category must be filed under its own label")
+        if len({cat.width for cat in self.categories.values()} - {None}) > 1:
+            raise LearningError("categories must hold instances of one width")
 
 
 def instance_teach(memory: InstanceMemory, label: str, x, spread: bool = True) -> InstanceMemory:
     """Store one instance under its label; a new label starts a category.
-    ``x`` is checked before anything is stored, and with ``spread`` the
-    category's ICD is kept current."""
+    ``x`` is checked before anything is stored, and is as wide as every
+    stored instance; with ``spread`` the category's ICD is kept current."""
+    width = _instance(x).shape[-1]
+    if any(cat.width not in (None, width) for cat in memory.categories.values()):
+        raise LearningError(f"an instance of width {width} does not match the memory's")
     category = memory.categories.get(label) or InstanceCategory(label)
     category.add(x, spread)
     memory.categories[label] = category
     return memory
-
-
-def _shared_prefix(old, new) -> int:
-    """How many leading entries two sequences share, by identity."""
-    n = 0
-    for a, b in zip(old, new):
-        if a is not b:
-            break
-        n += 1
-    return n
 
 
 @dataclass
@@ -252,7 +245,7 @@ def icd(category: InstanceCategory) -> float:
     n = len(instances)
     if n < 2:
         raise LearningError("intra-category distance needs at least 2 instances")
-    pairs = category._pair_distances()
+    pairs = category._pairs
     total = 0.0
     for i in range(n):
         for j in range(n):
@@ -265,16 +258,16 @@ def icd(category: InstanceCategory) -> float:
 
 def _instance_distances(target, category: InstanceCategory) -> list:
     """D(target, instance) for each instance of the category, in order: one
-    matrix product against the stacked instances, or set_distance per
-    instance when the stack or the target does not qualify."""
+    matrix product against the category's matrix, or set_distance per
+    instance when the matrix or the target does not qualify."""
     if not category.instances:
         raise LearningError(f"category {category.label!r} has no instances")
-    stack = category._stacked()
     mt = _as_feature_matrix(target)
     nt = _exact_sq_norms(mt)
-    if stack.norms is None or nt is None or mt.shape[1] != stack.matrix.shape[1]:
+    if category._norms is None or nt is None or mt.shape[1] != category.width:
         return [set_distance(target, inst) for inst in category.instances]
-    return _set_distances(mt, nt, stack.matrix, stack.norms, stack.offsets)
+    matrix = np.asarray(category._matrix, dtype=np.float64)
+    return _set_distances(mt, nt, matrix, category._norms, category._starts)
 
 
 def ocd_min(target, category: InstanceCategory) -> float:
@@ -338,7 +331,10 @@ def _per_category(query, check):
 
 
 def _fixed_vector(target) -> np.ndarray:
-    return finite_array(target, (1,), LearningError, "nn_fixed needs a finite fixed-size vector")
+    vector = finite_array(target, (1,), LearningError, "nn_fixed needs a finite fixed-size vector")
+    if not vector.size:
+        raise LearningError("an nn_fixed query must not be empty")
+    return vector
 
 
 def classify_instances(
@@ -370,13 +366,15 @@ def classify_instances(
             icd_bar = float(np.mean([c.icd for c in ready]))
             scores = {c.label: nocd_approach2(view(c.label), c, icd_bar) for c in ready}
     elif mode == "nn_fixed":
+        if metric not in _FIXED_METRICS:
+            raise LearningError(f"unknown nn_fixed metric {metric!r}")
         view = _per_category(target, _fixed_vector)
         dist = _FIXED_METRICS[metric]
         for cat in categories:
             if not cat.instances:
                 raise LearningError(f"category {cat.label!r} has no instances")
             target_vec = view(cat.label)
-            stored = cat._stacked().matrix
+            stored = np.asarray(cat._matrix, dtype=np.float64)
             if len(stored) != len(cat.instances):
                 raise LearningError("nn_fixed needs one fixed-size vector per instance")
             if stored.shape[1] != target_vec.shape[0]:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from openobj.cli import SCHEMA, build_config, load_dataset, parse_config_file
 from openobj.errors import OpenobjError
@@ -256,3 +257,23 @@ def test_json_record(record, error, valid, data):
         return
     text = json.dumps(loaded.to_json_dict(), allow_nan=False)
     assert record.from_json_dict(json.loads(text)).to_json_dict() == loaded.to_json_dict()
+
+
+arrays = hnp.arrays(st.sampled_from([np.uint8, np.uint16, np.int64, np.float64, np.bool_]),
+                    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3))
+
+
+@FUZZ
+@given(st.lists(arrays | vectors | json_values, max_size=4), st.lists(arrays | vectors, max_size=3))
+def test_instance_category_from_any_instances(instances, added):
+    """Any instance list builds a category or raises LearningError, and so
+    does any later add."""
+    try:
+        category = InstanceCategory("x", instances)
+    except LearningError:
+        return
+    for x in added:
+        try:
+            category.add(x)
+        except LearningError:
+            pass

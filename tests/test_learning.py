@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
@@ -159,16 +159,14 @@ def spin_like(rng, rows=None, width=6):
     return rng.poisson(2.0, size=(rows, width)).astype(np.float64)
 
 
-def categories_three_ways(rng, n=5):
-    """The same instances in a category built by add, one built by direct
-    appends to ``instances``, and one loaded back through JSON."""
-    instances = [spin_like(rng) for _ in range(n)]
-    added, appended = InstanceCategory("x"), InstanceCategory("x")
+def categories_three_ways(instances):
+    """The same instances in a category built by add, one built from the
+    list and one loaded back through JSON."""
+    added = InstanceCategory("x")
     for inst in instances:
         added.add(inst)
-        appended.instances.append(inst)
     loaded = InstanceCategory.from_json_dict(json.loads(json.dumps(added.to_json_dict())))
-    return instances, {"add": added, "append": appended, "json": loaded}
+    return {"add": added, "build": InstanceCategory("x", instances), "json": loaded}
 
 
 def icd_oracle(instances) -> float:
@@ -183,12 +181,12 @@ def icd_oracle(instances) -> float:
 
 
 class TestStackedOcd:
-    @pytest.mark.parametrize("how", ["add", "append", "json"])
+    @pytest.mark.parametrize("how", ["add", "build", "json"])
     @pytest.mark.parametrize("seed", range(5))
     def test_equals_the_per_instance_loop(self, how, seed):
         rng = np.random.default_rng(seed)
-        instances, cats = categories_three_ways(rng)
-        cat = cats[how]
+        instances = [spin_like(rng) for _ in range(5)]
+        cat = categories_three_ways(instances)[how]
         for rows in (1, 7, 9, 150, 300):  # numpy sums 8 or more values pairwise
             target = spin_like(rng, rows=rows)
             each = [cdist_distance(target, inst) for inst in instances]
@@ -197,53 +195,49 @@ class TestStackedOcd:
                 assert ocd_mean(target, cat) == float(np.mean(each))
             per_instance.assert_not_called()
 
-    def test_stack_follows_direct_edits(self):
-        rng = np.random.default_rng(7)
-        _, cats = categories_three_ways(rng, n=3)
-        cat = cats["add"]
-        target = spin_like(rng)
-        ocd_min(target, cat)  # builds the stack
-        cat.instances.append(spin_like(rng))
-        cat.instances[0] = spin_like(rng)
-        each = [cdist_distance(target, inst) for inst in cat.instances]
-        assert ocd_mean(target, cat) == float(np.mean(each))
-        del cat.instances[1]
-        each = [cdist_distance(target, inst) for inst in cat.instances]
-        assert ocd_min(target, cat) == min(each)
-        assert ocd_mean(target, cat) == float(np.mean(each))
-
     @pytest.mark.parametrize("odd", ["non-integer instance", "non-integer target"])
     def test_inexact_input_scores_instance_by_instance(self, odd):
         rng = np.random.default_rng(8)
-        instances, cats = categories_three_ways(rng, n=3)
+        instances = [spin_like(rng) for _ in range(3)]
         target = spin_like(rng)
         if odd == "non-integer target":
             target = target + 0.25
         else:
-            cats["add"].instances[1] = instances[1] = instances[1] + 0.5
+            instances[1] = instances[1] + 0.5
         each = [cdist_distance(target, inst) for inst in instances]
-        with mock.patch.object(learning, "set_distance", wraps=learning.set_distance) as spy:
-            assert ocd_min(target, cats["add"]) == min(each)
-        assert spy.call_count == 3
+        for cat in categories_three_ways(instances).values():
+            with mock.patch.object(learning, "set_distance", wraps=learning.set_distance) as spy:
+                assert ocd_min(target, cat) == min(each)
+            assert spy.call_count == 3
 
-    def test_unequal_widths_score_instance_by_instance(self):
+    def test_unequal_widths_refused_when_built(self):
         rng = np.random.default_rng(9)
-        cat = InstanceCategory("x", [spin_like(rng), spin_like(rng, width=7)])
-        with pytest.raises(LearningError, match="unequal width"):
-            ocd_min(spin_like(rng), cat)
+        with pytest.raises(LearningError, match="width 7 does not match the category"):
+            InstanceCategory("x", [spin_like(rng), spin_like(rng, width=7)])
 
-    def test_unequal_widths_rejected_by_the_stack(self):
-        # the stack refuses the category before any pair is scored
+    def test_unequal_widths_refused_when_loaded(self):
         rng = np.random.default_rng(9)
-        cat = InstanceCategory("x", [spin_like(rng), spin_like(rng, width=7)])
-        with mock.patch.object(learning, "set_distance") as per_instance:
-            with pytest.raises(LearningError, match=r"instances of unequal width \[.*, 7\]"):
-                ocd_mean(spin_like(rng), cat)
-        per_instance.assert_not_called()
+        saved = {"label": "x", "instances": [spin_like(rng, width=7).tolist(), [1.0] * 6],
+                 "icd": None, "icd_provisional": False}
+        with pytest.raises(LearningError, match="width 6 does not match the category"):
+            InstanceCategory.from_json_dict(saved)
 
     def test_empty_category_rejected(self):
         with pytest.raises(LearningError, match="no instances"):
             ocd_mean(spin_like(np.random.default_rng(0)), InstanceCategory("x"))
+
+    def test_direct_edits_are_refused(self):
+        rng = np.random.default_rng(7)
+        cat = InstanceCategory("x")
+        for _ in range(3):
+            cat.add(spin_like(rng))
+        with pytest.raises(ValueError, match="read-only"):
+            cat.instances[0][0, 0] = 5.0
+        with pytest.raises(ValueError):
+            cat.instances[1].flags.writeable = True
+        with pytest.raises(AttributeError):
+            cat.instances.append(spin_like(rng))
+        assert len(cat.instances) == 3
 
 
 class TestIncrementalIcd:
@@ -260,18 +254,6 @@ class TestIncrementalIcd:
             if k >= 2:
                 assert cat.icd == icd_oracle(cat.instances)
 
-    def test_follows_direct_edits(self):
-        rng = np.random.default_rng(3)
-        cat = InstanceCategory("x")
-        for _ in range(4):
-            cat.add(spin_like(rng))
-        cat.instances[2] = spin_like(rng)
-        assert icd(cat) == icd_oracle(cat.instances)
-        cat.instances.append(spin_like(rng))
-        assert icd(cat) == icd_oracle(cat.instances)
-        cat.instances = cat.instances[1:]
-        assert icd(cat) == icd_oracle(cat.instances)
-
     @pytest.mark.parametrize("seed", range(3))
     def test_half_json_rest_equals_teaching_all(self, seed):
         rng = np.random.default_rng(seed)
@@ -287,6 +269,46 @@ class TestIncrementalIcd:
             resumed.add(view)
         assert resumed.icd == whole.icd
         assert resumed.icd_provisional == whole.icd_provisional
+
+
+# A random instance of each kind; shape (width,) or (rows, width).
+INSTANCE_KINDS = {
+    "uint8": lambda rng, shape: rng.integers(0, 256, shape).astype(np.uint8),
+    "uint16": lambda rng, shape: rng.integers(0, 2**16, shape).astype(np.uint16),
+    "whole float64": lambda rng, shape: rng.integers(-9, 10, shape).astype(np.float64),
+    "float64": lambda rng, shape: rng.normal(0.0, 3.0, shape),
+}
+
+
+class TestOneMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(sorted(INSTANCE_KINDS)), st.integers(0, 4)),
+                    min_size=1, max_size=6),
+           st.integers(1, 5), st.integers(0, 2**32 - 1))
+    @example([("uint8", 2), ("uint16", 0), ("uint8", 3)], 4, 0)
+    def test_one_copy_same_bits(self, adds, width, seed):
+        # each add is (kind, rows), and 0 rows means a 1-D vector
+        rng = np.random.default_rng(seed)
+        given = [INSTANCE_KINDS[kind](rng, (rows, width) if rows else (width,))
+                 for kind, rows in adds]
+        cat = InstanceCategory("x")
+        for x in given:
+            cat.add(x)
+        assert sum(v.nbytes for v in cat.instances) == cat._matrix.nbytes
+        for view, x in zip(cat.instances, given, strict=True):
+            assert view.shape == x.shape and np.array_equal(view, x)
+            assert np.shares_memory(view, cat._matrix)
+        if len(given) >= 2:
+            assert cat.icd == icd(cat) == icd_oracle(given)
+        rows = int(rng.integers(1, 12))
+        for target in (rng.integers(0, 300, (rows, width)).astype(np.float64),
+                       rng.normal(0.0, 3.0, (rows, width))):
+            each = [cdist_distance(target, x) for x in given]
+            assert ocd_min(target, cat) == min(each)
+            assert ocd_mean(target, cat) == float(np.mean(each))
+        saved = json.loads(json.dumps(cat.to_json_dict()))
+        back = InstanceCategory.from_json_dict(saved)
+        assert json.loads(json.dumps(back.to_json_dict())) == saved
 
 
 class TestIcd:
@@ -461,21 +483,29 @@ class TestClassifyInstances:
 
 
     def test_instances_of_unequal_length_rejected(self):
-        mem = memory_of([InstanceCategory("a", [np.zeros(2), np.ones(3)])])
-        with pytest.raises(LearningError, match="unequal width"):
-            classify_instances(np.zeros(2), mem, mode="nn_fixed")
+        with pytest.raises(LearningError, match="width 3 does not match the category"):
+            InstanceCategory("a", [np.zeros(2), np.ones(3)])
 
     def test_a_feature_set_instance_rejected(self):
         mem = memory_of([InstanceCategory("a", [np.arange(6.0).reshape(2, 3)])])
         with pytest.raises(LearningError, match="one fixed-size vector per instance"):
             classify_instances(np.arange(3.0), mem, mode="nn_fixed")
 
-    def test_queries_reuse_the_category_stack(self):
-        mem = self.fixed_memory()
-        with mock.patch.object(learning._Stack, "of", wraps=learning._Stack.of) as stack:
-            for query in ([0.0, 0.0], [1.0, 0.5], [2.0, 2.0]):
-                classify_instances(np.array(query), memory_of(mem), mode="nn_fixed")
-        assert stack.call_count == 2  # once per category
+    def test_views_share_the_category_matrix(self):
+        for cat in self.fixed_memory():
+            assert all(np.shares_memory(inst, cat._matrix) for inst in cat.instances)
+            assert sum(inst.nbytes for inst in cat.instances) == cat._matrix.nbytes
+            classify_instances(np.array([0.0, 0.0]), memory_of([cat]), mode="nn_fixed")
+            assert all(np.shares_memory(inst, cat._matrix) for inst in cat.instances)
+
+    def test_empty_query_rejected(self):
+        with pytest.raises(LearningError, match="must not be empty"):
+            classify_instances(np.zeros(0), memory_of(self.fixed_memory()), mode="nn_fixed")
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(LearningError, match="unknown nn_fixed metric 'cosine'"):
+            classify_instances(np.zeros(2), memory_of(self.fixed_memory()), metric="cosine")
+
 
 def classify_sets_oracle(target, memory, mode, ct=None):
     """The Learner's spin-set rule as it stood before classify_instances
@@ -1007,8 +1037,40 @@ class TestInstanceMemory:
         for x in counts:
             instance_teach(memory, "x", x)
         (cat,) = memory.categories.values()
-        assert all(a is b for a, b in zip(cat.instances, counts, strict=True))
+        for stored, given in zip(cat.instances, counts, strict=True):
+            assert np.array_equal(stored, given) and stored.dtype == np.uint8
+            assert stored.shape == given.shape and not stored.flags.writeable
         assert cat.icd == icd(InstanceCategory("x", counts)) and cat.icd_provisional
+
+    @pytest.mark.parametrize("spread", [False, True])
+    @pytest.mark.parametrize("empty", [np.zeros((0, 2)), np.zeros(0), np.zeros((2, 0))],
+                             ids=["no rows", "empty vector", "no columns"])
+    def test_an_empty_instance_is_refused(self, empty, spread):
+        memory = InstanceMemory()
+        with pytest.raises(LearningError, match="must not be empty"):
+            instance_teach(memory, "x", empty, spread=spread)
+        assert memory.categories == {}
+        instance_teach(memory, "x", feats([0, 0]))
+        instance_teach(memory, "x", feats([2, 0]))
+        with pytest.raises(LearningError, match="must not be empty"):
+            instance_teach(memory, "x", empty, spread=spread)
+        (cat,) = memory.categories.values()
+        assert len(cat.instances) == 2 and cat.icd == 2.0
+        with pytest.raises(LearningError, match="must not be empty"):
+            InstanceCategory("x", [feats([0, 0]), empty])
+
+    def test_one_width_per_memory(self):
+        memory = InstanceMemory()
+        instance_teach(memory, "a", np.zeros(2))
+        with pytest.raises(LearningError, match="width 3 does not match the memory"):
+            instance_teach(memory, "b", np.ones(3))
+        assert list(memory.categories) == ["a"]
+        instance_teach(memory, "b", np.ones(2))
+        assert classify_instances(np.ones(2), memory).label == "b"
+        with pytest.raises(LearningError, match="instances of one width"):
+            InstanceMemory({"a": InstanceCategory("a", [np.zeros(2)]),
+                            "b": InstanceCategory("b", [np.ones(3)])})
+        InstanceMemory({"a": InstanceCategory("a", [np.zeros(2)]), "b": InstanceCategory("b")})
 
     def test_spread_off_keeps_no_icd(self):
         memory = InstanceMemory()
