@@ -4,16 +4,7 @@ renders, discount far poses, and sample the next view."""
 
 import numpy as np
 
-from openobj.nbv import (
-    CameraPose,
-    SegmentedScene,
-    render_virtual,
-    select_next_view,
-    viewpoint_entropy,
-    weighted_entropy,
-)
-from openobj.pointcloud import PointCloud
-from openobj.segmentation import euclidean_cluster
+from openobj.nbv import CameraPose, rank_views
 from openobj.synthgen import ShapeSpec, generate_scene
 
 objects = [
@@ -30,22 +21,12 @@ candidates = [
     for x, y in [(0.0, 0.0), (0.4, 0.0), (-0.4, 0.3), (0.8, -0.6)]
 ]
 
-weighted = []
-for i, pose in enumerate(candidates):
-    view = render_virtual(world, pose, resolution=96)
-    clusters = euclidean_cluster(view, link_dist=0.04, min_pts=10)
-    entropy = (
-        viewpoint_entropy(SegmentedScene(clusters=tuple(clusters), total_area=len(view)))
-        if clusters
-        else 0.0
-    )
-    hw = weighted_entropy(entropy, pose, current, sigma=0.5)
-    weighted.append((pose, hw))
-    print(f"pose {i} at {pose.translation}: {len(view)} visible points, "
-          f"{len(clusters)} clusters, H={entropy:.3f}, weighted={hw:.3f}")
+# the orthographic render depends only on the rotation, so these four poses
+# share one entropy and the travel weight alone tells them apart
+entropies, weighted, chosen = rank_views(world, candidates, current, sigma=0.5, resolution=96)
+for i, (pose, entropy, hw) in enumerate(zip(candidates, entropies, weighted)):
+    print(f"pose {i} at {pose.translation}: H={entropy:.3f}, weighted={hw:.3f}")
 
-probs = np.array([w for _, w in weighted])
-probs /= probs.sum()
+probs = np.array(weighted) / sum(weighted)
 print(f"selection probabilities: {np.round(probs, 3)}")
-chosen = select_next_view(weighted, seed=0)
-print(f"next view: translation {chosen.translation}")
+print(f"next view: pose {chosen}, translation {candidates[chosen].translation}")

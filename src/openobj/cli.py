@@ -31,7 +31,7 @@ from .evaluation import (
     run_protocol,
     write_summary_csv,
 )
-from .nbv import load_poses, render_virtual, SegmentedScene, select_next_view, viewpoint_entropy, weighted_entropy
+from .nbv import load_poses, rank_views
 from .pipelines import (
     ExperimentConfig,
     build_dictionary_from_clouds,
@@ -40,7 +40,6 @@ from .pipelines import (
 )
 from .pointcloud import load_pcd
 from .representations import Dictionary, RepresentationError, bow_encode
-from .segmentation import euclidean_cluster
 from .synthgen import CategorySpec, generate_dataset
 
 DEFAULT_CATEGORIES = (
@@ -294,39 +293,16 @@ def cmd_nbv(args) -> int:
     index = args.current if args.current is not None else 0
     if not 0 <= index < len(poses):
         raise CliError(f"--current {index} is not one of the {len(poses)} poses")
-    current = poses[index]
-    ranked = []
-    candidates = []
-    for i, pose in enumerate(poses):
-        view = render_virtual(world, pose, resolution=config.nbv_resolution)
-        # cluster the rendered view; no table assumption so renders from
-        # any direction stay usable
-        clusters = euclidean_cluster(view, link_dist=0.03, min_pts=5) if len(view) else []
-        if clusters:
-            scene = SegmentedScene(clusters=tuple(clusters), total_area=len(view))
-            entropy = viewpoint_entropy(scene)
-        else:
-            entropy = 0.0
-        weighted = weighted_entropy(entropy, pose, current, config.sigma_nbv)
-        candidates.append((pose, weighted))
-        ranked.append(
-            {
-                "index": i,
-                "translation": pose.translation.tolist(),
-                "entropy": entropy,
-                "weighted_entropy": weighted,
-            }
-        )
-    total = sum(r["weighted_entropy"] for r in ranked)
-    for r in ranked:
-        r["probability"] = r["weighted_entropy"] / total if total > 0 else 0.0
+    entropies, weighted, selected = rank_views(
+        world, poses, poses[index], config.sigma_nbv, config.nbv_resolution, config.seed
+    )
+    total = sum(weighted)
+    ranked = [
+        {"index": i, "translation": pose.translation.tolist(), "entropy": entropy,
+         "weighted_entropy": w, "probability": w / total if total > 0 else 0.0}
+        for i, (pose, entropy, w) in enumerate(zip(poses, entropies, weighted))
+    ]
     ranked.sort(key=lambda r: -r["weighted_entropy"])
-    selected = None
-    if total > 0:
-        pose = select_next_view(candidates, seed=config.seed)
-        selected = next(
-            i for i, p in enumerate(poses) if p is pose
-        )
     payload = {"ranked": ranked, "selected_index": selected}
     out_dir = args.out_dir
     if out_dir:

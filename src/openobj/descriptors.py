@@ -55,7 +55,7 @@ class DescriptorError(OpenobjError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GoodDescriptor:
     """Concatenation of three flattened n x n projection distributions.
 
@@ -89,7 +89,7 @@ class GoodDescriptor:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureSet:
     """The spin images of one object view.
 

@@ -43,7 +43,7 @@ class EvaluationError(OpenobjError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfusionMatrix:
     """Rows = true label, columns = predicted label."""
 

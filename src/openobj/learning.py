@@ -54,7 +54,7 @@ def _as_feature_matrix(rep) -> np.ndarray:
     return rep
 
 
-@dataclass
+@dataclass(eq=False)
 class InstanceCategory(JsonRecord):
     """Instance store of one category plus its intra-category distance.
 
@@ -145,7 +145,7 @@ def _load_categories(categories, kind) -> dict:
             for label, cat in categories.items()}
 
 
-@dataclass
+@dataclass(eq=False)
 class InstanceMemory(JsonRecord):
     """Instance categories by label, each filed under its own label.
     ``instance_teach`` grows it; ``classify_instances`` reads it."""
@@ -401,7 +401,7 @@ def lowest_score(scores: dict, ct: float | None = None) -> Prediction:
 # Naive Bayes model-based learning
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class BayesCategory(JsonRecord):
     """Category model: instance count and per-bin accumulators."""
 
@@ -421,7 +421,7 @@ class BayesCategory(JsonRecord):
         return smoothed / smoothed.sum()
 
 
-@dataclass
+@dataclass(eq=False)
 class BayesMemory(JsonRecord):
     """Category models by label, all of one width. A category given in its
     JSON form is loaded."""

@@ -1,7 +1,7 @@
 """Next-best-view selection: viewpoint entropy over segmented scenes,
 orthographic depth-buffer rendering of virtual views, Gaussian distance
-weighting and probabilistic view sampling.
-"""
+weighting and probabilistic view selection, composed by ``rank_views``
+into the one render -> cluster -> entropy -> weight -> sample policy."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import OpenobjError, check_count, check_pose
 from .pointcloud import PointCloud
+from .segmentation import euclidean_cluster
 
 __all__ = [
     "CameraPose",
@@ -20,28 +21,34 @@ __all__ = [
     "render_virtual",
     "weighted_entropy",
     "select_next_view",
+    "rank_views",
     "load_poses",
     "NbvError",
 ]
 
 DEFAULT_RESOLUTION = 128
 EXTENT_MARGIN = 0.05  # orthographic window grows 5 % past the scene AABB
+# rank_views clusters renders with no table assumption (any direction works)
+CLUSTER_LINK_DIST, CLUSTER_MIN_PTS = 0.03, 5
 
 
 class NbvError(OpenobjError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CameraPose:
     """Camera-to-world rotation and translation; the camera looks along
-    its local +Z axis."""
+    its local +Z axis. The rotation must be orthonormal (max |R^T R - I|
+    at most 1e-9) with determinant +1."""
 
     rotation: np.ndarray
     translation: np.ndarray
 
     def __post_init__(self):
         check_pose(self, NbvError)
+        if np.max(np.abs(self.rotation.T @ self.rotation - np.eye(3))) > 1e-9:
+            raise NbvError("camera rotation must be orthonormal")
         if abs(np.linalg.det(self.rotation) - 1.0) > 1e-9:
             raise NbvError("camera rotation must have determinant +1")
 
@@ -124,12 +131,13 @@ def weighted_entropy(h: float, v: CameraPose, v_c: CameraPose, sigma: float) -> 
     return float(h * weight)
 
 
-def select_next_view(candidates, seed: int = 0) -> CameraPose:
-    """Sample a pose with probability proportional to its weighted
-    entropy; deterministic per seed."""
+def select_next_view(candidates, seed: int = 0):
+    """Sample one of the (item, weighted entropy) candidates with
+    probability proportional to its weight and return its item as given
+    (a pose, or an index); deterministic per seed."""
     if not candidates:
         raise NbvError("no candidate views")
-    poses = [pose for pose, _ in candidates]
+    items = [item for item, _ in candidates]
     weights = np.array([w for _, w in candidates], dtype=np.float64)
     if np.any(weights < 0):
         raise NbvError("weighted entropies must be non-negative")
@@ -138,7 +146,25 @@ def select_next_view(candidates, seed: int = 0) -> CameraPose:
         raise NbvError("all candidate weights are zero")
     rng = np.random.default_rng(seed)
     idx = int(np.searchsorted(np.cumsum(weights / total), rng.random(), side="right"))
-    return poses[min(idx, len(poses) - 1)]
+    return items[min(idx, len(items) - 1)]
+
+
+def rank_views(world, poses, current, sigma, resolution=DEFAULT_RESOLUTION, seed=0):
+    """Entropies of the poses' clustered renders (0.0 for an empty or
+    cluster-free render) and the same weighted by travel from ``current``,
+    in pose order, and the index sampled by weight (None if all are 0)."""
+    if not poses:
+        raise NbvError("no candidate views")
+    entropies, weights = [], []
+    for pose in poses:
+        view = render_virtual(world, pose, resolution)
+        clusters = euclidean_cluster(view, CLUSTER_LINK_DIST, CLUSTER_MIN_PTS)
+        scene = SegmentedScene(tuple(clusters), total_area=len(view))
+        entropies.append(viewpoint_entropy(scene) if clusters else 0.0)
+        weights.append(weighted_entropy(entropies[-1], pose, current, sigma))
+    if not any(w > 0 for w in weights):
+        return entropies, weights, None
+    return entropies, weights, select_next_view(list(enumerate(weights)), seed=seed)
 
 
 def load_poses(path) -> list:

@@ -76,7 +76,7 @@ class PointCloud:
         return PointCloud(self.points @ rotation.T + translation, self.colors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceFrame:
     """Object-centered coordinate system: origin and orthonormal axes.
 

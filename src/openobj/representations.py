@@ -45,7 +45,7 @@ class RepresentationError(OpenobjError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dictionary(JsonRecord):
     """Visual words: cluster centers in flattened spin-image space."""
 
@@ -83,7 +83,7 @@ def _counter(value, shape: tuple, name: str) -> np.ndarray:
     return counts
 
 
-@dataclass
+@dataclass(eq=False)
 class TopicModel(JsonRecord):
     """Word-topic counters for collapsed Gibbs sampling.
 
@@ -123,7 +123,7 @@ class TopicModel(JsonRecord):
             raise RepresentationError("n_k must equal the column sums of n_wk")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TopicHistogram:
     """Smoothed topic distribution of one object view, plus the raw
     per-topic assignment counts it was derived from."""

@@ -31,7 +31,7 @@ class SegmentationError(OpenobjError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Plane:
     """Plane {p : normal . p + d = 0} with the indices of its inliers in
     the scene cloud it was fitted to."""

@@ -50,7 +50,7 @@ def _check_shape(spec) -> None:
         raise SynthgenError(f"noise_sigma must be non-negative, got {spec.noise_sigma}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShapeSpec:
     """One parametric object view: primitive kind, metric dimensions,
     sample count, per-axis Gaussian noise and a rigid pose."""

@@ -1,6 +1,7 @@
 """Each library module's ``__all__`` lists exactly its public names, each
 frozen parameter record checks every field by the one field rule, each
-JSON record keeps its keys, and every count argument takes an integer."""
+JSON record keeps its keys, each record that holds arrays compares by
+identity, and every count argument takes an integer."""
 
 import importlib
 import inspect
@@ -10,8 +11,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from openobj.descriptors import DescriptorError, compute_spin_image
+from openobj.descriptors import DescriptorError, FeatureSet, GoodDescriptor, compute_spin_image
 from openobj.evaluation import (
+    ConfusionMatrix,
     EvaluationError,
     LabeledDataset,
     ProtocolEvent,
@@ -28,17 +30,19 @@ from openobj.learning import (
     bayes_teach,
     instance_teach,
 )
+from openobj.nbv import CameraPose
 from openobj.pipelines import ConfigError, ExperimentConfig
-from openobj.pointcloud import PointCloud
+from openobj.pointcloud import PointCloud, ReferenceFrame
 from openobj.representations import (
     Dictionary,
     RepresentationError,
+    TopicHistogram,
     TopicModel,
     build_dictionary,
     lda_infer,
     lda_update,
 )
-from openobj.segmentation import SegmentationError, SegmentationParams, ransac_plane
+from openobj.segmentation import Plane, SegmentationError, SegmentationParams, ransac_plane
 from openobj.synthgen import CategorySpec, ShapeSpec, SynthgenError, generate_dataset
 
 LIBRARY_MODULES = [
@@ -125,6 +129,34 @@ def test_json_keys_are_pinned():
         assert set(record.to_json_dict()) == JSON_KEYS[type(record)]
     assert set(records[4].to_json_dict()["categories"]["mug"]) == JSON_KEYS[BayesCategory]
     assert set(records[6].to_json_dict()["categories"]["mug"]) == JSON_KEYS[InstanceCategory]
+
+
+# records that hold arrays; two calls of a builder give records of equal contents
+ARRAY_RECORDS = {
+    ReferenceFrame: lambda: ReferenceFrame(np.zeros(3), np.eye(3)),
+    Plane: lambda: Plane(np.array([0.0, 0, 1]), 0.5, [1, 2]),
+    FeatureSet: lambda: FeatureSet(np.ones((2, 4)), np.zeros((2, 3)), np.zeros((2, 3))),
+    GoodDescriptor: lambda: GoodDescriptor(
+        np.ones(3), 1, ReferenceFrame(np.zeros(3), np.eye(3)), (0, 1, 2)
+    ),
+    Dictionary: lambda: Dictionary(np.eye(2)),
+    TopicHistogram: lambda: TopicHistogram(np.array([0.25, 0.75]), np.array([1, 3])),
+    TopicModel: lambda: TopicModel(k=2, v=3),
+    InstanceCategory: lambda: InstanceCategory("mug", [[1.0, 2.0], [3.0, 4.0]]),
+    InstanceMemory: lambda: InstanceMemory({"mug": InstanceCategory("mug", [[1.0, 2.0]])}),
+    BayesCategory: lambda: BayesCategory(1, np.array([1, 2])),
+    BayesMemory: lambda: BayesMemory({"mug": BayesCategory(1, np.array([1, 2]))}),
+    ConfusionMatrix: lambda: ConfusionMatrix(("a", "b"), np.eye(2, dtype=int)),
+    CameraPose: lambda: CameraPose(np.eye(3), np.zeros(3)),
+    ShapeSpec: lambda: ShapeSpec(**SHAPE),
+}
+
+
+@pytest.mark.parametrize("build", ARRAY_RECORDS.values(), ids=[c.__name__ for c in ARRAY_RECORDS])
+def test_array_records_compare_by_identity(build):
+    a, b = build(), build()
+    assert a == a and not a == b and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 def dataset():

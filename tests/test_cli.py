@@ -474,3 +474,14 @@ class TestNbv:
         run_cli("nbv", str(world), str(poses), "--seed", "11")
         second = capsys.readouterr().out
         assert first == second
+
+    def test_non_rotation_refused(self, tmp_path, capsys):
+        world = self.make_world(tmp_path)
+        poses = self.poses_file(tmp_path, 3)
+        payload = json.loads(poses.read_text())
+        payload[2]["rotation"] = np.diag([2.0, 0.5, 1.0]).ravel().tolist()
+        poses.write_text(json.dumps(payload))
+        assert run_cli("nbv", str(world), str(poses)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "pose 2: camera rotation must be orthonormal" in captured.err

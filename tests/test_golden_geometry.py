@@ -1,6 +1,6 @@
-"""Golden SHA-256 hashes of two geometry outputs: the GOOD descriptor that
-`describe --type good` prints, and the candidates `detect_objects` keeps
-on three fixed table scenes.
+"""Golden SHA-256 hashes of three geometry outputs: the GOOD descriptor
+that `describe --type good` prints, the ranking `nbv` prints, and the
+candidates `detect_objects` keeps on three fixed table scenes.
 
 The scenes exercise both parts of the candidate filter: scene 2 has boxes
 at several distances from the table edge and one rod longer than
@@ -8,6 +8,7 @@ at several distances from the table edge and one rod longer than
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from openobj.segmentation import SegmentationParams, detect_objects
 from openobj.synthgen import ShapeSpec, generate_scene, generate_view, random_rotation
 
 GOOD_DESCRIBE = "659a63632d09a678f3bddfbd93fd711e626819094040d59d2cb59785c5f80e55"
+NBV_RANKING = "40b1328cbf88dd03f1f82c92910829628cfe07389340c34fe4ab9766459afba6"
 
 
 def test_describe_good_matches_golden(tmp_path, capsys):
@@ -27,6 +29,45 @@ def test_describe_good_matches_golden(tmp_path, capsys):
     assert main(["describe", str(pcd), "--type", "good"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOOD_DESCRIBE
+
+
+def nbv_case(tmp_path):
+    """A table scene with a sphere 30 m down the x axis, and nine poses.
+
+    Eight poses look back along -x with different rolls, so the scene-fitted
+    render window stays narrow and every render has clusters. The ninth
+    looks down: its window spans the 30 m, the render keeps 39 points too
+    far apart to link, and its entropy is 0.
+    """
+    objects = [
+        ShapeSpec("box", (0.1, 0.08, 0.1), points=500, translation=(0.3, 0.1, 0.05), seed=1),
+        ShapeSpec("cylinder", (0.04, 0.14), points=500, translation=(-0.2, -0.15, 0.07), seed=2),
+        ShapeSpec("sphere", (0.05,), points=500, translation=(30.0, 0.0, 0.05), seed=3),
+    ]
+    world, _ = generate_scene(objects, seed=5, n_outliers=30)
+    side = np.array([[0.0, 0, -1], [0, 1, 0], [1, 0, 0]])
+    poses = []
+    for k in range(8):
+        a = np.radians(25 * k)
+        roll = np.array([[np.cos(a), -np.sin(a), 0], [np.sin(a), np.cos(a), 0], [0, 0, 1]])
+        poses.append({"rotation": (side @ roll).ravel().tolist(),
+                      "translation": [31.0 + 0.1 * k, 0.2 * np.sin(k), 0.8 + 0.05 * k]})
+    poses.append({"rotation": [1.0, 0, 0, 0, -1, 0, 0, 0, -1], "translation": [0.0, 0, 2.5]})
+    save_pcd(tmp_path / "world.pcd", world)
+    (tmp_path / "poses.json").write_text(json.dumps(poses))
+    return str(tmp_path / "world.pcd"), str(tmp_path / "poses.json")
+
+
+def test_nbv_matches_golden(tmp_path, capsys):
+    world, poses = nbv_case(tmp_path)
+    assert main(["nbv", world, poses, "--current", "3", "--seed", "7"]) == 0
+    out = capsys.readouterr().out
+    ranked = json.loads(out)["ranked"]
+    assert len(ranked) == 9 and ranked[-1] == {
+        "entropy": 0.0, "index": 8, "probability": 0.0, "translation": [0.0, 0.0, 2.5],
+        "weighted_entropy": 0.0,
+    }
+    assert hashlib.sha256(out.encode()).hexdigest() == NBV_RANKING
 
 
 def scene_inside():

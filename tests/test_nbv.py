@@ -5,17 +5,21 @@ import json
 import numpy as np
 import pytest
 
+from openobj import nbv
 from openobj.nbv import (
     CameraPose,
     NbvError,
     SegmentedScene,
     load_poses,
+    rank_views,
     render_virtual,
     select_next_view,
     viewpoint_entropy,
     weighted_entropy,
 )
 from openobj.pointcloud import PointCloud
+from openobj.segmentation import euclidean_cluster
+from openobj.synthgen import ShapeSpec, generate_scene, random_rotation
 
 
 def cluster(n, offset=0.0):
@@ -169,12 +173,130 @@ class TestSelectNextView:
         with pytest.raises(NbvError):
             select_next_view([(p1, 1.0), (p2, -0.5)], seed=0)
 
+    def test_returns_the_item_as_given(self):
+        assert select_next_view([(7, 0.0), ("x", 1.0)], seed=3) == "x"
+
+
+def table_world(seed=0):
+    objects = [
+        ShapeSpec("box", (0.1, 0.08, 0.1), points=300, translation=(0.25, 0.1, 0.05), seed=1),
+        ShapeSpec("cylinder", (0.04, 0.14), points=300, translation=(-0.2, -0.1, 0.07), seed=2),
+        ShapeSpec("sphere", (0.05,), points=300, translation=(0.0, 0.2, 0.05), seed=3),
+    ]
+    return generate_scene(objects, seed=seed, n_outliers=20)[0]
+
+
+def random_poses(n, seed):
+    rng = np.random.default_rng(seed)
+    return [CameraPose(random_rotation(rng), rng.uniform(-1, 1, 3)) for _ in range(n)]
+
+
+def sparse_world():
+    """Points 1 m apart: every render keeps some, none of them link."""
+    return PointCloud(np.array([[i, (i * 7) % 5, (i * 3) % 4] for i in range(12)], dtype=float))
+
+
+class Spy:
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.fn(*args, **kwargs)
+
+
+class TestRankViews:
+    def test_clustering_constants(self):
+        assert (nbv.CLUSTER_LINK_DIST, nbv.CLUSTER_MIN_PTS) == (0.03, 5)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_equals_the_per_pose_loop(self, seed):
+        world = table_world(seed)
+        poses = random_poses(9, seed)
+        current = poses[seed % 9]
+        entropies, candidates = [], []
+        for pose in poses:
+            view = render_virtual(world, pose, 96)
+            clusters = euclidean_cluster(view, link_dist=0.03, min_pts=5)
+            h = viewpoint_entropy(SegmentedScene(tuple(clusters), len(view))) if clusters else 0.0
+            entropies.append(h)
+            candidates.append((pose, weighted_entropy(h, pose, current, 0.7)))
+        chosen = select_next_view(candidates, seed=seed)
+        expected = next(i for i, pose in enumerate(poses) if pose is chosen)
+        got = rank_views(world, poses, current, 0.7, resolution=96, seed=seed)
+        assert got == (entropies, [w for _, w in candidates], expected)
+        assert all(h > 0 for h in entropies)
+
+    def test_empty_and_clusterless_renders_score_zero(self, monkeypatch):
+        world = table_world()
+        poses = random_poses(3, 5)
+
+        def render(world, pose, resolution):
+            if pose is poses[0]:
+                return world.select(np.array([], dtype=np.int64))
+            if pose is poses[1]:
+                return sparse_world()
+            return render_virtual(world, pose, resolution)
+
+        monkeypatch.setattr(nbv, "render_virtual", render)
+        entropies, weights, chosen = rank_views(world, poses, poses[2], 1.0)
+        assert entropies[:2] == [0.0, 0.0] and weights[:2] == [0.0, 0.0]
+        assert entropies[2] > 0 and chosen == 2
+
+    def test_all_zero_weights_select_none(self, monkeypatch):
+        spy = Spy(select_next_view)
+        monkeypatch.setattr(nbv, "select_next_view", spy)
+        poses = random_poses(4, 6)
+        entropies, weights, chosen = rank_views(sparse_world(), poses, poses[0], 0.5)
+        assert entropies == weights == [0.0] * 4
+        assert chosen is None and spy.calls == 0
+
+    def test_empty_pose_list_rejected(self):
+        with pytest.raises(NbvError):
+            rank_views(table_world(), [], looking_down_pose(), 0.5)
+
+    def test_repeated_pose_gives_the_sampled_index(self):
+        world = table_world()
+        pose = random_poses(1, 7)[0]
+        drawn = []
+        for seed in range(12):
+            entropies, weights, chosen = rank_views(world, [pose] * 3, pose, 0.5, 96, seed)
+            assert chosen == select_next_view(list(enumerate(weights)), seed=seed)
+            drawn.append(chosen)
+        assert set(drawn) == {0, 1, 2}
+
+    def test_calls_go_through_the_module_names(self, monkeypatch):
+        spies = {name: Spy(getattr(nbv, name)) for name in (
+            "render_virtual", "euclidean_cluster", "viewpoint_entropy", "weighted_entropy",
+            "select_next_view")}
+        for name, spy in spies.items():
+            monkeypatch.setattr(nbv, name, spy)
+        poses = random_poses(5, 8)
+        rank_views(table_world(), poses, poses[0], 0.5, resolution=96)
+        assert {name: spy.calls for name, spy in spies.items()} == {
+            "render_virtual": 5, "euclidean_cluster": 5, "viewpoint_entropy": 5,
+            "weighted_entropy": 5, "select_next_view": 1}
+
 
 class TestCameraPose:
     def test_reflection_rejected(self):
         bad = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(NbvError):
             CameraPose(rotation=bad, translation=[0, 0, 0])
+
+    @pytest.mark.parametrize("rotation", [
+        [[1.0, 1, 0], [0, 1, 0], [0, 0, 1]],
+        np.diag([2.0, 0.5, 1.0]),
+        np.eye(3) + np.diag([2e-9, -2e-9, 0.0]),
+    ], ids=["shear", "scale", "off-by-2e-9"])
+    def test_non_rotation_rejected(self, rotation):
+        assert abs(np.linalg.det(rotation) - 1.0) < 1e-9
+        with pytest.raises(NbvError, match="orthonormal"):
+            CameraPose(rotation=rotation, translation=[0, 0, 0])
+
+    def test_rounding_within_tolerance_accepted(self):
+        rotation = np.eye(3) + np.diag([4e-10, -4e-10, 0.0])
+        CameraPose(rotation=rotation, translation=[0, 0, 0])
 
     @pytest.mark.parametrize("rotation,translation", [
         (np.full((3, 3), np.nan), [0, 0, 1]),
@@ -208,3 +330,12 @@ class TestLoadPoses:
         poses = load_poses(path)
         assert len(poses) == 2
         np.testing.assert_allclose(poses[0].translation, [0.1, 0.2, 0.3])
+
+    def test_non_rotation_names_the_pose(self, tmp_path):
+        path = tmp_path / "poses.json"
+        shear = [1.0, 1, 0, 0, 1, 0, 0, 0, 1]
+        payload = [{"rotation": np.eye(3).ravel().tolist(), "translation": [0, 0, 1]},
+                   {"rotation": shear, "translation": [0, 0, 1]}]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(NbvError, match="pose 1: camera rotation must be orthonormal"):
+            load_poses(path)
