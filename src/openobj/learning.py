@@ -1,5 +1,5 @@
 """Open-ended classifiers: the asymmetric set distance over local-feature
-sets, intra-category spread normalization for unknown detection,
+sets, intra-category distance (ICD) normalization for unknown detection,
 fixed-size nearest-neighbor modes, and the incremental naive-Bayes
 model-based learner.
 """
@@ -56,11 +56,7 @@ def _as_feature_matrix(rep) -> np.ndarray:
 
 @dataclass(eq=False)
 class InstanceCategory(JsonRecord):
-    """Instance store of one category plus its intra-category distance.
-
-    ``icd`` is the mean distance over ordered instance pairs; the reference
-    dataset protocol initializes it from three views, so with only two the
-    value is kept but flagged provisional.
+    """Instance store of one category, from which ``icd`` reads its ICD.
 
     The instances live in one read-only (rows, d) matrix in their common
     dtype, next to the first row of each instance and the rows' exact
@@ -69,20 +65,19 @@ class InstanceCategory(JsonRecord):
     it was given, and the category only grows, so the set distances ``icd``
     has computed stay on it by pair index. Direct edits of ``instances``
     are not supported. Each instance is a finite, non-empty 1-D or 2-D
-    array as wide as the first; a built or loaded one is stored as float64,
-    an added one in its own dtype (a spin set keeps its integer counts).
-    Only ``instances`` and the ICD fields are serialized.
+    array as wide as the first, stored by one rule however it came: one of
+    non-negative integers (a spin set's counts) as ``_compact_counts``, any
+    other as float64. Only ``label`` and ``instances`` are serialized.
     """
 
     error = LearningError
     label: str
     instances: tuple = ()
-    icd: float | None = None
-    icd_provisional: bool = False
     _matrix: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _starts: list = field(default_factory=list, init=False, repr=False, compare=False)
     _norms: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _pairs: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)), init=False,
+                               repr=False, compare=False)
 
     def __post_init__(self):
         check_fields(self, LearningError)
@@ -90,27 +85,20 @@ class InstanceCategory(JsonRecord):
             raise LearningError("instances must be a list of arrays")
         given, self.instances = self.instances, ()
         for x in given:
-            self._append(_instance(x))
+            self.add(x)
 
     @property
     def width(self) -> int | None:
         """The instances' width, None before the first."""
         return None if self._matrix is None else self._matrix.shape[1]
 
-    def add(self, representation, spread: bool = True):
-        """Check, then store one instance; with ``spread`` keep the ICD current."""
-        self._append(_instance(representation), np.asarray(representation))
-        if spread and len(self.instances) >= 2:
-            self.icd = icd(self)
-            self.icd_provisional = len(self.instances) < 3
-
-    def _append(self, checked: np.ndarray, given: np.ndarray | None = None):
-        """Append one checked float64 instance's rows to the matrix, in the
-        ``given`` array's dtype when it is a number type."""
+    def add(self, representation):
+        """Check, then store one instance's rows in the matrix."""
+        checked = _instance(representation)
         rows = checked.reshape(-1, checked.shape[-1])
         norms = _exact_sq_norms(rows)  # from the float64 form: uint8 squares wrap
-        if given is not None and given.dtype.kind in "biuf":
-            rows = given.reshape(rows.shape)
+        if norms is not None and rows.min() >= 0:
+            rows = _compact_counts(rows)
         if self._matrix is None:
             self._starts, parts = [0], [rows]
         elif rows.shape[1] != self.width:
@@ -126,6 +114,14 @@ class InstanceCategory(JsonRecord):
         ends = self._starts[1:] + [len(self._matrix)]
         self.instances = tuple(self._matrix[a:b].reshape(shape)
                                for a, b, shape in zip(self._starts, ends, shapes))
+
+
+def _compact_counts(matrix: np.ndarray) -> np.ndarray:
+    """A matrix of non-negative integer counts as a read-only array of the
+    smallest unsigned integer type that holds its largest entry."""
+    counts = matrix.astype(np.min_scalar_type(int(matrix.max(initial=0))))
+    counts.flags.writeable = False
+    return counts
 
 
 def _instance(x) -> np.ndarray:
@@ -161,15 +157,15 @@ class InstanceMemory(JsonRecord):
             raise LearningError("categories must hold instances of one width")
 
 
-def instance_teach(memory: InstanceMemory, label: str, x, spread: bool = True) -> InstanceMemory:
+def instance_teach(memory: InstanceMemory, label: str, x) -> InstanceMemory:
     """Store one instance under its label; a new label starts a category.
     ``x`` is checked before anything is stored, and is as wide as every
-    stored instance; with ``spread`` the category's ICD is kept current."""
+    stored instance. No ICD is computed here: ``icd`` reads it when asked."""
     width = _instance(x).shape[-1]
     if any(cat.width not in (None, width) for cat in memory.categories.values()):
         raise LearningError(f"an instance of width {width} does not match the memory's")
     category = memory.categories.get(label) or InstanceCategory(label)
-    category.add(x, spread)
+    category.add(x)
     memory.categories[label] = category
     return memory
 
@@ -238,22 +234,26 @@ def set_distance(u, v) -> float:
 
 
 def icd(category: InstanceCategory) -> float:
-    """Category spread: mean of D(U, V) over ordered pairs U != V. Pair
-    distances stay on the category, so after an add only the 2(n - 1) pairs
-    with the new instance are computed; the sum always runs in (i, j) order."""
+    """Intra-category distance, read from the instances: the mean of D(U, V)
+    over ordered pairs U != V. The pair distances stay on the category in
+    one (n, n) table, so a read computes only the pairs with an instance
+    added since the last one; the sum is a cumulative one in row-major
+    (i, j) order, the bits of a sequential loop."""
     instances = category.instances
     n = len(instances)
     if n < 2:
         raise LearningError("intra-category distance needs at least 2 instances")
-    pairs = category._pairs
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                if (i, j) not in pairs:
+    known = len(category._pairs)
+    if known < n:
+        pairs = np.zeros((n, n))
+        pairs[:known, :known] = category._pairs
+        for i in range(n):
+            for j in range(0 if i >= known else known, n):
+                if i != j:
                     pairs[i, j] = set_distance(instances[i], instances[j])
-                total += pairs[i, j]
-    return total / (n * (n - 1))
+        category._pairs = pairs
+    off_diagonal = category._pairs[~np.eye(n, dtype=bool)]
+    return float(np.cumsum(off_diagonal)[-1]) / (n * (n - 1))
 
 
 def _instance_distances(target, category: InstanceCategory) -> list:
@@ -281,22 +281,19 @@ def ocd_mean(target, category: InstanceCategory) -> float:
 
 
 def nocd_approach1(target, category: InstanceCategory) -> float:
-    """Nearest-instance distance normalized by the category's own spread."""
-    if category.icd is None:
-        raise LearningError(f"category {category.label!r} has no ICD yet")
-    if category.icd == 0:
+    """Nearest-instance distance normalized by the category's own ICD."""
+    own = icd(category)
+    if own == 0:
         raise LearningError(f"degenerate category {category.label!r}: identical instances")
-    return ocd_min(target, category) / category.icd
+    return ocd_min(target, category) / own
 
 
 def nocd_approach2(target, category: InstanceCategory, icd_bar: float) -> float:
-    """Average distance normalized by the mean of the category spread and
-    the cross-category spread average: 2 OCD / (ICD + ICD-bar)."""
-    if category.icd is None:
-        raise LearningError(f"category {category.label!r} has no ICD yet")
+    """Average distance normalized by the mean of the category's ICD and
+    the cross-category ICD average: 2 OCD / (ICD + ICD-bar)."""
     if icd_bar <= 0:
         raise LearningError("cross-category ICD mean must be positive")
-    return 2.0 * ocd_mean(target, category) / (category.icd + icd_bar)
+    return 2.0 * ocd_mean(target, category) / (icd(category) + icd_bar)
 
 
 def chi2(p, q) -> float:
@@ -357,13 +354,13 @@ def classify_instances(
     scores = {}
     if mode in ("A1", "A2"):
         view = _per_category(target, lambda query: query)
-        ready = [c for c in categories if c.icd is not None and c.icd > 0]
+        ready = [c for c in categories if len(c.instances) >= 2 and icd(c) > 0]
         if not ready:
             scores = {c.label: ocd_min(view(c.label), c) for c in categories if c.instances}
         elif mode == "A1":
             scores = {c.label: nocd_approach1(view(c.label), c) for c in ready}
         else:
-            icd_bar = float(np.mean([c.icd for c in ready]))
+            icd_bar = float(np.mean([icd(c) for c in ready]))
             scores = {c.label: nocd_approach2(view(c.label), c, icd_bar) for c in ready}
     elif mode == "nn_fixed":
         if metric not in _FIXED_METRICS:

@@ -124,8 +124,8 @@ def render_virtual(
 def weighted_entropy(h: float, v: CameraPose, v_c: CameraPose, sigma: float) -> float:
     """Gaussian travel-distance weighting of a view entropy:
     H / (sigma sqrt(2 pi)) * exp(-|t_v - t_vc|^2 / (2 sigma^2))."""
-    if sigma <= 0:
-        raise NbvError("sigma must be positive")
+    if not 0 < sigma < np.inf:  # refuses NaN too
+        raise NbvError("sigma must be positive and finite")
     dist_sq = float(np.sum((v.translation - v_c.translation) ** 2))
     weight = np.exp(-dist_sq / (2 * sigma**2)) / (sigma * np.sqrt(2 * np.pi))
     return float(h * weight)
@@ -139,8 +139,8 @@ def select_next_view(candidates, seed: int = 0):
         raise NbvError("no candidate views")
     items = [item for item, _ in candidates]
     weights = np.array([w for _, w in candidates], dtype=np.float64)
-    if np.any(weights < 0):
-        raise NbvError("weighted entropies must be non-negative")
+    if not np.all((weights >= 0) & (weights < np.inf)):  # refuses NaN too
+        raise NbvError("weighted entropies must be finite and non-negative")
     total = weights.sum()
     if total <= 0:
         raise NbvError("all candidate weights are zero")

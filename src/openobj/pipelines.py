@@ -25,6 +25,7 @@ from .errors import OpenobjError, check_count, check_fields
 from .learning import (
     BayesMemory,
     InstanceMemory,
+    _compact_counts,
     bayes_classify,
     bayes_teach,
     classify_instances,
@@ -164,14 +165,6 @@ class _FeatureCache:
         return per_view[kind]
 
 
-def _compact_counts(matrix: np.ndarray) -> np.ndarray:
-    """A matrix of non-negative integer counts as a read-only array of the
-    smallest unsigned integer type that holds its largest entry."""
-    counts = matrix.astype(np.min_scalar_type(int(matrix.max(initial=0))))
-    counts.flags.writeable = False
-    return counts
-
-
 def collect_feature_pool(matrices, cap: int, seed: int) -> np.ndarray:
     """Stack (k, d) feature matrices, subsampling (seeded) past the cap.
     Past the cap only the drawn rows are gathered, in the order drawn, so
@@ -208,7 +201,7 @@ class Learner:
 
     The instance memory scores by the nearest stored instance (L2 on GOOD
     and BoW, chi-squared on topic proportions), or for spin-image sets,
-    the only ones that keep an ICD, by the normalized object-category
+    the only ones whose ICD is read, by the normalized object-category
     distance; it returns UNKNOWN when the best score exceeds ``config.ct``.
     The Bayes memory keeps counts. Mode and metric are set when built.
     """
@@ -237,7 +230,7 @@ class Learner:
         if self.bayes:
             bayes_teach(self.memory, category, x)
         else:
-            instance_teach(self.memory, category, x, spread=self.mode != "nn_fixed")
+            instance_teach(self.memory, category, x)
 
     def classify(self, cloud):
         target = self._encode(cloud)
@@ -258,8 +251,7 @@ class Learner:
         if rep == "spinset":
             return self.features.get(cloud)
         if rep == "bow":
-            counts = bow_encode(self.features.get(cloud), self.dictionary)
-            return counts if self.bayes else counts.astype(np.float64)
+            return bow_encode(self.features.get(cloud), self.dictionary)
         doc = self._doc(cloud)
         if learn:
             self._update(category, doc)

@@ -171,7 +171,7 @@ def test_criterion_04_oracle_equivalence():
             oracle = np.mean([min(np.linalg.norm(a - b) for b in v) for a in u])
             assert abs(set_distance(u, v) - oracle) <= 1e-9
 
-        for _ in range(50):  # category spread and normalized distances
+        for _ in range(50):  # intra-category distance and normalized distances
             instances = [
                 rng.uniform(0, 1, size=(int(rng.integers(2, 5)), 4)) for _ in range(4)
             ]
@@ -186,10 +186,10 @@ def test_criterion_04_oracle_equivalence():
             target = rng.uniform(0, 1, size=(3, 4))
             d_min = min(set_distance(target, inst) for inst in instances)
             d_avg = np.mean([set_distance(target, inst) for inst in instances])
-            assert abs(nocd_approach1(target, cat) - d_min / cat.icd) <= 1e-9
+            assert abs(nocd_approach1(target, cat) - d_min / icd(cat)) <= 1e-9
             icd_bar = float(rng.uniform(0.1, 1.0))
             assert (
-                abs(nocd_approach2(target, cat, icd_bar) - 2 * d_avg / (cat.icd + icd_bar))
+                abs(nocd_approach2(target, cat, icd_bar) - 2 * d_avg / (icd(cat) + icd_bar))
                 <= 1e-9
             )
 

@@ -113,7 +113,7 @@ def sample_records():
 JSON_KEYS = {
     Dictionary: {"words"},
     TopicModel: {"scope", "k", "v", "alpha", "beta", "rng_seed", "n_updates", "n_wk", "n_k"},
-    InstanceCategory: {"label", "instances", "icd", "icd_provisional"},
+    InstanceCategory: {"label", "instances"},
     BayesCategory: {"n_k", "accumulators"},
     BayesMemory: {"categories"},
     InstanceMemory: {"categories"},

@@ -212,13 +212,10 @@ JSON_RECORDS = [
     (Dictionary, RepresentationError, {"words": [[0.0, 1.0], [1.0, 0.0]]}),
     (TopicModel, RepresentationError, TopicModel(k=2, v=2).to_json_dict()),
     (InstanceCategory, LearningError,
-     {"label": "mug", "instances": [[[0.0, 1.0]], [[1.0, 2.0], [3.0, 4.0]]], "icd": 1.5,
-      "icd_provisional": True}),
+     {"label": "mug", "instances": [[[0.0, 1.0]], [[1.0, 2.0], [3.0, 4.0]]]}),
     (InstanceMemory, LearningError,
-     {"categories": {"mug": {"label": "mug", "instances": [[1.0, 2.0]], "icd": None,
-                             "icd_provisional": False},
-                     "bowl": {"label": "bowl", "instances": [[[0, 1], [2, 3]], [[1, 1]]],
-                              "icd": 0.5, "icd_provisional": True}}}),
+     {"categories": {"mug": {"label": "mug", "instances": [[1.0, 2.0]]},
+                     "bowl": {"label": "bowl", "instances": [[[0, 1], [2, 3]], [[1, 1]]]}}}),
     (BayesCategory, LearningError, {"n_k": 2, "accumulators": [1, 0, 3]}),
     (BayesMemory, LearningError,
      {"categories": {"mug": {"n_k": 2, "accumulators": [1, 0]},

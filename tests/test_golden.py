@@ -8,14 +8,18 @@ combinations share a protocol log, but every confusion matrix differs, so
 the nine cases still pin nine distinct behaviours.
 
 `protocol --context-change` is pinned separately, on a set whose context
-split the teacher crosses.
+split the teacher crosses, and so is the saved instance memory of a
+spinset/instance protocol.
 """
 
 import hashlib
+import json
 
 import pytest
 
-from openobj.cli import main
+from openobj.cli import load_dataset, main
+from openobj.evaluation import run_protocol
+from openobj.pipelines import ExperimentConfig, build_learner_from_pool
 
 SMALL = ("--voxel", "0.02", "--dictionary-size", "20", "--topics", "8", "--gibbs-iters", "5")
 
@@ -143,3 +147,20 @@ def test_context_change_outputs_match_golden(context_dataset, tmp_path, represen
                  "--out-dir", str(out)]) == 0
     got = (sha256(out / "protocol_log.jsonl"), sha256(out / "summary.json"))
     assert got == CONTEXT_GOLDEN[representation, learner, switch]
+
+
+# SHA-256 of json.dumps(memory.to_json_dict(), sort_keys=True) after a
+# seed-0 spinset/instance protocol on the golden set: the saved form of an
+# InstanceMemory, {"categories": {label: {"label", "instances"}}}, with
+# spin-image counts saved as integers.
+INSTANCE_MEMORY = "3e6aa9c832e52a8e9bdc932a2ee188e8370727e57f14316647ede72da30088b9"
+
+
+def test_saved_instance_memory_matches_golden(golden_dataset):
+    dataset = load_dataset(str(golden_dataset))
+    config = ExperimentConfig(representation="spinset", voxel=0.02)
+    clouds = [cloud for views in dataset.views.values() for cloud in views]
+    learner = build_learner_from_pool(config, clouds)
+    run_protocol(dataset, learner, seed=0)
+    text = json.dumps(learner.memory.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == INSTANCE_MEMORY

@@ -217,8 +217,7 @@ class TestStackedOcd:
 
     def test_unequal_widths_refused_when_loaded(self):
         rng = np.random.default_rng(9)
-        saved = {"label": "x", "instances": [spin_like(rng, width=7).tolist(), [1.0] * 6],
-                 "icd": None, "icd_provisional": False}
+        saved = {"label": "x", "instances": [spin_like(rng, width=7).tolist(), [1.0] * 6]}
         with pytest.raises(LearningError, match="width 6 does not match the category"):
             InstanceCategory.from_json_dict(saved)
 
@@ -242,17 +241,27 @@ class TestStackedOcd:
 
 class TestIncrementalIcd:
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.booleans())
-    def test_equals_brute_force_after_every_add(self, seed, n, integer):
+    @given(st.integers(0, 2**32 - 1), st.lists(st.booleans(), min_size=2, max_size=8),
+           st.booleans())
+    def test_a_read_computes_only_the_new_pairs(self, seed, reads, integer):
+        # reads[k]: whether the ICD is read after the (k + 1)-th add
         rng = np.random.default_rng(seed)
         cat = InstanceCategory("x")
-        for k in range(1, n + 1):
+        last = 0  # instances at the last read
+        for n, read in enumerate(reads, start=1):
             inst = spin_like(rng) if integer else rng.uniform(0, 3, size=(3, 6))
             with mock.patch.object(learning, "set_distance", wraps=learning.set_distance) as spy:
                 cat.add(inst)
-            assert spy.call_count == 2 * (k - 1)
-            if k >= 2:
-                assert cat.icd == icd_oracle(cat.instances)
+                if read and n >= 2:
+                    assert icd(cat) == icd_oracle(cat.instances)
+            assert spy.call_count == (n * (n - 1) - last * (last - 1) if read and n >= 2 else 0)
+            if read and n >= 2:
+                last = n
+        with mock.patch.object(learning, "set_distance", wraps=learning.set_distance) as spy:
+            assert icd(cat) == icd(cat) == icd_oracle(cat.instances)
+        n = len(reads)
+        assert spy.call_count == n * (n - 1) - last * (last - 1)
+        assert cat._pairs.shape == (n, n) and cat._pairs.dtype == np.float64
 
     @pytest.mark.parametrize("seed", range(3))
     def test_half_json_rest_equals_teaching_all(self, seed):
@@ -267,8 +276,7 @@ class TestIncrementalIcd:
         resumed = InstanceCategory.from_json_dict(json.loads(json.dumps(half.to_json_dict())))
         for view in views[4:]:
             resumed.add(view)
-        assert resumed.icd == whole.icd
-        assert resumed.icd_provisional == whole.icd_provisional
+        assert icd(resumed) == icd(whole)
 
 
 # A random instance of each kind; shape (width,) or (rows, width).
@@ -298,8 +306,9 @@ class TestOneMatrix:
         for view, x in zip(cat.instances, given, strict=True):
             assert view.shape == x.shape and np.array_equal(view, x)
             assert np.shares_memory(view, cat._matrix)
+        assert cat._matrix.dtype == np.result_type(*map(stored_dtype, given))
         if len(given) >= 2:
-            assert cat.icd == icd(cat) == icd_oracle(given)
+            assert icd(cat) == icd_oracle(given)
         rows = int(rng.integers(1, 12))
         for target in (rng.integers(0, 300, (rows, width)).astype(np.float64),
                        rng.normal(0.0, 3.0, (rows, width))):
@@ -308,7 +317,20 @@ class TestOneMatrix:
             assert ocd_mean(target, cat) == float(np.mean(each))
         saved = json.loads(json.dumps(cat.to_json_dict()))
         back = InstanceCategory.from_json_dict(saved)
+        # a loaded category is the taught one: same dtypes, bytes, JSON and ICD
+        assert [v.dtype for v in back.instances] == [v.dtype for v in cat.instances]
+        assert back._matrix.nbytes == cat._matrix.nbytes
         assert json.loads(json.dumps(back.to_json_dict())) == saved
+        if len(given) >= 2:
+            assert icd(back) == icd(cat)
+
+
+def stored_dtype(x):
+    """The dtype one instance is stored in: the smallest unsigned type for
+    non-negative integers, float64 for any other."""
+    if np.array_equal(x, np.trunc(x)) and x.min() >= 0:
+        return np.min_scalar_type(int(x.max()))
+    return np.dtype(np.float64)
 
 
 class TestIcd:
@@ -337,15 +359,18 @@ class TestIcd:
         with pytest.raises(LearningError):
             icd(InstanceCategory("x", [feats([1, 2])]))
 
-    def test_add_maintains_icd(self):
+    def test_icd_follows_each_add(self):
         cat = InstanceCategory("x")
         cat.add(feats([0, 0]))
-        assert cat.icd is None
+        with pytest.raises(LearningError, match="at least 2 instances"):
+            icd(cat)
         cat.add(feats([1, 0]))
-        assert cat.icd == pytest.approx(1.0)
-        assert cat.icd_provisional
+        assert icd(cat) == 1.0
         cat.add(feats([2, 0]))
-        assert not cat.icd_provisional
+        assert icd(cat) == pytest.approx(4 / 3)
+
+    def test_a_built_category_has_its_icd(self):
+        assert icd(InstanceCategory("x", [feats([0, 0]), feats([3, 4])])) == 5.0
 
 
 class TestNocd:
@@ -361,19 +386,18 @@ class TestNocd:
 
     def test_ocd_equal_icd_gives_one(self):
         cat = self.category()
-        t = feats([cat.icd, 0])  # distance to (0,0) equals ICD... only if nearest
-        # construct directly: pick target whose min distance equals icd
-        target = feats([2 + cat.icd, 0])
+        # a target whose nearest-instance distance equals the ICD
+        target = feats([2 + icd(cat), 0])
         assert nocd_approach1(target, cat) == pytest.approx(1.0)
 
     def test_approach2_cancellation(self):
         cat = self.category()
-        icd_bar = cat.icd  # same as the category's own spread
+        icd_bar = icd(cat)  # same as the category's own ICD
         target = feats([1, 1])
-        expected = 2 * ocd_mean(target, cat) / (cat.icd + icd_bar)
+        expected = 2 * ocd_mean(target, cat) / (icd(cat) + icd_bar)
         assert nocd_approach2(target, cat, icd_bar) == pytest.approx(expected)
         assert nocd_approach2(target, cat, icd_bar) == pytest.approx(
-            ocd_mean(target, cat) / cat.icd
+            ocd_mean(target, cat) / icd(cat)
         )
 
     def test_target_equal_to_every_instance(self):
@@ -395,9 +419,9 @@ class TestNocd:
             target = rng.uniform(0, 1, size=(4, 3))
             d_min = min(set_distance(target, inst) for inst in cat.instances)
             d_avg = np.mean([set_distance(target, inst) for inst in cat.instances])
-            assert nocd_approach1(target, cat) == pytest.approx(d_min / cat.icd, abs=1e-9)
+            assert nocd_approach1(target, cat) == pytest.approx(d_min / icd(cat), abs=1e-9)
             assert nocd_approach2(target, cat, 0.7) == pytest.approx(
-                2 * d_avg / (cat.icd + 0.7), abs=1e-9
+                2 * d_avg / (icd(cat) + 0.7), abs=1e-9
             )
 
     def test_scale_invariance_of_argmin(self):
@@ -508,10 +532,11 @@ class TestClassifyInstances:
 
 
 def classify_sets_oracle(target, memory, mode, ct=None):
-    """The Learner's spin-set rule as it stood before classify_instances
-    took it over: A1/A2 over the categories whose ICD is set and positive,
-    else the nearest instance over every category that has one."""
-    ready = [c for c in memory if c.icd is not None and c.icd > 0]
+    """The spin-set rule, written out: A1/A2 over the categories of two or
+    more instances whose ICD (icd_oracle) is positive, else the nearest
+    instance over every category that has one."""
+    spreads = {c.label: icd_oracle(c.instances) for c in memory if len(c.instances) >= 2}
+    ready = [c for c in memory if spreads.get(c.label, 0.0) > 0]
     scores = {}
     if not ready:
         for c in memory:
@@ -519,12 +544,13 @@ def classify_sets_oracle(target, memory, mode, ct=None):
                 scores[c.label] = min(set_distance(target, inst) for inst in c.instances)
     elif mode == "A1":
         for c in ready:
-            scores[c.label] = min(set_distance(target, inst) for inst in c.instances) / c.icd
+            scores[c.label] = (min(set_distance(target, inst) for inst in c.instances)
+                               / spreads[c.label])
     else:
-        icd_bar = float(np.mean([c.icd for c in ready]))
+        icd_bar = float(np.mean([spreads[c.label] for c in ready]))
         for c in ready:
             ocd = float(np.mean([set_distance(target, inst) for inst in c.instances]))
-            scores[c.label] = 2.0 * ocd / (c.icd + icd_bar)
+            scores[c.label] = 2.0 * ocd / (spreads[c.label] + icd_bar)
     if not scores:
         return None
     best = min(scores, key=scores.get)
@@ -534,18 +560,19 @@ def classify_sets_oracle(target, memory, mode, ct=None):
 
 @st.composite
 def set_memories(draw):
-    """Categories of random integer feature sets whose ICD is None, 0 or
-    positive, independent of the instances; a category with no ICD may
-    hold no instance."""
+    """Categories of random integer feature sets with no ICD (fewer than two
+    instances, maybe none), a zero ICD (copies of one set) or one that is
+    most likely positive."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     memory = []
     for i in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(["none", "zero", "positive"]))
-        n = draw(st.integers(0 if kind == "none" else 1, 3))
+        n = draw(st.integers(0, 1) if kind == "none" else st.integers(2, 3))
         instances = [rng.integers(0, 4, size=(rng.integers(1, 4), 3)).astype(float)
                      for _ in range(n)]
-        value = {"none": None, "zero": 0.0, "positive": draw(st.floats(0.1, 5.0))}[kind]
-        memory.append(InstanceCategory(f"c{i}", instances, icd=value))
+        if kind == "zero":
+            instances = [instances[0]] * n
+        memory.append(InstanceCategory(f"c{i}", instances))
     target = rng.integers(0, 4, size=(rng.integers(1, 4), 3)).astype(float)
     return target, memory
 
@@ -579,14 +606,14 @@ class TestSpinSetRule:
         flat = InstanceCategory("flat")
         for _ in range(2):
             flat.add(feats([5, 5]))
-        assert flat.icd == 0.0
+        assert icd(flat) == 0.0
         pred = classify_instances(feats([5, 5]), memory_of([flat, ready]), mode="A2")
         assert list(pred.scores) == ["ready"]
-        assert pred.score == pytest.approx(2 * ocd_mean(feats([5, 5]), ready) / (2 * ready.icd))
+        assert pred.score == pytest.approx(2 * ocd_mean(feats([5, 5]), ready) / (2 * icd(ready)))
 
     @pytest.mark.parametrize("mode", ["A1", "A2"])
     def test_no_ready_category_falls_back_to_ocd_min(self, mode):
-        a = InstanceCategory("a", [feats([0, 0]), feats([4, 0])])
+        a = InstanceCategory("a", [feats([4, 0]), feats([4, 0])])  # ICD 0
         b = InstanceCategory("b", [feats([1, 1])])
         pred = classify_instances(feats([3, 0]), memory_of([a, b]), mode=mode)
         assert pred.scores == {"a": 1.0, "b": pytest.approx(np.sqrt(5))}
@@ -934,9 +961,9 @@ class TestInstanceSerialization:
         for _ in range(4):
             cat.add(spin_like(rng) if kind == "spin-like sets" else rng.normal(size=6) / 3)
         back = InstanceCategory.from_json_dict(json.loads(json.dumps(cat.to_json_dict())))
-        assert (back.label, back.icd, back.icd_provisional) == (cat.label, cat.icd, False)
+        assert back.label == cat.label and icd(back) == icd(cat)
         for stored, original in zip(back.instances, cat.instances, strict=True):
-            assert stored.dtype == np.float64 and np.array_equal(stored, original)
+            assert stored.dtype == original.dtype and np.array_equal(stored, original)
         extra = spin_like(rng) if kind == "spin-like sets" else rng.normal(size=6)
         cat.add(extra)
         back.add(extra)
@@ -949,24 +976,34 @@ class TestInstanceSerialization:
         ({"instances": [["a", "b"]]}, "finite 1-D or 2-D"),
         ({"instances": [[[1.0, 2.0], [3.0]]]}, "finite 1-D or 2-D"),
         ({"instances": "abc"}, "^instances must be a list"),
-        ({"icd": np.inf}, "^icd must be a finite number or none"),
-        ({"icd": True}, "^icd must be a finite number or none"),
-        ({"icd_provisional": "no"}, "^icd_provisional must be a bool"),
         ({"label": 3}, "^label must be a string"),
     ])
     def test_category_checks_itself(self, changes, message):
-        fields = {"label": "x", "instances": [[1.0, 2.0]], "icd": None, "icd_provisional": False}
+        fields = {"label": "x", "instances": [[1.0, 2.0]]}
         InstanceCategory(**fields)
         with pytest.raises(LearningError, match=message):
             InstanceCategory(**{**fields, **changes})
         with pytest.raises(LearningError, match=message):
             InstanceCategory.from_json_dict({**fields, **changes})
 
-    def test_instances_become_float_arrays(self):
-        cat = InstanceCategory("x", [[1, 2], np.array([[3, 4]])])
-        assert [inst.dtype for inst in cat.instances] == [np.float64, np.float64]
+    def test_instances_follow_one_dtype_rule(self):
+        # non-negative integers in the smallest unsigned type, given in any
+        # dtype; the matrix promotes when a wider or a float64 one arrives
+        cat = InstanceCategory("x", [[1.0, 2.0], np.array([[3, 4]], dtype=np.int64)])
+        assert [inst.dtype for inst in cat.instances] == [np.uint8, np.uint8]
+        cat.add(np.array([300, 0], dtype=np.float32))
+        assert cat._matrix.dtype == np.uint16
+        for odd in ([0.5, 1.0], [-1, 2]):
+            mixed = InstanceCategory("x", [[1, 2], odd])
+            assert [inst.dtype for inst in mixed.instances] == [np.float64, np.float64]
+            assert InstanceCategory("x", [odd])._matrix.dtype == np.float64
         with pytest.raises(LearningError, match="needs exactly the keys"):
             InstanceCategory.from_json_dict({})
+
+    def test_a_saved_icd_is_refused(self):
+        saved = {"label": "x", "instances": [[1, 2], [3, 4]], "icd": 2.0, "icd_provisional": False}
+        with pytest.raises(LearningError, match=r"needs exactly the keys \['instances', 'label'\]"):
+            InstanceCategory.from_json_dict(saved)
 
     def test_fixed_vectors_round_trip(self):
         cat = InstanceCategory("x")
@@ -974,7 +1011,7 @@ class TestInstanceSerialization:
         cat.add(np.array([1.0, 0.0]))
         back = InstanceCategory.from_json_dict(cat.to_json_dict())
         assert back.label == "x"
-        assert back.icd == pytest.approx(cat.icd)
+        assert icd(back) == pytest.approx(icd(cat))
         np.testing.assert_allclose(back.instances[0], [0, 1])
 
     def test_feature_sets_round_trip(self):
@@ -982,7 +1019,7 @@ class TestInstanceSerialization:
         cat.add(feats([0, 0], [1, 0]))
         cat.add(feats([2, 2]))
         back = InstanceCategory.from_json_dict(cat.to_json_dict())
-        assert icd(back) == pytest.approx(cat.icd)
+        assert icd(back) == pytest.approx(icd(cat))
 
     def test_spin_image_sets_round_trip_through_json(self):
         import json
@@ -995,9 +1032,9 @@ class TestInstanceSerialization:
             view = generate_view(ShapeSpec("box", (0.12, 0.08, 0.05), points=150, seed=seed))
             cat.add(compute_feature_set(view, voxel=0.025, support_length=0.05).as_matrix())
         back = InstanceCategory.from_json_dict(json.loads(json.dumps(cat.to_json_dict())))
-        assert back.icd == cat.icd
-        assert icd(back) == cat.icd
+        assert icd(back) == icd(cat)
         for stored, original in zip(back.instances, cat.instances):
+            assert stored.dtype == original.dtype == np.uint8
             assert np.array_equal(stored, original)
 
 
@@ -1014,13 +1051,13 @@ class TestInstanceMemory:
     ], ids=["nan", "ragged", "wrong-width set", "wrong-width vector"])
     def test_a_refused_instance_changes_nothing(self, bad):
         cat = self.two_instances()
-        before = (list(cat.instances), cat.icd, cat.icd_provisional)
-        assert before[1:] == (2.0, True)
+        before = list(cat.instances)
+        assert icd(cat) == 2.0
         with pytest.raises(LearningError, match="finite 1-D or 2-D|width"):
             cat.add(bad)
         assert len(cat.instances) == 2
-        assert all(a is b for a, b in zip(cat.instances, before[0]))
-        assert (cat.icd, cat.icd_provisional) == before[1:]
+        assert all(a is b for a, b in zip(cat.instances, before))
+        assert icd(cat) == 2.0
         assert ocd_min(feats([1, 0]), cat) == 1.0
 
     def test_a_refused_first_instance_starts_no_category(self):
@@ -1040,22 +1077,21 @@ class TestInstanceMemory:
         for stored, given in zip(cat.instances, counts, strict=True):
             assert np.array_equal(stored, given) and stored.dtype == np.uint8
             assert stored.shape == given.shape and not stored.flags.writeable
-        assert cat.icd == icd(InstanceCategory("x", counts)) and cat.icd_provisional
+        assert icd(cat) == icd(InstanceCategory("x", counts))
 
-    @pytest.mark.parametrize("spread", [False, True])
     @pytest.mark.parametrize("empty", [np.zeros((0, 2)), np.zeros(0), np.zeros((2, 0))],
                              ids=["no rows", "empty vector", "no columns"])
-    def test_an_empty_instance_is_refused(self, empty, spread):
+    def test_an_empty_instance_is_refused(self, empty):
         memory = InstanceMemory()
         with pytest.raises(LearningError, match="must not be empty"):
-            instance_teach(memory, "x", empty, spread=spread)
+            instance_teach(memory, "x", empty)
         assert memory.categories == {}
         instance_teach(memory, "x", feats([0, 0]))
         instance_teach(memory, "x", feats([2, 0]))
         with pytest.raises(LearningError, match="must not be empty"):
-            instance_teach(memory, "x", empty, spread=spread)
+            instance_teach(memory, "x", empty)
         (cat,) = memory.categories.values()
-        assert len(cat.instances) == 2 and cat.icd == 2.0
+        assert len(cat.instances) == 2 and icd(cat) == 2.0
         with pytest.raises(LearningError, match="must not be empty"):
             InstanceCategory("x", [feats([0, 0]), empty])
 
@@ -1072,12 +1108,14 @@ class TestInstanceMemory:
                             "b": InstanceCategory("b", [np.ones(3)])})
         InstanceMemory({"a": InstanceCategory("a", [np.zeros(2)]), "b": InstanceCategory("b")})
 
-    def test_spread_off_keeps_no_icd(self):
+    def test_teach_computes_no_icd(self):
         memory = InstanceMemory()
-        for x in ([0.0, 1.0], [1.0, 0.0], [2.0, 2.0]):
-            instance_teach(memory, "x", np.array(x), spread=False)
-        assert memory.categories["x"].icd is None
+        with mock.patch.object(learning, "set_distance") as spy:
+            for x in ([0.0, 1.0], [1.0, 0.0], [2.0, 2.0]):
+                instance_teach(memory, "x", np.array(x))
+        spy.assert_not_called()
         assert len(memory.categories["x"].instances) == 3
+        assert memory.categories["x"]._pairs.shape == (0, 0)
 
     @pytest.mark.parametrize("categories,message", [
         ([1, 2], "categories must map labels"),

@@ -138,6 +138,12 @@ class TestWeightedEntropy:
             )
             assert weighted_entropy(h, a, b, sigma) == pytest.approx(oracle, abs=1e-12)
 
+    @pytest.mark.parametrize("sigma", [0.0, -0.5, np.nan, np.inf, -np.inf])
+    def test_sigma_outside_positive_finite_rejected(self, sigma):
+        pose = looking_down_pose()
+        with pytest.raises(NbvError, match="sigma must be positive and finite"):
+            weighted_entropy(1.0, pose, pose, sigma)
+
 
 class TestSelectNextView:
     def poses(self, n):
@@ -175,6 +181,15 @@ class TestSelectNextView:
 
     def test_returns_the_item_as_given(self):
         assert select_next_view([(7, 0.0), ("x", 1.0)], seed=3) == "x"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_non_finite_weight_rejected(self, bad, at):
+        candidates = [("a", 1.0), ("b", 1.0), ("c", 1.0)]
+        candidates[at] = (candidates[at][0], bad)
+        for seed in range(5):
+            with pytest.raises(NbvError, match="must be finite and non-negative"):
+                select_next_view(candidates, seed=seed)
 
 
 def table_world(seed=0):
@@ -254,6 +269,12 @@ class TestRankViews:
     def test_empty_pose_list_rejected(self):
         with pytest.raises(NbvError):
             rank_views(table_world(), [], looking_down_pose(), 0.5)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, 0.0])
+    def test_sigma_outside_positive_finite_rejected(self, sigma):
+        poses = random_poses(2, 9)
+        with pytest.raises(NbvError, match="sigma must be positive and finite"):
+            rank_views(table_world(), poses, poses[0], sigma)
 
     def test_repeated_pose_gives_the_sampled_index(self):
         world = table_world()

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from openobj.descriptors import compute_feature_set, compute_good
 from openobj.evaluation import LabeledDataset, kfold, metrics, run_protocol
 from openobj.nbv import render_virtual
-from openobj import pipelines
+from openobj import learning, pipelines
 from openobj.learning import (
     InstanceCategory,
     InstanceMemory,
@@ -240,7 +240,7 @@ class TestLearnerWrappers:
             ExperimentConfig(representation="spinset", voxel=0.025, ct=gap / 2)
         )
         strict.teach("box", box)
-        assert all(c.icd is None for c in strict.memory.categories.values())
+        assert all(len(c.instances) == 1 for c in strict.memory.categories.values())
         assert strict.classify(box) == "box"
         assert strict.classify(sphere) == UNKNOWN
 
@@ -519,9 +519,55 @@ class TestCompactCounts:
         saved = category.to_json_dict()
         assert all(isinstance(x, int) for inst in saved["instances"] for row in inst for x in row)
         loaded = InstanceCategory.from_json_dict(saved)
+        assert loaded.to_json_dict() == saved
         query = tiny_dataset.views["box"][5]
         for inst, back in zip(category.instances, loaded.instances):
-            assert back.dtype == np.float64
+            assert back.dtype == np.uint8
             np.testing.assert_array_equal(back, inst)
             assert set_distance(learner.features.get(query), back) == \
                 set_distance(learner.features.get(query), inst)
+
+    def test_bow_counts_reach_both_memories_alike(self, tiny_dataset):
+        clouds = [c for views in tiny_dataset.views.values() for c in views]
+        encoded = []
+        for learner in ("instance", "bayes"):
+            config = ExperimentConfig(representation="bow", learner=learner, dictionary_size=10)
+            built = pipelines.build_learner_from_pool(config, clouds)
+            encoded.append(built._encode(clouds[0]))
+            built.teach("box", clouds[0])
+        instance, bayes = encoded
+        assert instance.dtype == bayes.dtype == np.int64 and np.array_equal(instance, bayes)
+
+
+class TestIcdWork:
+    """The ICD is read, never kept current: a protocol computes each pair of
+    a category once, and a learner that never reads an ICD computes none."""
+
+    @staticmethod
+    def protocol_spied(config, dataset):
+        learner = pipelines.build_learner_from_pool(
+            config, [c for views in dataset.views.values() for c in views])
+        with mock.patch.object(learning, "set_distance", wraps=learning.set_distance) as pairs, \
+                mock.patch.object(learning, "icd", wraps=learning.icd) as reads:
+            run_protocol(dataset, learner, seed=0)
+        return learner, pairs, reads
+
+    def test_no_pair_is_computed_twice(self, tiny_dataset):
+        learner, pairs, reads = self.protocol_spied(
+            ExperimentConfig(representation="spinset"), tiny_dataset)
+
+        def key(x):  # names one instance, as the first assert checks
+            return x.shape, x.tobytes()
+
+        stored = [inst for cat in learner.memory.categories.values() for inst in cat.instances]
+        assert len({key(x) for x in stored}) == len(stored)
+        computed = [(key(call.args[0]), key(call.args[1])) for call in pairs.call_args_list]
+        assert reads.call_count > 0 and computed
+        assert len(set(computed)) == len(computed)
+        sizes = [len(cat.instances) for cat in learner.memory.categories.values()]
+        assert len(computed) <= sum(n * (n - 1) for n in sizes)
+
+    def test_nn_fixed_does_no_icd_work(self, tiny_dataset):
+        _, pairs, reads = self.protocol_spied(
+            ExperimentConfig(representation="good", good_bins=5), tiny_dataset)
+        assert (reads.call_count, pairs.call_count) == (0, 0)
