@@ -2,6 +2,11 @@
 sets, intra-category distance (ICD) normalization for unknown detection,
 fixed-size nearest-neighbor modes, and the incremental naive-Bayes
 model-based learner.
+
+Every spin-set distance comes from one kernel, ``_set_distances``: a
+query against one feature set (``set_distance``) or against all of a
+category's instances at once (``ocd_min``, ``ocd_mean``). An A1/A2 query
+reads each category's ICD once and normalizes by that value.
 """
 
 from __future__ import annotations
@@ -25,8 +30,6 @@ __all__ = [
     "icd",
     "ocd_min",
     "ocd_mean",
-    "nocd_approach1",
-    "nocd_approach2",
     "instance_teach",
     "classify_instances",
     "lowest_score",
@@ -158,14 +161,17 @@ class InstanceMemory(JsonRecord):
 
 
 def instance_teach(memory: InstanceMemory, label: str, x) -> InstanceMemory:
-    """Store one instance under its label; a new label starts a category.
-    ``x`` is checked before anything is stored, and is as wide as every
-    stored instance. No ICD is computed here: ``icd`` reads it when asked."""
-    width = _instance(x).shape[-1]
-    if any(cat.width not in (None, width) for cat in memory.categories.values()):
-        raise LearningError(f"an instance of width {width} does not match the memory's")
-    category = memory.categories.get(label) or InstanceCategory(label)
-    category.add(x)
+    """Store one instance under its label; a new label (or an empty
+    category) starts a category, filed only if it is as wide as every
+    stored instance. ``x`` is checked once, before anything is stored. No
+    ICD is computed here: ``icd`` reads it when asked."""
+    category = memory.categories.get(label)
+    if category is not None and category.width is not None:
+        category.add(x)  # its width is the memory's
+        return memory
+    category = InstanceCategory(label, [x])
+    if any(cat.width not in (None, category.width) for cat in memory.categories.values()):
+        raise LearningError(f"an instance of width {category.width} does not match the memory's")
     memory.categories[label] = category
     return memory
 
@@ -206,31 +212,32 @@ def _exact_sq_norms(m: np.ndarray) -> np.ndarray | None:
     return norms if np.all(norms < _EXACT_SQ_NORM_BOUND) else None
 
 
-def _set_distances(mu, nu, mv, nv, offsets) -> list:
-    """D(mu, block) for each block of mv rows that starts at an offset, from
-    one matrix product: each row's nearest min_b(|b|^2 - 2 a.b) + |a|^2,
-    which is exact when nu and nv come from _exact_sq_norms. Each mean runs
-    over a fresh 1-D vector, as cdist's path takes it."""
-    d2 = (mu * -2.0) @ mv.T
-    d2 += nv
-    nearest = np.minimum.reduceat(d2, offsets, axis=1)
-    nearest += nu[:, None]
-    return [float(np.sqrt(nearest[:, i]).mean()) for i in range(len(offsets))]
+def _set_distances(mu, mv, offsets, nu, nv) -> list:
+    """D(mu, block) for each block of float64 mv rows that starts at an
+    offset. When nu and nv both come from _exact_sq_norms, each row's
+    nearest distance is sqrt(min_b(|b|^2 - 2 a.b) + |a|^2) from one matrix
+    product, which is exact; otherwise it is the row minimum of cdist. Each
+    mean runs over a fresh 1-D vector, so either way a block's value is the
+    bits of cdist(mu, block).min(axis=1).mean()."""
+    if mu.shape[1] != mv.shape[1]:
+        raise LearningError(f"feature sets of unequal width {mu.shape[1]} and {mv.shape[1]}")
+    if nu is None or nv is None:
+        nearest = np.minimum.reduceat(cdist(mu, mv), offsets, axis=1)
+    else:
+        d2 = (mu * -2.0) @ mv.T
+        d2 += nv
+        nearest = np.minimum.reduceat(d2, offsets, axis=1)
+        nearest += nu[:, None]
+        np.sqrt(nearest, out=nearest)
+    return [float(nearest[:, i].copy().mean()) for i in range(len(offsets))]
 
 
 def set_distance(u, v) -> float:
     """Asymmetric distance between two feature sets: the average, over the
-    features of U, of the distance to the nearest feature of V. Sets that
-    pass _exact_sq_norms take one matrix product, others cdist; both give
-    the same bits."""
+    features of U, of the distance to the nearest feature of V."""
     mu = _as_feature_matrix(u)
     mv = _as_feature_matrix(v)
-    if mu.shape[1] != mv.shape[1]:
-        raise LearningError(f"feature sets of unequal width {mu.shape[1]} and {mv.shape[1]}")
-    nu, nv = _exact_sq_norms(mu), _exact_sq_norms(mv)
-    if nu is None or nv is None:
-        return float(cdist(mu, mv).min(axis=1).mean())
-    return _set_distances(mu, nu, mv, nv, _WHOLE)[0]
+    return _set_distances(mu, mv, _WHOLE, _exact_sq_norms(mu), _exact_sq_norms(mv))[0]
 
 
 def icd(category: InstanceCategory) -> float:
@@ -257,17 +264,13 @@ def icd(category: InstanceCategory) -> float:
 
 
 def _instance_distances(target, category: InstanceCategory) -> list:
-    """D(target, instance) for each instance of the category, in order: one
-    matrix product against the category's matrix, or set_distance per
-    instance when the matrix or the target does not qualify."""
+    """D(target, instance) for each instance of the category, in order, from
+    one kernel call against the category's matrix."""
     if not category.instances:
         raise LearningError(f"category {category.label!r} has no instances")
     mt = _as_feature_matrix(target)
-    nt = _exact_sq_norms(mt)
-    if category._norms is None or nt is None or mt.shape[1] != category.width:
-        return [set_distance(target, inst) for inst in category.instances]
     matrix = np.asarray(category._matrix, dtype=np.float64)
-    return _set_distances(mt, nt, matrix, category._norms, category._starts)
+    return _set_distances(mt, matrix, category._starts, _exact_sq_norms(mt), category._norms)
 
 
 def ocd_min(target, category: InstanceCategory) -> float:
@@ -278,22 +281,6 @@ def ocd_min(target, category: InstanceCategory) -> float:
 def ocd_mean(target, category: InstanceCategory) -> float:
     """Object-category distance, average-over-instances variant."""
     return float(np.mean(_instance_distances(target, category)))
-
-
-def nocd_approach1(target, category: InstanceCategory) -> float:
-    """Nearest-instance distance normalized by the category's own ICD."""
-    own = icd(category)
-    if own == 0:
-        raise LearningError(f"degenerate category {category.label!r}: identical instances")
-    return ocd_min(target, category) / own
-
-
-def nocd_approach2(target, category: InstanceCategory, icd_bar: float) -> float:
-    """Average distance normalized by the mean of the category's ICD and
-    the cross-category ICD average: 2 OCD / (ICD + ICD-bar)."""
-    if icd_bar <= 0:
-        raise LearningError("cross-category ICD mean must be positive")
-    return 2.0 * ocd_mean(target, category) / (icd(category) + icd_bar)
 
 
 def chi2(p, q) -> float:
@@ -343,9 +330,11 @@ def classify_instances(
 ) -> Prediction:
     """Instance-based classification over an InstanceMemory.
 
-    Modes A1/A2 score feature sets by the normalized object-category
-    distance to each category whose ICD is positive (ICD-bar averages those),
-    or by ``ocd_min`` while none is; nn_fixed takes the nearest stored
+    Modes A1/A2 read the ICD of each category of two or more instances
+    once, and score feature sets against each category whose ICD is
+    positive: A1 by ``ocd_min`` / ICD, A2 by 2 ``ocd_mean`` / (ICD +
+    ICD-bar), where ICD-bar averages those ICDs. While no category is
+    ready, both score by ``ocd_min``. nn_fixed takes the nearest stored
     fixed-size vector (one row per instance) under ``metric``. The winner
     is ``lowest_score``'s. ``target`` is one query, or a mapping from each
     category's label to the query as that category represents it.
@@ -354,14 +343,16 @@ def classify_instances(
     scores = {}
     if mode in ("A1", "A2"):
         view = _per_category(target, lambda query: query)
-        ready = [c for c in categories if len(c.instances) >= 2 and icd(c) > 0]
+        spreads = {c: icd(c) for c in categories if len(c.instances) >= 2}
+        ready = {c: spread for c, spread in spreads.items() if spread > 0}
         if not ready:
             scores = {c.label: ocd_min(view(c.label), c) for c in categories if c.instances}
         elif mode == "A1":
-            scores = {c.label: nocd_approach1(view(c.label), c) for c in ready}
+            scores = {c.label: ocd_min(view(c.label), c) / own for c, own in ready.items()}
         else:
-            icd_bar = float(np.mean([icd(c) for c in ready]))
-            scores = {c.label: nocd_approach2(view(c.label), c, icd_bar) for c in ready}
+            icd_bar = float(np.mean(list(ready.values())))
+            scores = {c.label: 2.0 * ocd_mean(view(c.label), c) / (own + icd_bar)
+                      for c, own in ready.items()}
     elif mode == "nn_fixed":
         if metric not in _FIXED_METRICS:
             raise LearningError(f"unknown nn_fixed metric {metric!r}")

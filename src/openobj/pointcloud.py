@@ -222,8 +222,8 @@ def crop_cube(cloud: PointCloud, center, side: float) -> PointCloud:
     A point survives when every |coordinate - center| <= side / 2. NaN
     points are dropped.
     """
-    if side <= 0:
-        raise PointCloudError("cube side must be positive")
+    if not 0 < side < np.inf:
+        raise PointCloudError("cube side must be positive and finite")
     center = np.asarray(center, dtype=np.float64)
     with np.errstate(invalid="ignore"):
         inside = np.all(np.abs(cloud.points - center) <= side / 2.0, axis=1)
@@ -241,8 +241,8 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     The grid is anchored at the cloud's minimum corner, so results depend
     on translation only through the grid phase.
     """
-    if voxel <= 0:
-        raise PointCloudError("voxel size must be positive")
+    if not 0 < voxel < np.inf:
+        raise PointCloudError("voxel size must be positive and finite")
     if len(cloud) == 0:
         raise PointCloudError("empty cloud")
     origin = cloud.points.min(axis=0)

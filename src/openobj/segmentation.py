@@ -111,8 +111,8 @@ def ransac_plane(scene: PointCloud, tau: float, iterations: int, seed: int) -> P
     m = len(pts)
     if m < 3:
         raise SegmentationError("need at least 3 points for a plane")
-    if tau <= 0:
-        raise SegmentationError("tau must be positive")
+    if not 0 < tau < np.inf:
+        raise SegmentationError("tau must be positive and finite")
     check_count("iterations", iterations, 1, SegmentationError)
     rng = np.random.default_rng(seed)
     best_count = -1
@@ -198,8 +198,8 @@ def euclidean_cluster_indices(
     # 3 MB that the paths which never segment a scene should not carry
     from scipy.sparse.csgraph import connected_components
 
-    if link_dist <= 0:
-        raise SegmentationError("link_dist must be positive")
+    if not 0 < link_dist < np.inf:
+        raise SegmentationError("link_dist must be positive and finite")
     m = len(cloud)
     if m == 0:
         return []

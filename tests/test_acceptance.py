@@ -33,11 +33,11 @@ from openobj.evaluation import (
 from openobj.learning import (
     BayesMemory,
     InstanceCategory,
+    InstanceMemory,
     bayes_classify,
     bayes_teach,
+    classify_instances,
     icd,
-    nocd_approach1,
-    nocd_approach2,
     set_distance,
 )
 from openobj.nbv import (
@@ -183,15 +183,17 @@ def test_criterion_04_oracle_equivalence():
                 for i, j in itertools.permutations(range(4), 2)
             )
             assert abs(icd(cat) - total / 12) <= 1e-9
+            # a second category sets ICD-bar, the mean of the two ICDs
+            other = InstanceCategory("y", [rng.uniform(0, 1, size=(3, 4)) for _ in range(2)])
+            memory = InstanceMemory({"x": cat, "y": other})
             target = rng.uniform(0, 1, size=(3, 4))
             d_min = min(set_distance(target, inst) for inst in instances)
             d_avg = np.mean([set_distance(target, inst) for inst in instances])
-            assert abs(nocd_approach1(target, cat) - d_min / icd(cat)) <= 1e-9
-            icd_bar = float(rng.uniform(0.1, 1.0))
-            assert (
-                abs(nocd_approach2(target, cat, icd_bar) - 2 * d_avg / (icd(cat) + icd_bar))
-                <= 1e-9
-            )
+            a1 = classify_instances(target, memory, mode="A1").scores["x"]
+            assert abs(a1 - d_min / icd(cat)) <= 1e-9
+            icd_bar = (icd(cat) + icd(other)) / 2
+            a2 = classify_instances(target, memory, mode="A2").scores["x"]
+            assert abs(a2 - 2 * d_avg / (icd(cat) + icd_bar)) <= 1e-9
 
         for _ in range(50):  # clustering vs full-matrix union-find
             pts = rng.uniform(0, 0.25, size=(int(rng.integers(20, 120)), 3))

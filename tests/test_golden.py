@@ -7,9 +7,10 @@ learner computes moves at least one hash. On a set this small two
 combinations share a protocol log, but every confusion matrix differs, so
 the nine cases still pin nine distinct behaviours.
 
-`protocol --context-change` is pinned separately, on a set whose context
-split the teacher crosses, and so is the saved instance memory of a
-spinset/instance protocol.
+spinset/instance is pinned under both ICD normalizations, A2 (the
+default) and A1. `protocol --context-change` is pinned separately, on a
+set whose context split the teacher crosses, and so is the saved instance
+memory of a spinset/instance protocol.
 """
 
 import hashlib
@@ -87,19 +88,38 @@ def golden_dataset(tmp_path_factory):
     return data
 
 
+def protocol_and_cv_hashes(dataset, out, *combo) -> tuple:
+    """The hashes of protocol_log.jsonl, metrics.json and confusion.csv."""
+    assert main(["protocol", str(dataset), "--out-dir", str(out / "p"),
+                 "--seed", "1", *combo]) == 0
+    assert main(["cv", str(dataset), "--out-dir", str(out / "cv"),
+                 "--seed", "1", "--folds", "3", *combo]) == 0
+    return (
+        sha256(out / "p" / "protocol_log.jsonl"),
+        sha256(out / "cv" / "metrics.json"),
+        sha256(out / "cv" / "confusion.csv"),
+    )
+
+
 @pytest.mark.parametrize("representation,learner", list(GOLDEN))
 def test_cli_outputs_match_golden(golden_dataset, tmp_path, representation, learner):
     combo = ("--representation", representation, "--learner", learner, *SMALL)
-    assert main(["protocol", str(golden_dataset), "--out-dir", str(tmp_path / "p"),
-                 "--seed", "1", *combo]) == 0
-    assert main(["cv", str(golden_dataset), "--out-dir", str(tmp_path / "cv"),
-                 "--seed", "1", "--folds", "3", *combo]) == 0
-    got = (
-        sha256(tmp_path / "p" / "protocol_log.jsonl"),
-        sha256(tmp_path / "cv" / "metrics.json"),
-        sha256(tmp_path / "cv" / "confusion.csv"),
-    )
+    got = protocol_and_cv_hashes(golden_dataset, tmp_path, *combo)
     assert got == GOLDEN[representation, learner]
+
+
+# spinset/instance scores by A2 above; these pin the same runs under A1,
+# and all three differ from A2's.
+NOCD_A1 = (
+    "d998c0e0f89a43d6c92f499e7fba56a6e48721bcc54d2b6119dfe689dc70ef07",
+    "f963c30332e370fb6f31f681721469dd18231d11f8d0aaa7eb9f2ceda3748538",
+    "ea0c85b7167fc9ff07a1c505987500d5988c06b375a56b1446054467a41e315d",
+)
+
+
+def test_a1_outputs_match_golden(golden_dataset, tmp_path):
+    combo = ("--representation", "spinset", "--learner", "instance", "--nocd-mode", "A1", *SMALL)
+    assert protocol_and_cv_hashes(golden_dataset, tmp_path, *combo) == NOCD_A1
 
 
 # Context-change runs on a 5-category split set (3 in context A, 2 in B):

@@ -27,8 +27,6 @@ from openobj.learning import (
     instance_teach,
     log_posterior,
     lowest_score,
-    nocd_approach1,
-    nocd_approach2,
     ocd_mean,
     ocd_min,
     set_distance,
@@ -113,14 +111,15 @@ def integer_sets(draw, width):
 
 class TestExactPath:
     """The matrix-product path of set_distance is cdist's value bit for bit,
-    and only runs where the exactness rule holds."""
+    and only runs where the exactness rule holds: the kernel calls cdist
+    everywhere else."""
 
     @settings(max_examples=200, deadline=None)
     @given(integer_sets(4), integer_sets(4))
     def test_integer_sets_match_cdist_bit_for_bit(self, u, v):
-        with mock.patch.object(learning, "_set_distances", wraps=learning._set_distances) as spy:
+        with mock.patch.object(learning, "cdist", wraps=cdist) as spy:
             got = set_distance(u, v)
-        assert spy.call_count == 1
+        assert spy.call_count == 0
         assert got == cdist_distance(u, v)
 
     def test_opposite_rows_at_the_bound(self):
@@ -140,17 +139,17 @@ class TestExactPath:
     def test_fallback_to_cdist(self, row, side):
         pair = [feats([1, 2], [3, 4]), feats([0, 1], [2, 2], [5, 5])]
         pair[side] = np.vstack([pair[side], row])
-        with mock.patch.object(learning, "_set_distances", wraps=learning._set_distances) as spy:
+        with mock.patch.object(learning, "cdist", wraps=cdist) as spy:
             got = set_distance(*pair)
-        assert spy.call_count == 0
+        assert spy.call_count == 1
         assert got == cdist_distance(*pair)
 
     def test_just_below_the_bound_takes_the_product(self):
         u = feats([_BIG, 3, 3, 3])
         assert np.einsum("ij,ij->i", u, u)[0] < 2**51
-        with mock.patch.object(learning, "_set_distances", wraps=learning._set_distances) as spy:
+        with mock.patch.object(learning, "cdist", wraps=cdist) as spy:
             assert set_distance(u, feats([1, 1, 1, 1])) == cdist_distance(u, feats([1, 1, 1, 1]))
-        assert spy.call_count == 1
+        assert spy.call_count == 0
 
 
 def spin_like(rng, rows=None, width=6):
@@ -196,7 +195,7 @@ class TestStackedOcd:
             per_instance.assert_not_called()
 
     @pytest.mark.parametrize("odd", ["non-integer instance", "non-integer target"])
-    def test_inexact_input_scores_instance_by_instance(self, odd):
+    def test_inexact_input_takes_one_cdist(self, odd):
         rng = np.random.default_rng(8)
         instances = [spin_like(rng) for _ in range(3)]
         target = spin_like(rng)
@@ -206,9 +205,21 @@ class TestStackedOcd:
             instances[1] = instances[1] + 0.5
         each = [cdist_distance(target, inst) for inst in instances]
         for cat in categories_three_ways(instances).values():
-            with mock.patch.object(learning, "set_distance", wraps=learning.set_distance) as spy:
+            with (mock.patch.object(learning, "set_distance") as per_instance,
+                  mock.patch.object(learning, "cdist", wraps=cdist) as spy):
                 assert ocd_min(target, cat) == min(each)
-            assert spy.call_count == 3
+                assert ocd_mean(target, cat) == float(np.mean(each))
+            per_instance.assert_not_called()
+            assert spy.call_count == 2  # one per OCD, over the whole matrix
+
+    @pytest.mark.parametrize("how", ["add", "build", "json"])
+    @pytest.mark.parametrize("shift", [0.0, 0.5], ids=["integer", "non-integer"])
+    def test_a_query_of_another_width_is_refused(self, how, shift):
+        rng = np.random.default_rng(10)
+        cat = categories_three_ways([spin_like(rng) + shift for _ in range(3)])[how]
+        for ocd in (ocd_min, ocd_mean):
+            with pytest.raises(LearningError, match="unequal width 7 and 6"):
+                ocd(spin_like(rng, width=7), cat)
 
     def test_unequal_widths_refused_when_built(self):
         rng = np.random.default_rng(9)
@@ -374,6 +385,9 @@ class TestIcd:
 
 
 class TestNocd:
+    """The A1 and A2 scores of classify_instances, the normalized
+    object-category distances."""
+
     def category(self):
         cat = InstanceCategory("x")
         for inst in (feats([0, 0]), feats([2, 0]), feats([0, 2])):
@@ -382,47 +396,68 @@ class TestNocd:
 
     def test_stored_instance_zero(self):
         cat = self.category()
-        assert nocd_approach1(feats([0, 0]), cat) == 0.0
+        assert classify_instances(feats([0, 0]), memory_of([cat]), mode="A1").scores == {"x": 0.0}
 
     def test_ocd_equal_icd_gives_one(self):
         cat = self.category()
         # a target whose nearest-instance distance equals the ICD
         target = feats([2 + icd(cat), 0])
-        assert nocd_approach1(target, cat) == pytest.approx(1.0)
+        scores = classify_instances(target, memory_of([cat]), mode="A1").scores
+        assert scores["x"] == pytest.approx(1.0)
 
     def test_approach2_cancellation(self):
         cat = self.category()
-        icd_bar = icd(cat)  # same as the category's own ICD
         target = feats([1, 1])
-        expected = 2 * ocd_mean(target, cat) / (icd(cat) + icd_bar)
-        assert nocd_approach2(target, cat, icd_bar) == pytest.approx(expected)
-        assert nocd_approach2(target, cat, icd_bar) == pytest.approx(
-            ocd_mean(target, cat) / icd(cat)
-        )
+        # one category: ICD-bar is its own ICD
+        scores = classify_instances(target, memory_of([cat]), mode="A2").scores
+        assert scores["x"] == 2 * ocd_mean(target, cat) / (icd(cat) + icd(cat))
+        assert scores["x"] == pytest.approx(ocd_mean(target, cat) / icd(cat))
 
     def test_target_equal_to_every_instance(self):
-        cat = InstanceCategory("x")
+        flat = InstanceCategory("flat")
         for _ in range(3):
-            cat.add(feats([1, 1]))
-        # degenerate: all identical, icd = 0; approach II survives via icd_bar
-        assert ocd_mean(feats([1, 1]), cat) == 0.0
-        assert nocd_approach2(feats([1, 1]), cat, icd_bar=0.5) == 0.0
-        with pytest.raises(LearningError, match="degenerate"):
-            nocd_approach1(feats([1, 1]), cat)
+            flat.add(feats([1, 1]))
+        # degenerate: all identical, icd = 0, so the category is not scored
+        assert ocd_mean(feats([1, 1]), flat) == 0.0
+        for mode in ("A1", "A2"):
+            pred = classify_instances(feats([1, 1]), memory_of([flat, self.category()]), mode=mode)
+            assert list(pred.scores) == ["x"]
 
     def test_random_composition_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            cat = InstanceCategory("x")
-            for _ in range(3):
-                cat.add(rng.uniform(0, 1, size=(rng.integers(2, 5), 3)))
+            cats = []
+            for label in "xy":
+                cat = InstanceCategory(label)
+                for _ in range(3):
+                    cat.add(rng.uniform(0, 1, size=(rng.integers(2, 5), 3)))
+                cats.append(cat)
             target = rng.uniform(0, 1, size=(4, 3))
-            d_min = min(set_distance(target, inst) for inst in cat.instances)
-            d_avg = np.mean([set_distance(target, inst) for inst in cat.instances])
-            assert nocd_approach1(target, cat) == pytest.approx(d_min / icd(cat), abs=1e-9)
-            assert nocd_approach2(target, cat, 0.7) == pytest.approx(
-                2 * d_avg / (icd(cat) + 0.7), abs=1e-9
-            )
+            icd_bar = (icd(cats[0]) + icd(cats[1])) / 2
+            a1 = classify_instances(target, memory_of(cats), mode="A1").scores
+            a2 = classify_instances(target, memory_of(cats), mode="A2").scores
+            for cat in cats:
+                d_min = min(set_distance(target, inst) for inst in cat.instances)
+                d_avg = np.mean([set_distance(target, inst) for inst in cat.instances])
+                assert a1[cat.label] == pytest.approx(d_min / icd(cat), abs=1e-9)
+                assert a2[cat.label] == pytest.approx(2 * d_avg / (icd(cat) + icd_bar), abs=1e-9)
+
+    @pytest.mark.parametrize("mode", ["A1", "A2"])
+    def test_one_icd_read_per_category_per_query(self, mode):
+        rng = np.random.default_rng(4)
+
+        def spread(n):
+            return [rng.uniform(0, 1, size=(3, 3)) for _ in range(n)]
+
+        memory = memory_of([
+            InstanceCategory("one", spread(1)), InstanceCategory("empty"),
+            InstanceCategory("flat", [feats([1, 1, 1])] * 2),
+            InstanceCategory("two", spread(2)), InstanceCategory("four", spread(4)),
+        ])
+        with mock.patch.object(learning, "icd", wraps=learning.icd) as spy:
+            pred = classify_instances(rng.uniform(0, 1, size=(2, 3)), memory, mode=mode)
+        assert [c.args[0].label for c in spy.call_args_list] == ["flat", "two", "four"]
+        assert list(pred.scores) == ["two", "four"]
 
     def test_scale_invariance_of_argmin(self):
         rng = np.random.default_rng(3)
@@ -1107,6 +1142,29 @@ class TestInstanceMemory:
             InstanceMemory({"a": InstanceCategory("a", [np.zeros(2)]),
                             "b": InstanceCategory("b", [np.ones(3)])})
         InstanceMemory({"a": InstanceCategory("a", [np.zeros(2)]), "b": InstanceCategory("b")})
+
+    def test_each_instance_is_checked_once(self):
+        memory = InstanceMemory({"empty": InstanceCategory("empty")})
+        teach = [("a", [0.0, 1.0]), ("a", [[1.0, 0.0], [3.0, 3.0]]), ("b", [2.0, 2.0]),
+                 ("empty", [4.0, 4.0])]
+        with mock.patch.object(learning, "_instance", wraps=learning._instance) as spy:
+            for n, (label, x) in enumerate(teach, start=1):
+                instance_teach(memory, label, np.array(x))
+                assert spy.call_count == n
+        assert {label: len(cat.instances) for label, cat in memory.categories.items()} == {
+            "empty": 1, "a": 2, "b": 1}
+
+    @pytest.mark.parametrize("label", ["a", "new", "empty"])
+    def test_a_refused_teach_changes_nothing(self, label):
+        memory = InstanceMemory({"empty": InstanceCategory("empty")})
+        instance_teach(memory, "a", feats([0, 0]))
+        before = json.dumps(memory.to_json_dict())
+        cats = dict(memory.categories)
+        for bad in (np.ones(3), [np.nan, 1.0]):
+            with pytest.raises(LearningError, match="width 3 does not match|finite"):
+                instance_teach(memory, label, bad)
+            assert json.dumps(memory.to_json_dict()) == before
+            assert memory.categories == cats  # the same category objects
 
     def test_teach_computes_no_icd(self):
         memory = InstanceMemory()

@@ -137,6 +137,11 @@ class TestCropCube:
         expected = [p for p in pts if all(abs(p[i] - center[i]) <= side / 2 for i in range(3))]
         np.testing.assert_allclose(kept.points, np.asarray(expected))
 
+    @pytest.mark.parametrize("side", [0.0, -1.0, np.nan, np.inf])
+    def test_side_outside_zero_to_infinity_rejected(self, side):
+        with pytest.raises(PointCloudError, match="cube side must be positive and finite"):
+            crop_cube(PointCloud([[0, 0, 0]]), (0, 0, 0), side)
+
 
 class TestVoxelDownsample:
     def test_two_points_one_voxel(self):
@@ -182,6 +187,11 @@ class TestVoxelDownsample:
     def test_nonpositive_voxel_rejected(self):
         with pytest.raises(PointCloudError):
             voxel_downsample(PointCloud([[0, 0, 0]]), 0.0)
+
+    @pytest.mark.parametrize("voxel", [np.nan, np.inf])
+    def test_non_finite_voxel_rejected(self, voxel):
+        with pytest.raises(PointCloudError, match="voxel size must be positive and finite"):
+            voxel_downsample(PointCloud([[0, 0, 0], [1, 1, 1]]), voxel)
 
 
 class TestCentroid:

@@ -90,6 +90,12 @@ class TestRansacPlane:
         with pytest.raises(SegmentationError):
             ransac_plane(PointCloud([[0, 0, 0], [1, 1, 1]]), 0.02, 10, 0)
 
+    @pytest.mark.parametrize("tau", [0.0, np.nan, np.inf])
+    def test_tau_outside_zero_to_infinity_rejected(self, tau):
+        scene = PointCloud([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+        with pytest.raises(SegmentationError, match="tau must be positive and finite"):
+            ransac_plane(scene, tau, 10, seed=0)
+
     def test_all_collinear_no_plane(self):
         line = PointCloud([[i * 0.1, 0.0, 0.0] for i in range(5)])
         with pytest.raises(SegmentationError, match="no plane"):
@@ -200,6 +206,12 @@ class TestEuclideanCluster:
                 expected = [c for c in components if len(c) >= min_pts
                             and (max_pts is None or len(c) <= max_pts)]
                 assert [g.tolist() for g in got] == expected
+
+    @pytest.mark.parametrize("link_dist", [0.0, np.nan, np.inf])
+    def test_link_dist_outside_zero_to_infinity_rejected(self, link_dist):
+        pts = np.random.default_rng(5).uniform(0, 0.3, size=(50, 3))
+        with pytest.raises(SegmentationError, match="link_dist must be positive and finite"):
+            euclidean_cluster_indices(PointCloud(pts), link_dist)
 
     def test_partition_property(self):
         rng = np.random.default_rng(8)
