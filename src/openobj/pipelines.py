@@ -39,7 +39,6 @@ from .representations import (
     bow_encode,
     build_dictionary,
     lda_infer,
-    lda_update,
     local_lda_update,
 )
 
@@ -204,6 +203,10 @@ class Learner:
     the only ones whose ICD is read, by the normalized object-category
     distance; it returns UNKNOWN when the best score exceeds ``config.ct``.
     The Bayes memory keeps counts. Mode and metric are set when built.
+
+    The topic encoders keep their models in ``models``, keyed by
+    TopicModel.scope: {"shared": model} from construction for lda, one
+    model per taught category, in teach order, for local_lda.
     """
 
     def __init__(self, config: ExperimentConfig, dictionary: Dictionary | None = None,
@@ -218,15 +221,14 @@ class Learner:
         rep = config.representation
         self.mode = config.nocd_mode if rep == "spinset" else "nn_fixed"
         self.metric = "chi2" if rep in ("lda", "local_lda") else "L2"
-        # lda shares one topic model; local_lda grows one per category
-        self.model = None
         self.models: dict[str, TopicModel] = {}
-        if config.representation == "lda":
-            self.model = TopicModel(k=config.topics, v=dictionary.size, alpha=config.alpha,
-                                    beta=config.beta, rng_seed=config.seed)
+        if rep == "lda":
+            self.models["shared"] = TopicModel(k=config.topics, v=dictionary.size,
+                                               alpha=config.alpha, beta=config.beta,
+                                               rng_seed=config.seed)
 
     def teach(self, category, cloud):
-        x = self._encode(cloud, category, learn=True)
+        x = self._encode(cloud, category)
         if self.bayes:
             bayes_teach(self.memory, category, x)
         else:
@@ -240,11 +242,13 @@ class Learner:
 
     # -- encoders ------------------------------------------------------------
 
-    def _encode(self, cloud, category=None, learn=False):
-        """The view as the memory stores it. With ``learn`` the topic
-        encoders first fold the view into its model: the shared one (lda)
-        or ``category``'s own (local_lda). A local_lda query is a mapping
-        from each category to the view in that category's topic space."""
+    def _encode(self, cloud, category=None):
+        """The view as the memory stores it. Teaching (a ``category``) first
+        folds the view into models[scope], whose scope is "shared" for lda
+        and the category for local_lda, which creates the model on first
+        contact; the view is then inferred against that model. A local_lda
+        query is a mapping from each category to the view in that
+        category's topic space."""
         rep = self.config.representation
         if rep == "good":
             return self.features.good(cloud)
@@ -253,24 +257,17 @@ class Learner:
         if rep == "bow":
             return bow_encode(self.features.get(cloud), self.dictionary)
         doc = self._doc(cloud)
-        if learn:
-            self._update(category, doc)
         if rep == "local_lda" and category is None:
             return {label: self._topics(doc, model) for label, model in self.models.items()}
-        return self._topics(doc, self.model if rep == "lda" else self.models[category])
+        scope = category if rep == "local_lda" else "shared"
+        if category is not None:
+            c = self.config
+            local_lda_update(self.models, scope, doc, iters=c.gibbs_iters, k=c.topics,
+                             v=self.dictionary.size, alpha=c.alpha, beta=c.beta, seed=c.seed)
+        return self._topics(doc, self.models[scope])
 
     def _doc(self, cloud):
         return _assign(self.features.get(cloud), self.dictionary.words)
-
-    def _update(self, category, doc):
-        c = self.config
-        if c.representation == "lda":
-            lda_update(self.model, doc, c.gibbs_iters)
-            return
-        local_lda_update(
-            self.models, category, doc, iters=c.gibbs_iters, k=c.topics,
-            v=self.dictionary.size, alpha=c.alpha, beta=c.beta, seed=c.seed,
-        )
 
     def _topics(self, doc, model):
         inferred = lda_infer(model, doc, self.config.gibbs_iters)

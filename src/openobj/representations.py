@@ -132,11 +132,14 @@ class TopicHistogram:
     counts: np.ndarray
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=np.float64)
+        message = "theta must be a finite, strictly positive 1D distribution"
+        theta = finite_array(self.theta, (1,), RepresentationError, message)
         if abs(theta.sum() - 1.0) > 1e-9 or np.any(theta <= 0):
-            raise RepresentationError("theta must be a strictly positive distribution")
+            raise RepresentationError(message)
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.int64))
+        # None is no count vector, where _counter would read it as zeros
+        counts = () if self.counts is None else self.counts
+        object.__setattr__(self, "counts", _counter(counts, theta.shape, "counts"))
 
 
 # ---------------------------------------------------------------------------
@@ -356,21 +359,36 @@ def bow_encode(features, dictionary: Dictionary) -> np.ndarray:
 # Collapsed Gibbs sampling
 # ---------------------------------------------------------------------------
 
-def _gibbs_sweeps(n_wk, n_k, doc, z, m_k, alpha, beta, iters, rng, commit):
-    """Collapsed Gibbs sweeps for one document.
+def _validate_doc(doc, v: int, iters: int) -> np.ndarray:
+    """The document as int64 word indices. Each must be an integer in
+    [0, v): an integral float such as 4.0 is one, a bool or 1.7 is not."""
+    try:
+        words = np.asarray(doc)
+    except ValueError:  # a ragged nesting
+        words = np.asarray(None)
+    # a bool, a string or an int past int64 (an object) is no word index;
+    # nan and 1.7 fail the trunc test
+    if words.ndim != 1 or words.dtype.kind not in "iuf" or not np.all(words == np.trunc(words)):
+        raise RepresentationError("document must be a flat sequence of integer word indices")
+    if len(words) and (words.min() < 0 or words.max() >= v):  # inf too
+        raise RepresentationError("word index out of vocabulary range")
+    check_count("iters", iters, 1, RepresentationError)
+    return words.astype(np.int64, copy=False)
 
-    n_wk / n_k must already contain the document's current assignments;
-    m_k is the doc-topic count vector, updated in place. With ``commit``
-    the sweeps' word-topic and topic counts are written back to n_wk and
-    n_k; without it they are left as given. The document-topic denominator
-    is dropped (it does not depend on the candidate topic).
 
-    Stream contract: the caller draws the initial topics from ``rng``
-    first; this function then draws every sweep's uniforms in one block,
-    token-major within a sweep, so token i of sweep s uses the
-    (s * len(doc) + i)-th double after the initial topics. That is the
-    order of one ``rng.random()`` per token, and a serialized TopicModel
-    resumes with the same samples.
+def _fold_in(model: TopicModel, doc: np.ndarray, iters: int, rng: np.random.Generator):
+    """Collapsed Gibbs sweeps of one document against the model's counters,
+    which it only reads. Returns the final (rows, topic_n, doc_n): each of
+    the document's words mapped to its word-topic count row, the topic
+    counts and the doc-topic counts, all Python lists that include the
+    document's own assignments. The document-topic denominator is dropped
+    (it does not depend on the candidate topic).
+
+    Stream contract: the initial topics are drawn from ``rng`` first, then
+    every sweep's uniforms in one block, token-major within a sweep, so
+    token i of sweep s uses the (s * len(doc) + i)-th double after the
+    initial topics. That is the order of one ``rng.random()`` per token,
+    and a serialized TopicModel resumes with the same samples.
 
     The loop runs over Python lists: at K of a few dozen the per-call cost
     of small numpy operations outweighs the O(K) arithmetic. Each weight is
@@ -379,13 +397,17 @@ def _gibbs_sweeps(n_wk, n_k, doc, z, m_k, alpha, beta, iters, rng, commit):
     searchsorted(side="right") would, so the samples are bit-identical to
     the per-token numpy formulation.
     """
-    n = len(doc)
-    vbeta = n_wk.shape[0] * beta
+    n, alpha, beta = len(doc), model.alpha, model.beta
+    vbeta = model.v * beta
     words = doc.tolist()
-    topics = z.tolist()
-    topic_n = n_k.tolist()
-    doc_n = m_k.tolist()
-    rows = {w: n_wk[w].tolist() for w in set(words)}
+    topics = rng.integers(0, model.k, size=n).tolist()
+    rows = {w: model.n_wk[w].tolist() for w in set(words)}
+    topic_n = model.n_k.tolist()
+    doc_n = [0] * model.k
+    for w, k in zip(words, topics):
+        rows[w][k] += 1
+        topic_n[k] += 1
+        doc_n[k] += 1
     # float factors of the weight, refreshed from the integer counts at the
     # two topics a token leaves and joins
     word_factor = {w: [c + beta for c in row] for w, row in rows.items()}
@@ -413,33 +435,7 @@ def _gibbs_sweeps(n_wk, n_k, doc, z, m_k, alpha, beta, iters, rng, commit):
             factor[k] = row[k] + beta
             doc_factor[k] = doc_n[k] + alpha
             topic_denom[k] = topic_n[k] + vbeta
-    if commit:
-        for w, row in rows.items():
-            n_wk[w] = row
-        n_k[:] = topic_n
-    m_k[:] = doc_n
-
-
-def _validate_doc(doc, v: int, iters: int) -> np.ndarray:
-    doc = np.asarray(doc, dtype=np.int64)
-    if doc.ndim != 1:
-        raise RepresentationError("document must be a flat word-index sequence")
-    if len(doc) and (doc.min() < 0 or doc.max() >= v):
-        raise RepresentationError("word index out of vocabulary range")
-    check_count("iters", iters, 1, RepresentationError)
-    return doc
-
-
-def _fold_in(n_wk, n_k, doc, k, alpha, beta, iters, rng, commit) -> np.ndarray:
-    """Draw the document's initial topics from ``rng``, add them to the
-    counters, run the Gibbs sweeps and return the doc-topic counts. With
-    ``commit`` the counters end holding the sweeps' final assignments."""
-    z = rng.integers(0, k, size=len(doc))
-    m_k = np.bincount(z, minlength=k)
-    np.add.at(n_wk, (doc, z), 1)
-    n_k += m_k
-    _gibbs_sweeps(n_wk, n_k, doc, z, m_k, alpha, beta, iters, rng, commit)
-    return m_k
+    return rows, topic_n, doc_n
 
 
 def lda_update(model: TopicModel, doc, iters: int = DEFAULT_GIBBS_ITERS) -> TopicModel:
@@ -447,35 +443,34 @@ def lda_update(model: TopicModel, doc, iters: int = DEFAULT_GIBBS_ITERS) -> Topi
 
     Topics are initialized uniformly at random (seeded by the model's seed
     and update counter), resampled for ``iters`` sweeps against the
-    accumulated counters, and the final assignments become permanent.
-    Returns the same (mutated) model.
+    accumulated counters, and _fold_in's final word-topic rows and topic
+    counts are written back, so the final assignments become permanent. An
+    empty document changes no counter. Returns the same (mutated) model.
     """
     doc = _validate_doc(doc, model.v, iters)
     rng = np.random.default_rng((model.rng_seed, model.n_updates))
     model.n_updates += 1
-    if len(doc):
-        _fold_in(model.n_wk, model.n_k, doc, model.k, model.alpha, model.beta, iters, rng,
-                 commit=True)
+    rows, topic_n, _ = _fold_in(model, doc, iters, rng)
+    for w, row in rows.items():
+        model.n_wk[w] = row
+    model.n_k[:] = topic_n
     return model
 
 
 def lda_infer(model: TopicModel, doc, iters: int = DEFAULT_GIBBS_ITERS) -> TopicHistogram:
     """Topic distribution of a document against a frozen model.
 
-    The sampler runs on a temporary copy of the counters, so the model is
-    left bit-identical, and reads back only the document's topic counts;
-    theta_k = (n_{doc,k} + alpha) / (n_doc + K alpha).
+    _fold_in only reads the model, which is left bit-identical, and the
+    document's final topic counts n_doc are kept; theta_k =
+    (n_{doc,k} + alpha) / (n_doc + K alpha), or exactly 1/K for an empty
+    document.
     """
     doc = _validate_doc(doc, model.v, iters)
     k, alpha = model.k, model.alpha
-    if len(doc) == 0:
-        theta = np.full(k, 1.0 / k)
-        return TopicHistogram(theta=theta, counts=np.zeros(k, dtype=np.int64))
     rng = np.random.default_rng((model.rng_seed, model.n_updates, 1))
-    m_k = _fold_in(model.n_wk.copy(), model.n_k.copy(), doc, k, alpha, model.beta, iters, rng,
-                   commit=False)
-    theta = (m_k + alpha) / (len(doc) + k * alpha)
-    return TopicHistogram(theta=theta, counts=m_k)
+    counts = np.array(_fold_in(model, doc, iters, rng)[2], dtype=np.int64)
+    theta = (counts + alpha) / (len(doc) + k * alpha) if len(doc) else np.full(k, 1.0 / k)
+    return TopicHistogram(theta=theta, counts=counts)
 
 
 def local_lda_update(
@@ -489,18 +484,17 @@ def local_lda_update(
     beta: float = DEFAULT_BETA,
     seed: int = 0,
 ) -> dict:
-    """Route a document to its category's own topic model, creating the
-    model on first contact. Only that category's counters change."""
-    if category not in models:
-        models[category] = TopicModel(
-            k=k,
-            v=v,
-            alpha=alpha,
-            beta=beta,
-            scope=category,
-            rng_seed=zlib.crc32(category.encode()) ^ seed,
-        )
-    lda_update(models[category], doc, iters)
+    """Fold a document into models[category], first creating the
+    category's own topic model if there is none. Only that model's
+    counters change, and a refused category or document leaves ``models``
+    as it was."""
+    if not isinstance(category, str):
+        raise RepresentationError(f"category must be a string, got {category!r}")
+    model = models[category] if category in models else TopicModel(
+        k=k, v=v, alpha=alpha, beta=beta, scope=category,
+        rng_seed=zlib.crc32(category.encode()) ^ seed,
+    )
+    models[category] = lda_update(model, doc, iters)
     return models
 
 

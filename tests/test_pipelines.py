@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from openobj.descriptors import compute_feature_set, compute_good
 from openobj.evaluation import LabeledDataset, kfold, metrics, run_protocol
 from openobj.nbv import render_virtual
-from openobj import learning, pipelines
+from openobj import learning, pipelines, representations
 from openobj.learning import (
     InstanceCategory,
     InstanceMemory,
@@ -358,6 +358,46 @@ class TestLearnerWrappers:
                     ("instance_teach", "classify_instances")
                 assert [spy.call_count for spy in spies.values()] == [
                     n + (name in pair) for n, name in zip(calls, names)]
+
+    @pytest.mark.parametrize("representation", ["lda", "local_lda"])
+    def test_topic_models_by_scope_and_their_chains(self, tiny_dataset, representation):
+        # learner.models maps each model's scope to it; a teach folds the view
+        # into its scope's model and infers it there, and a query infers once
+        # per model and folds nothing in
+        cfg = ExperimentConfig(representation=representation, voxel=0.025,
+                               dictionary_size=20, topics=8, gibbs_iters=10)
+        views = tiny_dataset.views
+        learner = build_learner(cfg, build_dictionary_from_clouds(
+            [v[0] for v in views.values()], cfg))
+        lda = representation == "lda"
+        assert list(learner.models) == (["shared"] if lda else [])
+        assert not hasattr(learner, "model")
+        with contextlib.ExitStack() as patches:
+            # each spy takes every module name bound to its function, as the
+            # benchmark's tracer does
+            real = {name: getattr(representations, name) for name in ("lda_update", "lda_infer")}
+            spies = {name: mock.Mock(wraps=fn) for name, fn in real.items()}
+            for module in (representations, pipelines):
+                for name, fn in real.items():
+                    if getattr(module, name, None) is fn:
+                        patches.enter_context(mock.patch.object(module, name, spies[name]))
+            update, infer = spies.values()
+            for i, label in enumerate(["sphere", "box", "sphere", "cone"]):
+                update.reset_mock()
+                infer.reset_mock()
+                learner.teach(label, views[label][i])
+                model = learner.models["shared" if lda else label]
+                assert [c.args[0] for c in update.call_args_list] == [model]
+                assert [c.args[0] for c in infer.call_args_list] == [model]
+            assert list(learner.models) == (["shared"] if lda else ["sphere", "box", "cone"])
+            assert all(model.scope == key for key, model in learner.models.items())
+            update.reset_mock()
+            infer.reset_mock()
+            learner.classify(views["cone"][5])
+            assert update.call_count == 0
+            assert [c.args[0] for c in infer.call_args_list] == list(learner.models.values())
+            assert infer.call_count == (1 if lda else 3)
+
 
 class TestCvPipeline:
     def test_good_cv_runs(self, tiny_dataset):

@@ -14,6 +14,7 @@ from openobj.pipelines import collect_feature_pool
 from openobj.representations import (
     Dictionary,
     RepresentationError,
+    TopicHistogram,
     TopicModel,
     bow_encode,
     build_dictionary,
@@ -468,6 +469,84 @@ class TestLdaInfer:
         np.testing.assert_array_equal(model.n_k, nk)
         assert model.n_updates == updates
 
+    def test_read_only_counters(self):
+        # infer only reads the counters, so a frozen model's need no copy
+        model = TopicModel(k=3, v=5, rng_seed=4)
+        lda_update(model, [0, 1, 1, 4])
+        want = lda_infer(model, [1, 4, 4], 3)
+        model.n_wk.flags.writeable = False
+        model.n_k.flags.writeable = False
+        got = lda_infer(model, [1, 4, 4], 3)
+        assert np.array_equal(got.counts, want.counts)
+        assert np.array_equal(got.theta, want.theta)
+
+
+class TestDocumentChecks:
+    """A document is a flat sequence of integer word indices in [0, V)."""
+
+    @pytest.mark.parametrize("doc", [
+        [1.7, 2.2], [True, False], ["a"], [float("nan")], [float("inf")], [1e30], [2**70],
+        [[0, 1]], [[0], [1, 2]], np.array([2**64 - 1], dtype=np.uint64),
+    ], ids=repr)
+    @pytest.mark.parametrize("fold", ["update", "infer"])
+    def test_non_integer_words_refused(self, doc, fold):
+        model = TopicModel(k=2, v=4, rng_seed=0)
+        lda_update(model, [0, 1, 3])
+        before = model.to_json_dict()
+        with pytest.raises(RepresentationError):
+            (lda_update if fold == "update" else lda_infer)(model, doc)
+        assert model.to_json_dict() == before
+
+    @pytest.mark.parametrize("doc", [
+        np.array([4, 0, 2], dtype=np.int32), np.array([4, 0, 2], dtype=np.uint8),
+        [4.0, 0.0, 2.0], np.array([4.0, 0.0, 2.0]),
+    ], ids=repr)
+    def test_integer_words_accepted(self, doc):
+        # an integral float is the integer it holds
+        runs = []
+        for words in (doc, [4, 0, 2]):
+            model = TopicModel(k=3, v=5, rng_seed=2)
+            lda_update(model, words, 2)
+            runs.append((model.to_json_dict(), lda_infer(model, words, 2).counts.tolist()))
+        assert runs[0] == runs[1]
+
+    def test_empty_document(self):
+        # draws nothing and changes no counter, but counts as an update; its
+        # theta is 1/K exactly, where alpha / (K alpha) reads 0.33333333333333337
+        model = TopicModel(k=3, v=5, alpha=0.3, rng_seed=2)
+        lda_update(model, [1, 2])
+        before = model.to_json_dict()
+        lda_update(model, [])
+        assert model.to_json_dict() == dict(before, n_updates=2)
+        hist = lda_infer(model, [])
+        assert hist.theta.tolist() == [1 / 3] * 3
+        assert hist.counts.tolist() == [0, 0, 0] and hist.counts.dtype == np.int64
+
+
+class TestTopicHistogramChecks:
+    @pytest.mark.parametrize("theta,counts", [
+        ([float("nan")], [0]),
+        ([0.5, 0.5], [-3, 1.7]),
+        ([0.5, 0.5], [-3, 1]),
+        ([0.5, 0.5], [1.0, 2.0]),
+        ([0.5, 0.5], [1, 2, 3]),
+        ([0.5, 0.5], None),
+        ([[0.5, 0.5]], [[1, 2]]),
+        ([[0.5], [0.5]], [1, 2]),
+        ([0.5, 0.6], [1, 2]),
+        ([1.5, -0.5], [1, 2]),
+        ([], []),
+        (["a"], [1]),
+    ])
+    def test_bad_histogram_refused(self, theta, counts):
+        with pytest.raises(RepresentationError):
+            TopicHistogram(theta, counts)
+
+    def test_histogram_stores_float64_and_int64(self):
+        hist = TopicHistogram([0.25, 0.75], np.array([1, 3], dtype=np.uint8))
+        assert hist.theta.dtype == np.float64 and hist.counts.dtype == np.int64
+        assert hist.counts.tolist() == [1, 3]
+
 
 class TestLocalLda:
     def test_new_category_creates_model(self):
@@ -475,6 +554,16 @@ class TestLocalLda:
         local_lda_update(models, "mug", [0, 1, 2], k=3, v=5)
         assert set(models) == {"mug"}
         assert models["mug"].scope == "mug"
+
+    @pytest.mark.parametrize("category,doc", [(5, [0]), (None, [0]), (("mug",), [0]),
+                                              ("bowl", [0.5]), ("bowl", [9])])
+    def test_refused_teach_leaves_models(self, category, doc):
+        models = {}
+        local_lda_update(models, "mug", [0, 1, 2], k=3, v=5)
+        before = {c: m.to_json_dict() for c, m in models.items()}
+        with pytest.raises(RepresentationError):
+            local_lda_update(models, category, doc, k=3, v=5)
+        assert {c: m.to_json_dict() for c, m in models.items()} == before
 
     def test_isolation_between_categories(self):
         models = {}
@@ -594,26 +683,30 @@ class TestTopicModelChecks:
                 TopicModel.from_json_dict(bad)
 
 
-def reference_sweeps(n_wk, n_k, doc, z, m_k, alpha, beta, iters, rng, commit):
-    """Per-token numpy formulation of the collapsed Gibbs sweep: one
-    rng.random() per token, cumsum and searchsorted over the K weights. It
-    updates the counters it is given whatever ``commit`` says; lda_infer
-    gives it a throw-away copy."""
-    v = n_wk.shape[0]
-    vbeta = v * beta
+def reference_fold_in(model, doc, iters, rng):
+    """Per-token numpy formulation of _fold_in: the initial topics added to
+    copies of the model's counters, then one rng.random() per token, cumsum
+    and searchsorted over the K weights."""
+    n_wk, n_k = model.n_wk.copy(), model.n_k.copy()
+    z = rng.integers(0, model.k, size=len(doc))
+    m_k = np.bincount(z, minlength=model.k)
+    np.add.at(n_wk, (doc, z), 1)
+    n_k += m_k
+    vbeta = model.v * model.beta
     for _ in range(iters):
         for i, w in enumerate(doc):
             k_old = z[i]
             n_wk[w, k_old] -= 1
             n_k[k_old] -= 1
             m_k[k_old] -= 1
-            weights = (m_k + alpha) * (n_wk[w] + beta) / (n_k + vbeta)
+            weights = (m_k + model.alpha) * (n_wk[w] + model.beta) / (n_k + vbeta)
             cumulative = np.cumsum(weights)
             k_new = int(np.searchsorted(cumulative, rng.random() * cumulative[-1], side="right"))
             z[i] = k_new
             n_wk[w, k_new] += 1
             n_k[k_new] += 1
             m_k[k_new] += 1
+    return {w: n_wk[w].tolist() for w in set(doc.tolist())}, n_k.tolist(), m_k.tolist()
 
 
 @st.composite
@@ -649,12 +742,12 @@ class TestGibbsKernelStream:
         for kind, doc, iters in ops:
             if kind == "update":
                 lda_update(model, doc, iters)
-                with mock.patch.object(representations, "_gibbs_sweeps", reference_sweeps):
+                with mock.patch.object(representations, "_fold_in", reference_fold_in):
                     lda_update(ref, doc, iters)
             else:
                 before = TopicModel.from_json_dict(model.to_json_dict())
                 got = lda_infer(model, doc, iters)
-                with mock.patch.object(representations, "_gibbs_sweeps", reference_sweeps):
+                with mock.patch.object(representations, "_fold_in", reference_fold_in):
                     want = lda_infer(ref, doc, iters)
                 assert np.array_equal(got.counts, want.counts)
                 assert np.array_equal(got.theta, want.theta)
