@@ -25,6 +25,7 @@ from .errors import OpenobjError, check_count, check_fields
 from .learning import (
     BayesMemory,
     InstanceMemory,
+    LearningError,
     _compact_counts,
     bayes_classify,
     bayes_teach,
@@ -235,6 +236,9 @@ class Learner:
             instance_teach(self.memory, category, x)
 
     def classify(self, cloud):
+        # an empty memory is refused before the view is described or encoded
+        if not self.memory.categories:
+            raise LearningError("no categories in memory")
         target = self._encode(cloud)
         if self.bayes:
             return bayes_classify(self.memory, target).label

@@ -377,12 +377,12 @@ def _validate_doc(doc, v: int, iters: int) -> np.ndarray:
 
 
 def _fold_in(model: TopicModel, doc: np.ndarray, iters: int, rng: np.random.Generator):
-    """Collapsed Gibbs sweeps of one document against the model's counters,
-    which it only reads. Returns the final (rows, topic_n, doc_n): each of
-    the document's words mapped to its word-topic count row, the topic
-    counts and the doc-topic counts, all Python lists that include the
-    document's own assignments. The document-topic denominator is dropped
-    (it does not depend on the candidate topic).
+    """Sequential collapsed Gibbs sweeps of one document against the model's
+    counters, which it only reads; it serves lda_update alone. Returns the
+    final (rows, topic_n): each of the document's words mapped to its
+    word-topic count row, and the topic counts, Python lists that include
+    the document's own assignments. The document-topic denominator is
+    dropped (it does not depend on the candidate topic).
 
     Stream contract: the initial topics are drawn from ``rng`` first, then
     every sweep's uniforms in one block, token-major within a sweep, so
@@ -435,22 +435,63 @@ def _fold_in(model: TopicModel, doc: np.ndarray, iters: int, rng: np.random.Gene
             factor[k] = row[k] + beta
             doc_factor[k] = doc_n[k] + alpha
             topic_denom[k] = topic_n[k] + vbeta
-    return rows, topic_n, doc_n
+    return rows, topic_n
+
+
+def _simultaneous_sweeps(model: TopicModel, doc: np.ndarray, iters: int,
+                         rng: np.random.Generator) -> np.ndarray:
+    """The document's final int64 topic counts after ``iters`` simultaneous
+    Gibbs sweeps against the model's counters, which it only reads.
+
+    Each sweep resamples every token at once from the previous sweep's
+    assignment z (Newman, Asuncion, Smyth & Welling's AD-LDA sampler, one
+    document at a time). With m_k the document's topic counts and doc_wk
+    its word-topic counts under z, token i of word w weighs topic k by
+        (m_k - [z_i=k] + alpha) (n_wk[w] + doc_wk[w] - [z_i=k] + beta)
+        / (n_k + m_k - [z_i=k] + V beta),
+    the sequential weight with every other token held at its last topic.
+    Each bracket's integer part is summed first, then its float constant
+    added, and the product divided last, in float64.
+
+    Stream contract: the initial topics are drawn from ``rng`` first, then
+    every sweep's uniforms as one (iters, n) block, so token i of sweep s
+    uses row s, column i, as in _fold_in. The new topic is the number of
+    cumulative weights (np.cumsum along the row) at most u times the
+    row's total, counted over the first K - 1 columns only: a draw where u
+    times the total rounds to the total picks topic K - 1, never K.
+    """
+    k, alpha, beta = model.k, model.alpha, model.beta
+    vbeta, topics = model.v * beta, np.arange(k)
+    z = rng.integers(0, k, size=len(doc))
+    uniforms = rng.random((iters, len(doc)))
+    words, word_of = np.unique(doc, return_inverse=True)
+    word_rows, cells = model.n_wk[words], word_of * k  # cells + z: each token's (word, topic)
+    for u in uniforms:
+        own = z[:, None] == topics  # (n, K): each token's current topic
+        m = np.bincount(z, minlength=k)
+        doc_wk = np.bincount(cells + z, minlength=len(words) * k).reshape(-1, k)
+        weights = (m - own) + alpha
+        weights *= ((word_rows + doc_wk)[word_of] - own) + beta
+        weights /= ((model.n_k + m) - own) + vbeta
+        cumulative = np.cumsum(weights, axis=1)
+        z = np.count_nonzero(cumulative[:, :-1] <= (u * cumulative[:, -1])[:, None], axis=1)
+    return np.bincount(z, minlength=k)
 
 
 def lda_update(model: TopicModel, doc, iters: int = DEFAULT_GIBBS_ITERS) -> TopicModel:
     """Fold one document into the model by collapsed Gibbs sampling.
 
     Topics are initialized uniformly at random (seeded by the model's seed
-    and update counter), resampled for ``iters`` sweeps against the
-    accumulated counters, and _fold_in's final word-topic rows and topic
-    counts are written back, so the final assignments become permanent. An
-    empty document changes no counter. Returns the same (mutated) model.
+    and update counter), resampled token by token for ``iters`` sequential
+    sweeps against the accumulated counters, and _fold_in's final
+    word-topic rows and topic counts are written back, so the final
+    assignments become permanent. An empty document changes no counter.
+    Returns the same (mutated) model.
     """
     doc = _validate_doc(doc, model.v, iters)
     rng = np.random.default_rng((model.rng_seed, model.n_updates))
     model.n_updates += 1
-    rows, topic_n, _ = _fold_in(model, doc, iters, rng)
+    rows, topic_n = _fold_in(model, doc, iters, rng)
     for w, row in rows.items():
         model.n_wk[w] = row
     model.n_k[:] = topic_n
@@ -460,15 +501,20 @@ def lda_update(model: TopicModel, doc, iters: int = DEFAULT_GIBBS_ITERS) -> Topi
 def lda_infer(model: TopicModel, doc, iters: int = DEFAULT_GIBBS_ITERS) -> TopicHistogram:
     """Topic distribution of a document against a frozen model.
 
-    _fold_in only reads the model, which is left bit-identical, and the
-    document's final topic counts n_doc are kept; theta_k =
-    (n_{doc,k} + alpha) / (n_doc + K alpha), or exactly 1/K for an empty
-    document.
+    The document is folded in by ``iters`` simultaneous sweeps
+    (_simultaneous_sweeps): every token is resampled at once from the
+    previous sweep's counts minus its own assignment, drawing the initial
+    topics and then one (iters, n) block of uniforms from a stream seeded
+    by (rng_seed, n_updates, 1). Teaching keeps the sequential sampler,
+    whose counts the model accumulates. The model is only read and left
+    bit-identical; the document's final topic counts n_doc are kept, and
+    theta_k = (n_{doc,k} + alpha) / (n_doc + K alpha), or exactly 1/K for
+    an empty document.
     """
     doc = _validate_doc(doc, model.v, iters)
     k, alpha = model.k, model.alpha
     rng = np.random.default_rng((model.rng_seed, model.n_updates, 1))
-    counts = np.array(_fold_in(model, doc, iters, rng)[2], dtype=np.int64)
+    counts = _simultaneous_sweeps(model, doc, iters, rng)
     theta = (counts + alpha) / (len(doc) + k * alpha) if len(doc) else np.full(k, 1.0 / k)
     return TopicHistogram(theta=theta, counts=counts)
 

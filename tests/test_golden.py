@@ -52,24 +52,24 @@ GOLDEN = {
         "3b0353b4e304773a75809d289b7ca3035855b590fdf1b251550aa936fb1efddd",
     ),
     ("lda", "instance"): (
-        "f67068d1c859873a8e5a473be5e1daae5783d3341d66034c4ddd4ef624718b03",
-        "c06aa5b49e4b4c2548a2546827039fccadd0afa71f79e19119c5a8d395a1530e",
-        "38d61d453ce07c4d07ffda31200020e754ec8a61b990ea5c9e47cf3a11118bee",
+        "bb4fac64fad9b3a05a1839a6e28835b6f2ca3881c0e2a8582a3be6e8bd2703fb",
+        "8bdf2a11382fb4ffaf7f8198b74ca9b1e49db9b87670475b8eaa1b35eb0afca0",
+        "3b7f462ca23849b4f5f50ce9d4296ab1c79718fb1fcb0a0ecb3ddf5dada15709",
     ),
     ("lda", "bayes"): (
-        "206028395a2ad57c1052df23f6e6418d93f56fce155c8b23f038763bc92fdb70",
-        "12162ca223b666f08ae6763600d64ea1e99ef2d8baa057e1970df0b0f8ab9944",
-        "3ce43f2c6f1699b5f7b4399c346957a90ba50170ea587ad227c63e363dbe6bd7",
+        "ec050fb6814667cc6e4375ccfcd94dab754e3e0988e341403636aadda719f64f",
+        "05021a1c957f6da9be6bf67cf4eb299c86020a4d05eb4efeb81024b299f2f3b7",
+        "11a8cf60467b4710233ad49070ad5395b3c2fcc47c09a8d75266020c937f09fd",
     ),
     ("local_lda", "instance"): (
-        "c032915550890891d55919089906649e35860ba465d247382ef31d55101d235d",
-        "69fb8c87459280df660a46452943f70136f8bbb4f5057c9011600cd9404e4348",
-        "d43b2184d80783d411123f6f99dab6c9f6feb2256cc3e3d81af26c4f99172697",
+        "0be38e3ffe342551aba13fd10072d54a67366a94deedea3af5b55ff65ca11fe8",
+        "44fe339a41883c5f0e55d324761fedb2aadeabca71b368205689d90e5ee8e2d9",
+        "9180d0a8137225097cab6c6a6cc05c81dfcacd6bc589a56018a191c83e82dc29",
     ),
     ("local_lda", "bayes"): (
-        "d604c88f3861d89e7e0665d7f3edb85753e8322a8d1526208b5668fc358e9bbc",
-        "4c6a5f66e23f99d62e587e5b523df0a9ffdb67dcbf3490035df1a1233973cc19",
-        "283518ea7464901d875eb347f09710cef59604c8fabc5b7c8a9b863feec55a70",
+        "61f44c32581f08b5dca35921828794a785350936f54ddc083c056934791a3671",
+        "9dfd3145b5bdc6bcf458777c0aff932efe93dfdea5cc9ac5fd60f01250e5f20c",
+        "61b2378134aa53089a0837c089c4fe82b8a971320fbf80f5dd15ef1baa31a6c6",
     ),
 }
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from openobj.descriptors import compute_feature_set, compute_good
 from openobj.evaluation import LabeledDataset, kfold, metrics, run_protocol
 from openobj.nbv import render_virtual
-from openobj import learning, pipelines, representations
+from openobj import descriptors, learning, pipelines, representations
 from openobj.learning import (
     InstanceCategory,
     InstanceMemory,
@@ -259,6 +259,26 @@ class TestLearnerWrappers:
         learner = build_learner(cfg, dictionary)
         with pytest.raises(LearningError, match="no categories"):
             learner.classify(tiny_dataset.views["cone"][0])
+
+    @pytest.mark.parametrize("representation", ["lda", "local_lda"])
+    @pytest.mark.parametrize("learner", LEARNERS)
+    def test_empty_memory_refused_before_encoding(self, tiny_dataset, representation, learner):
+        # a learner taught nothing refuses a query before it describes the
+        # view or runs a Gibbs chain
+        cfg = ExperimentConfig(representation=representation, learner=learner, voxel=0.025,
+                               dictionary_size=20, topics=8, gibbs_iters=10)
+        dictionary = build_dictionary_from_clouds(tiny_dataset.views["box"][:2], cfg)
+        learner = build_learner(cfg, dictionary)
+        real = {"lda_infer": lda_infer, "compute_feature_set": compute_feature_set}
+        spies = {name: mock.Mock(wraps=fn) for name, fn in real.items()}
+        with contextlib.ExitStack() as patches:
+            for module in (representations, descriptors, pipelines):
+                for name, fn in real.items():
+                    if getattr(module, name, None) is fn:
+                        patches.enter_context(mock.patch.object(module, name, spies[name]))
+            with pytest.raises(LearningError, match="^no categories in memory$"):
+                learner.classify(tiny_dataset.views["cone"][0])
+        assert [spy.call_count for spy in spies.values()] == [0, 0]
 
     @pytest.mark.parametrize("learner_kind", LEARNERS)
     def test_local_lda_queries_go_to_the_memory_scorer(self, tiny_dataset, learner_kind):

@@ -481,6 +481,58 @@ class TestLdaInfer:
         assert np.array_equal(got.theta, want.theta)
 
 
+class TestSimultaneousSweeps:
+    """lda_infer's sampler on a planted model and at the edge of its draw."""
+
+    @staticmethod
+    def planted(k, seed):
+        # topic j owns words 4j..4j+3, each counted 500 times under it alone
+        v = 4 * k
+        n_wk = np.zeros((v, k), dtype=np.int64)
+        n_wk[np.arange(v), np.arange(v) // 4] = 500
+        return TopicModel(k=k, v=v, rng_seed=seed, n_wk=n_wk, n_k=n_wk.sum(axis=0))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("iters", [1, 5])
+    def test_planted_topics_recovered(self, seed, iters):
+        k = 6
+        model = self.planted(k, seed)
+        before = model.n_wk.tobytes(), model.n_k.tobytes(), model.n_updates
+        rng = np.random.default_rng(seed)
+        for j in range(k):
+            doc = rng.integers(4 * j, 4 * j + 4, size=40)
+            counts = lda_infer(model, doc, iters).counts
+            assert counts.sum() == len(doc)
+            assert counts[j] >= 0.9 * len(doc)
+        assert (model.n_wk.tobytes(), model.n_k.tobytes(), model.n_updates) == before
+
+    def test_same_seed_and_updates_same_answer(self):
+        rng = np.random.default_rng(11)
+        doc = rng.integers(0, 12, size=60)
+        answers = []
+        for n_updates in (3, 3, 4):
+            model = TopicModel(k=5, v=12, rng_seed=7, n_updates=n_updates,
+                               n_wk=np.full((12, 5), 2), n_k=np.full(5, 24))
+            hist = lda_infer(model, doc, 4)
+            answers.append((hist.counts.tobytes(), hist.theta.tobytes()))
+        assert answers[0] == answers[1]
+        assert answers[0] != answers[2]  # the stream follows n_updates
+
+    def test_draw_at_the_total_picks_the_last_topic(self):
+        # u * total equal to the total counts only the first K - 1 cumulative
+        # weights, so it lands on topic K - 1, not past it
+        class Ones:
+            def integers(self, low, high, size):
+                return np.zeros(size, dtype=np.int64)
+
+            def random(self, shape):
+                return np.ones(shape)
+
+        model = TopicModel(k=4, v=3, rng_seed=0)
+        counts = representations._simultaneous_sweeps(model, np.array([0, 1, 2, 2]), 2, Ones())
+        assert counts.tolist() == [0, 0, 0, 4]
+
+
 class TestDocumentChecks:
     """A document is a flat sequence of integer word indices in [0, V)."""
 
@@ -706,7 +758,29 @@ def reference_fold_in(model, doc, iters, rng):
             n_wk[w, k_new] += 1
             n_k[k_new] += 1
             m_k[k_new] += 1
-    return {w: n_wk[w].tolist() for w in set(doc.tolist())}, n_k.tolist(), m_k.tolist()
+    return {w: n_wk[w].tolist() for w in set(doc.tolist())}, n_k.tolist()
+
+
+def reference_simultaneous_sweeps(model, doc, iters, rng):
+    """Per-token numpy formulation of _simultaneous_sweeps: every token of a
+    sweep reads the previous sweep's assignment, minus its own topic, then
+    takes one rng.random(), cumsum and searchsorted(side="right") over the
+    first K - 1 cumulative weights."""
+    topics = np.arange(model.k)
+    vbeta = model.v * model.beta
+    z = rng.integers(0, model.k, size=len(doc))
+    for _ in range(iters):
+        m_k = np.bincount(z, minlength=model.k)
+        new = z.copy()
+        for i, w in enumerate(doc):
+            own_wk = np.bincount(z[doc == w], minlength=model.k)
+            mine = topics == z[i]
+            weights = ((m_k - mine + model.alpha) * (model.n_wk[w] + own_wk - mine + model.beta)
+                       / (model.n_k + m_k - mine + vbeta))
+            cumulative = np.cumsum(weights)
+            new[i] = np.searchsorted(cumulative[:-1], rng.random() * cumulative[-1], side="right")
+        z = new
+    return np.bincount(z, minlength=model.k)
 
 
 @st.composite
@@ -747,7 +821,8 @@ class TestGibbsKernelStream:
             else:
                 before = TopicModel.from_json_dict(model.to_json_dict())
                 got = lda_infer(model, doc, iters)
-                with mock.patch.object(representations, "_fold_in", reference_fold_in):
+                with mock.patch.object(representations, "_simultaneous_sweeps",
+                                       reference_simultaneous_sweeps):
                     want = lda_infer(ref, doc, iters)
                 assert np.array_equal(got.counts, want.counts)
                 assert np.array_equal(got.theta, want.theta)
