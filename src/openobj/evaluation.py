@@ -11,7 +11,9 @@ about categories of the current context.
 
 from __future__ import annotations
 
+import itertools
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,9 +84,16 @@ class LabeledDataset:
     contexts: dict | None = None
 
     def __post_init__(self):
-        if not self.views or any(len(v) < 1 for v in self.views.values()):
-            raise EvaluationError("every category needs at least one view")
+        if not isinstance(self.views, Mapping) or not self.views:
+            raise EvaluationError("views must map each category to its views")
+        for label, views in self.views.items():
+            if not isinstance(label, str):
+                raise EvaluationError(f"category labels must be strings, got {label!r}")
+            if not isinstance(views, (list, tuple)) or not views:
+                raise EvaluationError(f"category {label!r} needs a non-empty list of views")
         if self.contexts is not None:
+            if not isinstance(self.contexts, Mapping):
+                raise EvaluationError("contexts must map each category to 'A' or 'B'")
             if set(self.contexts) != set(self.views):
                 raise EvaluationError("context map must cover exactly the categories")
             if any(c not in ("A", "B") for c in self.contexts.values()):
@@ -114,11 +123,19 @@ class ProtocolEvent(JsonRecord):
 @dataclass
 class ProtocolLog:
     events: list = field(default_factory=list)
-    introductions: list = field(default_factory=list)  # (iteration, category)
     termination: str | None = None  # breakpoint | lack_of_data
 
     def asks(self) -> list:
         return [e for e in self.events if e.action == "ask"]
+
+    @property
+    def introductions(self) -> list:
+        """(iteration, category) of each category's first teach event."""
+        first = {}
+        for e in self.events:
+            if e.action == "teach":
+                first.setdefault(e.category, e.iteration)
+        return [(iteration, category) for category, iteration in first.items()]
 
     def write_jsonl(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:
@@ -244,22 +261,26 @@ def kfold(
 # Simulated teacher
 # ---------------------------------------------------------------------------
 
-def _summarize(log: ProtocolLog, alc1=None, alc2=None) -> ProtocolSummary:
+def _summarize(log: ProtocolLog, contexts) -> ProtocolSummary:
+    """Every field from the log; ALC1 and ALC2 count the introductions per
+    context when a context map is given."""
     asks = log.asks()
     qci = len(asks)
-    nlc = len(log.introductions)
-    stored = sum(1 for e in log.events if e.action in ("teach", "correct"))
-    gca = sum(e.correct for e in asks) / qci if qci else 0.0
-    apa = float(np.mean([e.accuracy for e in asks])) if asks else 0.0
-    adaptability = None
-    if alc1 is not None and log.termination == "breakpoint" and alc1 > 0:
-        adaptability = alc2 / alc1
+    introduced = [category for _, category in log.introductions]
+    nlc = len(introduced)
+    stored = sum(e.action in ("teach", "correct") for e in log.events)
+    alc1 = alc2 = adaptability = None
+    if contexts is not None:
+        alc1 = sum(contexts[c] == "A" for c in introduced)
+        alc2 = nlc - alc1
+        if log.termination == "breakpoint" and alc1 > 0:
+            adaptability = alc2 / alc1
     return ProtocolSummary(
         qci=qci,
         nlc=nlc,
         aic=stored / nlc if nlc else 0.0,
-        gca=float(gca),
-        apa=apa,
+        gca=float(sum(e.correct for e in asks) / qci) if qci else 0.0,
+        apa=float(np.mean([e.accuracy for e in asks])) if asks else 0.0,
         termination=log.termination,
         alc1=alc1,
         alc2=alc2,
@@ -285,7 +306,8 @@ def run_protocol(
     min(k, window_mult * n) asks exceeds tau (with at least n asks since
     the last introduction). The run stops at a breakpoint after
     ``breakpoint_limit`` asks without crossing tau, or with lack_of_data
-    when views run out.
+    when views run out: an asked category has none left, or the next one
+    to introduce has fewer than ``views_per_teach`` and is never taught.
 
     With a transition point ``rho`` the dataset's context map splits the
     categories: they come from context A while the introduced count has not
@@ -312,108 +334,62 @@ def run_protocol(
         raise EvaluationError("both contexts must hold at least one category")
     rng = np.random.default_rng(seed)
     for ctx, pool in pools.items():
-        pools[ctx] = [pool[i] for i in rng.permutation(len(pool))]
+        pools[ctx] = iter([pool[i] for i in rng.permutation(len(pool))])
     unseen = {label: iter(enumerate(views)) for label, views in dataset.views.items()}
-    log = ProtocolLog()
+    log = ProtocolLog(termination="lack_of_data")
 
-    context = "A"
     introduced: list[str] = []
     ask_history: list[bool] = []  # all ask outcomes in order
     iteration = 0  # question/correction iteration counter
+    k = 0  # asks since the latest introduction
+    accuracy = 0.0  # sliding-window accuracy after the latest ask
 
-    def introduce_next() -> bool:
-        """Teach the next category of the current context with
-        views_per_teach unseen views; False when the pool or the views run
-        dry (lack of data)."""
-        if not pools[context]:
+    def introduce(category) -> bool:
+        """Teach a category its first views_per_teach unseen views; False,
+        teaching nothing, when fewer are left."""
+        views = list(itertools.islice(unseen[category], views_per_teach))
+        if len(views) < views_per_teach:
             return False
-        category = pools[context].pop(0)
-        for _ in range(views_per_teach):
-            item = next(unseen[category], None)
-            if item is None:
-                return False
-            view_id, view = item
+        for view_id, view in views:
             learner.teach(category, view)
-            log.events.append(
-                ProtocolEvent(
-                    iteration=iteration,
-                    action="teach",
-                    category=category,
-                    view_id=view_id,
-                    known=len(introduced) + 1,
-                )
-            )
+            log.events.append(ProtocolEvent(iteration, "teach", category, view_id,
+                                            known=len(introduced) + 1))
         introduced.append(category)
-        log.introductions.append((iteration, category))
         return True
 
-    if not introduce_next():
-        log.termination = "lack_of_data"
-        return log, _summarize(log)
-
-    while True:  # outer loop: one pass per introduced category
-        if len(introduced) > switch_after:
-            context = "B"
-        if not introduce_next():
-            log.termination = "lack_of_data"
-            break
+    while True:
         n = len(introduced)
-        k = 0  # iterations since this introduction
-        c = 0  # cycling index over introduced categories
-        crossed = False
-        while True:  # question/correction iterations
-            asked_category = introduced[c]
-            c = c + 1 if c + 1 < n else 0
-            if contexts[asked_category] != context:
-                continue  # out-of-context categories are skipped silently
-            item = next(unseen[asked_category], None)
-            if item is None:
-                log.termination = "lack_of_data"
+        # the first two categories enter before any ask, later ones once
+        # n asks have passed and the window accuracy exceeds tau
+        if n < 2 or (k >= n and accuracy > tau):
+            context = "B" if n > switch_after else "A"
+            category = next(pools[context], None)
+            if category is None or not introduce(category):
                 break
-            view_id, view = item
-            predicted = learner.classify(view)
-            correct = predicted == asked_category
-            iteration += 1
-            k += 1
-            ask_history.append(correct)
-            window = min(k, window_mult * n)
-            s = float(np.mean(ask_history[-window:]))
-            log.events.append(
-                ProtocolEvent(
-                    iteration=iteration,
-                    action="ask",
-                    category=asked_category,
-                    view_id=view_id,
-                    predicted=predicted,
-                    correct=correct,
-                    accuracy=s,
-                    known=n,
-                )
-            )
-            if not correct:
-                learner.teach(asked_category, view)
-                log.events.append(
-                    ProtocolEvent(
-                        iteration=iteration,
-                        action="correct",
-                        category=asked_category,
-                        view_id=view_id,
-                        known=n,
-                    )
-                )
-            if k >= n and s > tau:
-                crossed = True
-                break
-            if k >= breakpoint_limit:
-                log.termination = "breakpoint"
-                break
-        if not crossed:
+            asked = itertools.cycle([c for c in introduced if contexts[c] == context])
+            k = 0
+            continue
+        if k >= breakpoint_limit:
+            log.termination = "breakpoint"
             break
+        category = next(asked)
+        item = next(unseen[category], None)
+        if item is None:
+            break
+        view_id, view = item
+        predicted = learner.classify(view)
+        correct = predicted == category
+        iteration += 1
+        k += 1
+        ask_history.append(correct)
+        accuracy = float(np.mean(ask_history[-min(k, window_mult * n):]))
+        log.events.append(ProtocolEvent(iteration, "ask", category, view_id, predicted=predicted,
+                                        correct=correct, accuracy=accuracy, known=n))
+        if not correct:
+            learner.teach(category, view)
+            log.events.append(ProtocolEvent(iteration, "correct", category, view_id, known=n))
 
-    if rho is None:
-        return log, _summarize(log)
-    alc1 = sum(contexts[c] == "A" for c in introduced)
-    return log, _summarize(log, alc1=alc1, alc2=len(introduced) - alc1)
+    return log, _summarize(log, contexts if rho is not None else None)
 
 
 def pick_rho(alc: float, seed: int = 0) -> int:

@@ -166,27 +166,17 @@ class _FeatureCache:
 
 
 def collect_feature_pool(matrices, cap: int, seed: int) -> np.ndarray:
-    """Stack (k, d) feature matrices, subsampling (seeded) past the cap.
-    Past the cap only the drawn rows are gathered, in the order drawn, so
-    the pool equals the stack's rows at those indices without the stack."""
+    """Stack (k, d) feature matrices, subsampling (seeded) past the cap:
+    the pool is the stack's rows at ``cap`` indices drawn without
+    replacement, in the order drawn."""
     check_count("cap", cap, 1, RepresentationError)
     matrices = [np.atleast_2d(m) for m in matrices]
     if not matrices or len({m.shape[1:] for m in matrices}) > 1:
         raise RepresentationError("need one or more feature matrices of equal width")
-    ends = np.cumsum([len(m) for m in matrices])
-    if ends[-1] <= cap:
-        return np.vstack(matrices)
-    rows = np.random.default_rng(seed).choice(ends[-1], size=cap, replace=False)
-    pool = np.empty((cap,) + matrices[0].shape[1:], np.result_type(*{m.dtype for m in matrices}))
-    # the drawn rows grouped by the matrix that holds them
-    order = np.argsort(rows)
-    bounds = np.searchsorted(rows[order], ends)
-    first = 0
-    for m, end, bound in zip(matrices, ends, bounds):
-        picked = order[first:bound]
-        pool[picked] = m[rows[picked] - (end - len(m))]
-        first = bound
-    return pool
+    stack = np.concatenate(matrices)
+    if len(stack) <= cap:
+        return stack
+    return stack[np.random.default_rng(seed).choice(len(stack), size=cap, replace=False)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from openobj.evaluation import (
     ConfusionMatrix,
@@ -61,6 +63,27 @@ def labeled_views(categories, views_per_cat):
             for cat in categories
         }
     )
+
+
+class TestLabeledDataset:
+    @pytest.mark.parametrize("views, contexts, message", [
+        ([1, 2], None, "views must map each category"),
+        ({}, None, "views must map each category"),
+        ({"a": 5}, None, "category 'a' needs a non-empty list of views"),
+        ({"a": "xyz"}, None, "category 'a' needs a non-empty list of views"),
+        ({"a": []}, None, "category 'a' needs a non-empty list of views"),
+        ({1: [0, 1]}, None, "category labels must be strings, got 1"),
+        ({"a": [0]}, ["a"], "contexts must map each category"),
+        ({"a": [0], "b": [1]}, {"a": "A"}, "context map must cover exactly the categories"),
+        ({"a": [0], "b": [1]}, {"a": "A", "b": "C"}, "contexts must be 'A' or 'B'"),
+    ])
+    def test_refused_when_built(self, views, contexts, message):
+        with pytest.raises(EvaluationError, match=message):
+            LabeledDataset(views=views, contexts=contexts)
+
+    def test_lists_and_tuples_of_views_accepted(self):
+        data = LabeledDataset(views={"a": (0, 1), "b": [2]}, contexts={"a": "A", "b": "B"})
+        assert data.categories == ["a", "b"]
 
 
 class TestMetrics:
@@ -180,6 +203,36 @@ class TestKfold:
         with pytest.raises(EvaluationError, match=r"fold 0: .* labels for 12 views"):
             kfold(self.dataset(rng), k=3, pipeline=miscounting_pipeline)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 30), min_size=1, max_size=5),
+        k=st.integers(2, 12),
+        seed=st.integers(0, 2**16),
+    )
+    def test_folds_partition_the_views(self, sizes, k, seed):
+        data = LabeledDataset(
+            views={f"c{i}": [(f"c{i}", j) for j in range(size)] for i, size in enumerate(sizes)}
+        )
+        everything = {view for views in data.views.values() for view in views}
+        tested = []
+
+        def recording_pipeline(train, test_views):
+            train_views = [view for _, view in train]
+            assert all(label == view[0] for label, view in train)
+            assert len(set(train_views)) == len(train_views)
+            assert set(train_views).isdisjoint(test_views)
+            assert set(train_views) | set(test_views) == everything
+            tested.append(list(test_views))
+            return [view[0] for view in test_views]
+
+        cm = kfold(data, k=k, pipeline=recording_pipeline, seed=seed)
+        assert len(tested) == k
+        assert sorted(view for fold in tested for view in fold) == sorted(everything)
+        np.testing.assert_array_equal(cm.counts, np.diag(sizes))
+        for label in data.categories:
+            per_fold = [sum(view[0] == label for view in fold) for fold in tested]
+            assert max(per_fold) - min(per_fold) <= 1
+
     def test_k_below_two_rejected(self):
         rng = np.random.default_rng(5)
         with pytest.raises(EvaluationError):
@@ -281,6 +334,31 @@ class TestProtocol:
         assert summary.gca == pytest.approx(sum(e.correct for e in asks) / len(asks))
         assert summary.qci == len(asks)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_short_category_is_never_taught(self, seed):
+        # b holds fewer than views_per_teach views: it is never introduced,
+        # so nothing of it is taught and AIC counts a's views only
+        data = LabeledDataset(views={
+            "a": [{"label": "a", "id": i} for i in range(6)],
+            "b": [{"label": "b", "id": i} for i in range(2)],
+        })
+        learner = PerfectLearner()
+        log, summary = run_protocol(data, learner, views_per_teach=3, seed=seed)
+        assert [category for category, _ in learner.taught] == ["a"] * 3
+        assert all(e.category == "a" for e in log.events)
+        assert log.introductions == [(0, "a")]
+        assert (summary.nlc, summary.aic, summary.qci) == (1, 3.0, 0)
+        assert summary.termination == "lack_of_data"
+
+    def test_short_first_category_ends_a_context_run_at_once(self):
+        data = LabeledDataset(views={"a": [{"label": "a", "id": 0}],
+                                     "b": [{"label": "b", "id": 0}]},
+                              contexts={"a": "A", "b": "B"})
+        learner = PerfectLearner()
+        log, summary = run_protocol(data, learner, rho=1)
+        assert (learner.taught, log.events) == ([], [])
+        assert (summary.nlc, summary.aic, summary.alc1, summary.alc2) == (0, 0.0, 0, 0)
+
     def test_aic_matches_learner_store(self):
         data = labeled_views(["a", "b", "c"], 20)
         learner = PerfectLearner()
@@ -370,6 +448,208 @@ class TestContextProtocol:
         ]
         assert got[1].to_json_dict() == want[1].to_json_dict()
         assert got[1].alc1 is None
+
+
+class ScriptedLearner:
+    """Answers right or wrong by a fixed script, cycled over its asks, and
+    records every call."""
+
+    def __init__(self, script):
+        self.script = script
+        self.calls = []
+        self.asked = 0
+
+    def teach(self, category, view):
+        self.calls.append(("teach", category, view["id"]))
+
+    def classify(self, view):
+        right = self.script[self.asked % len(self.script)]
+        self.asked += 1
+        self.calls.append(("ask", view["label"], view["id"]))
+        return view["label"] if right else "__wrong__"
+
+
+@st.composite
+def teacher_runs(draw):
+    """A dataset whose categories may hold fewer than views_per_teach views,
+    a learner script and the protocol's arguments, with or without rho."""
+    labels = [f"c{i}" for i in range(draw(st.integers(1, 5)))]
+    sizes = draw(st.lists(st.integers(1, 20), min_size=len(labels), max_size=len(labels)))
+    views = {c: [{"label": c, "id": j} for j in range(size)] for c, size in zip(labels, sizes)}
+    contexts = rho = None
+    if len(labels) >= 2 and draw(st.booleans()):
+        rest = draw(st.lists(st.sampled_from("AB"), min_size=len(labels) - 2,
+                             max_size=len(labels) - 2))
+        contexts = dict(zip(labels, ["A", "B", *rest]))
+        rho = draw(st.integers(1, len(labels)))
+    kwargs = {
+        # fractions that a window accuracy can equal test the strict rule
+        "tau": draw(st.floats(0.05, 0.95) | st.sampled_from([1 / 3, 0.5, 2 / 3, 0.75])),
+        "window_mult": draw(st.integers(1, 4)),
+        "breakpoint_limit": draw(st.integers(1, 15)),
+        "views_per_teach": draw(st.integers(1, 4)),
+        "seed": draw(st.integers(0, 2**16)),
+        "rho": rho,
+    }
+    script = draw(st.lists(st.booleans(), min_size=1, max_size=12))
+    learner = ScriptedLearner(script)
+    log, summary = run_protocol(LabeledDataset(views, contexts), learner, **kwargs)
+    return views, contexts, kwargs, learner, log, summary
+
+
+def introduction_segments(log):
+    """The asks after each introduction, up to the next one."""
+    segments, seen = [], set()
+    for event in log.events:
+        if event.action == "teach" and event.category not in seen:
+            seen.add(event.category)
+            segments.append([])
+        elif event.action == "ask":
+            segments[-1].append(event)
+    return segments
+
+
+def crosses(segment, n, tau):
+    """Whether the segment's last ask cleared the introduction rule."""
+    return len(segment) >= n and segment[-1].accuracy > tau
+
+
+TEACHER = settings(max_examples=200, deadline=None)
+
+
+class TestTeacherProperties:
+    """The simulated teacher's rules, on scripted learners and datasets
+    where some categories hold fewer than views_per_teach views."""
+
+    @TEACHER
+    @given(teacher_runs())
+    def test_replay_equals_logged_accuracies(self, run):
+        _, _, kwargs, _, log, _ = run
+        assert replay_accuracies(log, kwargs["window_mult"]) == [e.accuracy for e in log.asks()]
+
+    @TEACHER
+    @given(teacher_runs())
+    def test_each_view_used_once(self, run):
+        _, _, _, learner, log, _ = run
+        used = [(e.category, e.view_id) for e in log.events if e.action != "correct"]
+        assert len(used) == len(set(used))
+        # a correction re-teaches the view of the wrong ask just before it
+        for before, event in zip([None, *log.events], log.events):
+            if event.action == "correct":
+                assert before.action == "ask" and not before.correct
+                assert (before.iteration, before.category, before.view_id) == (
+                    event.iteration, event.category, event.view_id)
+        wrong = sum(not e.correct for e in log.asks())
+        assert wrong == sum(e.action == "correct" for e in log.events)
+        kinds = {"teach": "teach", "correct": "teach", "ask": "ask"}
+        assert learner.calls == [(kinds[e.action], e.category, e.view_id) for e in log.events]
+
+    @TEACHER
+    @given(teacher_runs())
+    def test_asks_follow_an_introduction_in_the_current_context(self, run):
+        _, contexts, kwargs, _, log, _ = run
+        introduced = []
+        for event in log.events:
+            if event.action == "teach" and event.category not in introduced:
+                introduced.append(event.category)
+            elif event.action == "ask":
+                assert event.category in introduced
+                if contexts is not None:
+                    assert contexts[event.category] == contexts[introduced[-1]]
+        if contexts is not None:
+            rho = kwargs["rho"]
+            assert [contexts[c] for c in introduced] == [
+                "B" if i > rho else "A" for i in range(len(introduced))]
+
+    @TEACHER
+    @given(teacher_runs())
+    def test_introduced_exactly_when_window_accuracy_clears_tau(self, run):
+        _, _, kwargs, _, log, _ = run
+        tau = kwargs["tau"]
+        segments = introduction_segments(log)
+        if segments:
+            assert segments[0] == []  # the first two categories enter before any ask
+        for n, segment in enumerate(segments, start=1):
+            for k, ask in enumerate(segment, start=1):
+                assert ask.known == n
+                if k < len(segment):
+                    assert not crosses(segment[:k], n, tau)
+            if 1 < n < len(segments):
+                assert crosses(segment, n, tau)
+        if segments and crosses(segments[-1], len(segments), tau):
+            assert log.termination == "lack_of_data"
+
+    @TEACHER
+    @given(teacher_runs())
+    def test_run_ends_at_breakpoint_or_when_data_runs_out(self, run):
+        views, contexts, kwargs, _, log, _ = run
+        limit = kwargs["breakpoint_limit"]
+        segments = introduction_segments(log)
+        assert all(len(segment) <= limit for segment in segments)
+        n = len(segments)
+        stalled = n >= 2 and len(segments[-1]) == limit and not crosses(
+            segments[-1], n, kwargs["tau"])
+        assert (log.termination == "breakpoint") == stalled
+        if log.termination == "breakpoint":
+            return
+        introduced = [c for _, c in log.introductions]
+        if n < 2 or crosses(segments[-1], n, kwargs["tau"]):
+            # no category of the next context is left with views_per_teach views
+            rho = kwargs["rho"]
+            context = "B" if rho is not None and n > rho else "A"
+            waiting = [c for c in views if c not in introduced
+                       and (contexts is None or contexts[c] == context)]
+            assert not waiting or any(len(views[c]) < kwargs["views_per_teach"] for c in waiting)
+        else:
+            # the next category in the ask cycle had no view left
+            context = contexts[introduced[-1]] if contexts is not None else None
+            cycle = [c for c in introduced if contexts is None or contexts[c] == context]
+            due = cycle[len(segments[-1]) % len(cycle)]
+            used = [e for e in log.events if e.category == due and e.action != "correct"]
+            assert len(used) == len(views[due])
+
+    @TEACHER
+    @given(teacher_runs())
+    def test_summary_recomputed_from_the_events(self, run):
+        _, contexts, kwargs, _, log, summary = run
+        asks = [e for e in log.events if e.action == "ask"]
+        introduced = list(dict.fromkeys(e.category for e in log.events if e.action == "teach"))
+        stored = sum(e.action != "ask" for e in log.events)
+        want = {
+            "QCI": len(asks),
+            "NLC": len(introduced),
+            "AIC": stored / len(introduced) if introduced else 0.0,
+            "GCA": sum(e.correct for e in asks) / len(asks) if asks else 0.0,
+            "APA": float(np.mean([e.accuracy for e in asks])) if asks else 0.0,
+            "termination": log.termination,
+        }
+        if kwargs["rho"] is not None:
+            alc1 = sum(contexts[c] == "A" for c in introduced)
+            alc2 = len(introduced) - alc1
+            adaptable = log.termination == "breakpoint" and alc1 > 0
+            want.update({"ALC1": alc1, "ALC2": alc2,
+                         "adaptability": alc2 / alc1 if adaptable else None})
+        assert summary.to_json_dict() == want
+        first_teach = {}
+        for e in log.events:
+            if e.action == "teach":
+                first_teach.setdefault(e.category, e.iteration)
+        assert log.introductions == [(first_teach[c], c) for c in introduced]
+
+    @TEACHER
+    @given(teacher_runs())
+    def test_every_taught_category_is_introduced(self, run):
+        _, _, kwargs, learner, log, summary = run
+        per_teach = kwargs["views_per_teach"]
+        introduced = [c for _, c in log.introductions]
+        for known, category in enumerate(introduced, start=1):
+            teaches = [e for e in log.events if e.action == "teach" and e.category == category]
+            assert [e.view_id for e in teaches] == list(range(per_teach))
+            assert all(e.known == known for e in teaches)
+        stored = [category for action, category, _ in learner.calls if action == "teach"]
+        assert set(stored) == set(introduced)
+        assert summary.nlc == len(introduced)
+        assert summary.aic == (len(stored) / summary.nlc if summary.nlc else 0.0)
 
 
 class TestPickRho:
