@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import JsonRecord, OpenobjError, check_count, check_fields
+from .errors import JsonRecord, OpenobjError, check_count, check_fields, finite_number
 
 __all__ = [
     "ConfusionMatrix",
@@ -232,6 +232,7 @@ def kfold(
     if jobs != 1:
         raise EvaluationError("kfold runs its folds in order: jobs must be 1")
     check_count("k", k, 2, EvaluationError)
+    check_count("seed", seed, 0, EvaluationError)
     rng = np.random.default_rng(seed)
     folds = [[] for _ in range(k)]
     for label in dataset.categories:
@@ -321,8 +322,9 @@ def run_protocol(
         check_count("rho", rho, 1, EvaluationError)
         if dataset.contexts is None:
             raise EvaluationError("context protocol needs a context map")
-    if not 0 < tau < 1:
-        raise EvaluationError("tau must lie in (0, 1)")
+    if not (finite_number(tau) and 0 < tau < 1):
+        raise EvaluationError(f"tau must be a number in (0, 1), got {tau!r}")
+    check_count("seed", seed, 0, EvaluationError)
     for name, count in (("window_mult", window_mult), ("breakpoint_limit", breakpoint_limit),
                         ("views_per_teach", views_per_teach)):
         check_count(name, count, 1, EvaluationError)

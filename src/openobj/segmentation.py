@@ -5,6 +5,7 @@ above the plane, Euclidean clustering and the object-candidate filter
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,10 @@ __all__ = [
 
 class SegmentationError(OpenobjError):
     pass
+
+
+# probability that ransac_plane has drawn an all-inlier sample when it stops
+PLANE_CONFIDENCE = 0.999
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,8 +70,10 @@ class ObjectCandidate:
 @dataclass(frozen=True)
 class SegmentationParams:
     """Tunables for the detection pipeline; plane tau/iterations follow the
-    reference setup, the rest are configuration. Checked when built: a bad
-    value raises SegmentationError naming its field."""
+    reference setup, the rest are configuration. ``plane_iterations`` caps
+    ransac_plane's samples, which stop earlier once enough are drawn.
+    Checked when built: a bad value raises SegmentationError naming its
+    field."""
 
     plane_tau: float = 0.02
     plane_iterations: int = 200
@@ -98,10 +105,31 @@ class SegmentationParams:
                 raise SegmentationError(f"{name} must {rule}")
 
 
+def _samples_needed(inlier_ratio: float) -> float:
+    """Hartley & Zisserman's sample count: draws after which a sample of 3
+    inliers has turned up with probability PLANE_CONFIDENCE, were
+    ``inlier_ratio`` of the points on the plane. 0 when all of them are,
+    infinite when none is."""
+    hit = inlier_ratio ** 3
+    if hit >= 1.0:
+        return 0
+    if hit <= 0.0:
+        return math.inf
+    return math.ceil(math.log1p(-PLANE_CONFIDENCE) / math.log1p(-hit))
+
+
 def ransac_plane(scene: PointCloud, tau: float, iterations: int, seed: int) -> Plane:
     """Best plane through 3 sampled points, scored by inliers within tau
     (detect_objects passes SegmentationParams' plane_tau and
     plane_iterations).
+
+    Samples are drawn one at a time, and ``iterations`` caps their number.
+    After each better plane, with inlier ratio w, the draws stop once
+    ceil(log(1 - p) / log(1 - w^3)) have been made in all, with
+    p = PLANE_CONFIDENCE (Hartley & Zisserman, Multiple View Geometry,
+    4.7.1); w = 1 stops at once. Collinear samples count as draws. The
+    draws are a prefix of the fixed-count stream, so the result is the
+    best plane of the first draws up to the stop.
 
     Deterministic for a fixed seed; the normal is canonicalized so its
     largest-magnitude component is positive (tables in z-up worlds get an
@@ -117,8 +145,11 @@ def ransac_plane(scene: PointCloud, tau: float, iterations: int, seed: int) -> P
     rng = np.random.default_rng(seed)
     best_count = -1
     best = None
-    for _ in range(iterations):
+    drawn = 0
+    stop = iterations
+    while drawn < stop:
         i, j, k = rng.choice(m, size=3, replace=False)
+        drawn += 1
         normal = np.cross(pts[j] - pts[i], pts[k] - pts[i])
         norm = np.linalg.norm(normal)
         if norm < 1e-12:
@@ -129,6 +160,7 @@ def ransac_plane(scene: PointCloud, tau: float, iterations: int, seed: int) -> P
         if count > best_count:
             best_count = count
             best = (normal, d)
+            stop = min(iterations, _samples_needed(count / m))
     if best is None:
         raise SegmentationError("no plane found: all samples collinear")
     normal, d = best

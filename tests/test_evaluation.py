@@ -238,6 +238,12 @@ class TestKfold:
         with pytest.raises(EvaluationError):
             kfold(self.dataset(rng), k=1, pipeline=self.nn_pipeline)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0", None, True])
+    def test_bad_seed_refused(self, seed):
+        with pytest.raises(EvaluationError, match="seed must be an integer of at least 0"):
+            kfold(self.dataset(np.random.default_rng(5)), k=2, pipeline=self.nn_pipeline,
+                  seed=seed)
+
 
 class TestProtocol:
     def test_perfect_learner_lack_of_data(self):
@@ -358,6 +364,20 @@ class TestProtocol:
         log, summary = run_protocol(data, learner, rho=1)
         assert (learner.taught, log.events) == ([], [])
         assert (summary.nlc, summary.aic, summary.alc1, summary.alc2) == (0, 0.0, 0, 0)
+
+    @pytest.mark.parametrize("tau", ["0.5", None, True, float("nan"), 0.0, 1.0])
+    def test_bad_tau_refused(self, tau):
+        learner = PerfectLearner()
+        with pytest.raises(EvaluationError, match="tau must be a number in"):
+            run_protocol(labeled_views(["a", "b"], 5), learner, tau=tau)
+        assert learner.taught == []
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0", None, True])
+    def test_bad_seed_refused(self, seed):
+        learner = PerfectLearner()
+        with pytest.raises(EvaluationError, match="seed must be an integer of at least 0"):
+            run_protocol(labeled_views(["a", "b"], 5), learner, seed=seed)
+        assert learner.taught == []
 
     def test_aic_matches_learner_store(self):
         data = labeled_views(["a", "b", "c"], 20)

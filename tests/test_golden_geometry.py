@@ -110,7 +110,7 @@ def scene_rotated():
 # scene: (candidate count, track_ids, SHA-256 of the candidates' points)
 DETECT_GOLDEN = {
     scene_inside: (
-        3, [0, 1, 2], "b1b9a1158e23abf301c3d77ce71e92dd669ed5eddf79ee1f275127f1167a456e"
+        3, [0, 1, 2], "7317dc9c63814b880839ca640a810ef2f214ed18053bf6f88ca3c0720486d202"
     ),
     scene_edges: (
         3, [1, 2, 4], "14d87e01fd8967ca881f4d24d24bf97b36672ef0029967aa74a0d9719d150a3b"

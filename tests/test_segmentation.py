@@ -1,11 +1,15 @@
 """Plane fitting, prism extraction, clustering and candidate detection."""
 
+import contextlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
+from openobj import segmentation
 from openobj.pointcloud import PointCloud
 from openobj.segmentation import (
     Plane,
@@ -19,7 +23,7 @@ from openobj.segmentation import (
     extract_prism,
     ransac_plane,
 )
-from openobj.synthgen import ShapeSpec, generate_scene
+from openobj.synthgen import ShapeSpec, generate_scene, random_rotation
 
 
 def reference_boundary_distance(hull, query2d):
@@ -38,6 +42,88 @@ def reference_inside(hull, query2d):
     """Hull membership with 1e-9 slack, by the edge lines' signs."""
     values = query2d @ hull.equations[:, :2].T + hull.equations[:, 2]
     return np.all(values <= 1e-9, axis=1)
+
+
+def reference_draws(pts, tau, iterations, seed):
+    """All ``iterations`` samples of ransac_plane's seeded stream, scored one
+    at a time: (normal, d, inlier count), or None for a collinear sample."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(iterations):
+        i, j, k = rng.choice(len(pts), size=3, replace=False)
+        normal = np.cross(pts[j] - pts[i], pts[k] - pts[i])
+        norm = np.linalg.norm(normal)
+        if norm < 1e-12:
+            draws.append(None)
+            continue
+        normal = normal / norm
+        d = -normal @ pts[i]
+        draws.append((normal, d, int(np.sum(np.abs(pts @ normal + d) < tau))))
+    return draws
+
+
+def reference_stop(draws, m):
+    """How many of ``draws`` the stop rule takes: each better sample, with
+    inlier ratio w, asks for ceil(log(1 - p) / log(1 - w^3)) draws in all,
+    with p = 0.999, and w = 1 for none more; ``len(draws)`` is the cap."""
+    best, needed = -1, len(draws)
+    for drawn, draw in enumerate(draws, start=1):
+        if draw is not None and draw[2] > best:
+            best = draw[2]
+            hit = (best / m) ** 3
+            if hit == 1.0:
+                needed = drawn
+            elif hit > 0.0:
+                needed = math.ceil(math.log1p(-0.999) / math.log1p(-hit))
+        if drawn >= needed:
+            return drawn
+    return len(draws)
+
+
+def reference_plane(pts, tau, draws):
+    """The first best-scoring sample of ``draws`` as ransac_plane returns it:
+    normal with its largest component positive, d and the inlier indices."""
+    scored = [draw for draw in draws if draw is not None]
+    normal, d, _ = max(scored, key=lambda draw: draw[2])  # max keeps the first
+    if normal[np.argmax(np.abs(normal))] < 0:
+        normal, d = -normal, -d
+    return normal, d, np.flatnonzero(np.abs(pts @ normal + d) < tau)
+
+
+def fixed_count_ransac(scene, tau, iterations, seed):
+    """ransac_plane as it was before the stop rule: the best of all
+    ``iterations`` samples."""
+    normal, d, inliers = reference_plane(
+        scene.points, tau, reference_draws(scene.points, tau, iterations, seed)
+    )
+    return Plane(normal=normal, d=d, inlier_indices=inliers)
+
+
+@contextlib.contextmanager
+def counted_draws():
+    """A list that gets one entry per ``Generator.choice`` call made by a
+    generator built inside the block: ransac_plane's draws."""
+    draws = []
+    make = np.random.default_rng
+
+    class Counting:
+        def __init__(self, seed):
+            self.rng = make(seed)
+
+        def choice(self, *args, **kwargs):
+            draws.append(None)
+            return self.rng.choice(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.random, "default_rng", Counting)
+        yield draws
+
+
+def assert_plane_is(plane, expected):
+    normal, d, inliers = expected
+    assert (plane.normal == normal).all()
+    assert plane.d == d
+    assert plane.inlier_indices.tolist() == inliers.tolist()
 
 
 def table_scene(seed=0, n_outliers=60):
@@ -98,8 +184,65 @@ class TestRansacPlane:
 
     def test_all_collinear_no_plane(self):
         line = PointCloud([[i * 0.1, 0.0, 0.0] for i in range(5)])
-        with pytest.raises(SegmentationError, match="no plane"):
+        with counted_draws() as made, pytest.raises(SegmentationError, match="no plane"):
             ransac_plane(line, 0.02, 50, seed=0)
+        assert len(made) == 50  # collinear samples count towards the cap
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cloud_seed=st.integers(0, 2**32 - 1),
+        n_points=st.integers(10, 400),
+        outlier_share=st.floats(0.0, 0.5),
+        tau=st.floats(0.002, 0.1),
+        iterations=st.integers(1, 200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_best_of_the_draws_the_stop_rule_takes(
+        self, cloud_seed, n_points, outlier_share, tau, iterations, seed
+    ):
+        n_outliers = int(n_points * outlier_share)
+        n_plane = n_points - n_outliers
+        rng = np.random.default_rng(cloud_seed)
+        xy = rng.uniform(-1, 1, size=(n_plane, 2))
+        a, b, c = rng.uniform(-1, 1, size=3)
+        z = xy @ [a, b] + c + rng.normal(0, 0.005, n_plane)
+        pts = np.vstack([np.column_stack([xy, z]), rng.uniform(-2, 2, size=(n_outliers, 3))])
+        draws = reference_draws(pts, tau, iterations, seed)
+        taken = reference_stop(draws, len(pts))
+        with counted_draws() as made:
+            plane = ransac_plane(PointCloud(pts), tau, iterations, seed)
+        assert len(made) == taken
+        assert_plane_is(plane, reference_plane(pts, tau, draws[:taken]))
+
+    def test_table_scene_stops_early(self):
+        scene = table_scene()[0]
+        with counted_draws() as made:
+            plane = ransac_plane(scene, 0.02, 200, seed=0)
+        draws = reference_draws(scene.points, 0.02, 200, seed=0)
+        assert len(made) == reference_stop(draws, len(scene)) < 30
+        assert_plane_is(plane, reference_plane(scene.points, 0.02, draws[:len(made)]))
+
+    def test_plane_free_cloud_uses_the_cap(self):
+        pts = np.random.default_rng(3).uniform(-1, 1, size=(300, 3))
+        with counted_draws() as made:
+            plane = ransac_plane(PointCloud(pts), 0.01, 200, seed=4)
+        assert len(made) == 200
+        assert_plane_is(plane, reference_plane(pts, 0.01, reference_draws(pts, 0.01, 200, 4)))
+
+    def test_planar_cloud_stops_at_its_first_plane(self):
+        # six points on a line and two off it, all at z = 0.7: 20 of the 56
+        # samples are collinear, and any other one holds every point
+        pts = np.array([[x, 0.0, 0.7] for x in range(6)] + [[0.0, 1.0, 0.7], [1.0, 1.0, 0.7]])
+        firsts = []
+        for seed in range(20):
+            draws = reference_draws(pts, 0.01, 50, seed)
+            first = next(i for i, draw in enumerate(draws, start=1) if draw is not None)
+            with counted_draws() as made:
+                plane = ransac_plane(PointCloud(pts), 0.01, 50, seed)
+            assert len(made) == first
+            assert len(plane.inlier_indices) == len(pts)
+            firsts.append(first)
+        assert max(firsts) > 1  # some seeds drew collinear samples first
 
     def test_normal_canonical_upward(self):
         rng = np.random.default_rng(10)
@@ -231,7 +374,44 @@ class TestEuclideanCluster:
         assert sorted(map(key, base)) == sorted(map(key, shuffled))
 
 
+def floating_scene(seed):
+    """A scene laid out like the table_scene benchmark's: 3-4 rotated desk
+    shapes with sensor noise at well-spaced spots, lifted so their lowest
+    points clear a 0.7 m table by 4 cm, and 50 outliers."""
+    rng = np.random.default_rng(seed)
+    shapes = [("box", (0.12, 0.08, 0.05)), ("cylinder", (0.035, 0.14)), ("sphere", (0.05,)),
+              ("cone", (0.05, 0.13)), ("plate", (0.15, 0.1))]
+    spots = [(x, y) for x in (-0.36, 0.0, 0.36) for y in (-0.17, 0.17)]
+    objects = []
+    for spot in rng.choice(len(spots), size=int(rng.integers(3, 5)), replace=False):
+        kind, dims = shapes[int(rng.integers(len(shapes)))]
+        # the farthest surface point from the shape's origin
+        if kind == "cone":
+            reach = max(dims)
+        elif kind == "cylinder":
+            reach = math.hypot(dims[0], dims[1] / 2)
+        else:  # box and plate half-diagonals, sphere radius
+            reach = math.hypot(*dims) / (1 if kind == "sphere" else 2)
+        objects.append(ShapeSpec(
+            kind, dims, points=250, noise_sigma=0.002, rotation=random_rotation(rng),
+            translation=(*spots[spot], reach + 0.04), seed=int(rng.integers(2**31 - 1)),
+        ))
+    return generate_scene(objects, n_outliers=50, seed=int(rng.integers(2**31 - 1)))[0]
+
+
 class TestDetectObjects:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_candidates_equal_the_fixed_count_ones(self, seed, monkeypatch):
+        scene = floating_scene(seed)
+        params = SegmentationParams(seed=0)
+        candidates = detect_objects(scene, params)
+        monkeypatch.setattr(segmentation, "ransac_plane", fixed_count_ransac)
+        expected = detect_objects(scene, params)
+        assert len(candidates) == len(expected) >= 3
+        for got, want in zip(candidates, expected):
+            assert got.track_id == want.track_id
+            assert got.cloud.points.tobytes() == want.cloud.points.tobytes()
+
     def test_three_boxes_found(self):
         scene, labels = table_scene()
         params = SegmentationParams(seed=0)
