@@ -11,7 +11,8 @@ Submodules:
 - ``nbv``: viewpoint entropy and next-best-view selection
 - ``synthgen``: deterministic synthetic datasets and scenes
 - ``pipelines``: representation/learner wiring for experiments
-- ``errors``: ``OpenobjError``, the field rule and the JSON rule of the records
+- ``errors``: ``OpenobjError``, the intake rules (seeds, array nestings, text and
+  JSON files), and the records' field rule and JSON rule
 """
 
 from . import (

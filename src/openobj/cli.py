@@ -18,10 +18,8 @@ import sys
 from dataclasses import fields
 from functools import partial
 
-import numpy as np
-
 from .descriptors import compute_feature_set, compute_good
-from .errors import OpenobjError
+from .errors import OpenobjError, read_json, read_text, seeded
 from .evaluation import (
     EvaluationError,
     LabeledDataset,
@@ -88,12 +86,7 @@ def parse_value(key: str, text: str, error=CliError):
 def parse_config_file(path) -> dict:
     """Flat key = value lines as raw strings; unknown keys are hard errors."""
     values = {}
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError:
-        raise CliError(f"{path}: not an ASCII config file") from None
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(read_text(path, CliError).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -122,14 +115,6 @@ def build_config(args) -> tuple[ExperimentConfig, dict]:
     return ExperimentConfig(**values), gen_values
 
 
-def _read_json(path):
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            return json.load(fh)
-    except ValueError as exc:  # not ASCII, or not JSON
-        raise CliError(f"{path}: not a JSON file: {exc}") from None
-
-
 def load_dataset(root) -> LabeledDataset:
     """Dataset tree: <root>/<category>/*.pcd plus optional manifest.json
     carrying a context map."""
@@ -148,15 +133,11 @@ def load_dataset(root) -> LabeledDataset:
     manifest_path = os.path.join(root, "manifest.json")
     if not os.path.exists(manifest_path):
         return LabeledDataset(views=views)
-    manifest = _read_json(manifest_path)
-    contexts = manifest.get("contexts") if isinstance(manifest, dict) else None
-    if not isinstance(manifest, dict) or not (contexts is None or isinstance(contexts, dict)):
-        raise CliError(
-            f"{manifest_path}: expected a JSON object whose optional 'contexts' "
-            "maps each category to 'A' or 'B'"
-        )
-    try:
-        return LabeledDataset(views=views, contexts=contexts)
+    manifest = read_json(manifest_path, CliError)
+    if not isinstance(manifest, dict):
+        raise CliError(f"{manifest_path}: expected a JSON object with an optional 'contexts' map")
+    try:  # LabeledDataset checks the context map
+        return LabeledDataset(views=views, contexts=manifest.get("contexts"))
     except EvaluationError as exc:
         raise CliError(f"{manifest_path}: {exc}") from None
 
@@ -189,9 +170,8 @@ def cmd_gen(args) -> int:
     ]
     contexts = None
     if gen_values.get("context_split"):
-        rng = np.random.default_rng(config.seed)
         names = [c.name for c in categories]
-        half = rng.permutation(len(names))
+        half = seeded(config.seed, CliError).permutation(len(names))
         contexts = {
             names[i]: ("A" if rank < (len(names) + 1) // 2 else "B")
             for rank, i in enumerate(half)
@@ -235,7 +215,7 @@ def _load_dictionary(path, config: ExperimentConfig) -> Dictionary:
         views = load_dataset(path).views.values()
         return build_dictionary_from_clouds([c for clouds in views for c in clouds], config)
     try:
-        return Dictionary.from_json_dict(_read_json(path))
+        return Dictionary.from_json_dict(read_json(path, CliError))
     except RepresentationError as exc:
         raise CliError(f"{path}: {exc}") from None
 

@@ -12,7 +12,7 @@ from functools import cmp_to_key
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import OpenobjError, check_count, integer
+from .errors import OpenobjError, check_count, finite_array, integer
 from .pointcloud import PointCloud, PointCloudError, ReferenceFrame, compute_reference_frame
 
 __all__ = [
@@ -237,7 +237,7 @@ def estimate_normals(cloud: PointCloud) -> np.ndarray:
     clouds; each normal comes from its own patch alone, so the blocks do
     not change it.
     """
-    pts = cloud.points
+    pts = finite_array(cloud.points, (2,), DescriptorError, "points must be finite")
     m = len(pts)
     if m == 0:
         raise DescriptorError("empty cloud")

@@ -1,6 +1,8 @@
-"""The base class of every error openobj raises for bad input, and the one
-field rule and one JSON rule by which its records check, save and load."""
+"""The base class of every error openobj raises for bad input, one intake
+rule per input kind (a seed, an array nesting, a text or a JSON file), and
+the one field rule and one JSON rule by which records check, save and load."""
 
+import json
 import math
 from dataclasses import fields
 
@@ -33,6 +35,38 @@ def check_count(name: str, value, least: int, error) -> None:
     """Raise ``error`` unless ``value`` is an integer of at least ``least``."""
     if not integer(value) or value < least:
         raise error(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def seeded(seed, error) -> np.random.Generator:
+    """The random stream of ``seed``, an integer of at least 0, or raise ``error``."""
+    check_count("seed", seed, 0, error)
+    return np.random.default_rng(seed)
+
+
+def as_array(value) -> np.ndarray:
+    """``np.asarray(value)``, or the 0-d array of None for a ragged nesting."""
+    try:
+        return np.asarray(value)
+    except ValueError:  # a ragged nesting
+        return np.asarray(None)
+
+
+def read_text(path, error) -> str:
+    """The text of the ASCII file at ``path``, or raise ``error``."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise error(f"{path}: not an ASCII file") from None
+
+
+def read_json(path, error):
+    """The JSON value in the ASCII file at ``path``, or raise ``error``."""
+    text = read_text(path, error)  # outside the try: its error is a ValueError
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise error(f"{path}: not a JSON file: {exc}") from None
 
 
 def finite_array(value, ndims: tuple, error, message: str) -> np.ndarray:

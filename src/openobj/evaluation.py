@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import JsonRecord, OpenobjError, check_count, check_fields, finite_number
+from .errors import JsonRecord, OpenobjError, check_count, check_fields, finite_number, seeded
 
 __all__ = [
     "ConfusionMatrix",
@@ -232,8 +232,7 @@ def kfold(
     if jobs != 1:
         raise EvaluationError("kfold runs its folds in order: jobs must be 1")
     check_count("k", k, 2, EvaluationError)
-    check_count("seed", seed, 0, EvaluationError)
-    rng = np.random.default_rng(seed)
+    rng = seeded(seed, EvaluationError)
     folds = [[] for _ in range(k)]
     for label in dataset.categories:
         views = dataset.views[label]
@@ -324,7 +323,6 @@ def run_protocol(
             raise EvaluationError("context protocol needs a context map")
     if not (finite_number(tau) and 0 < tau < 1):
         raise EvaluationError(f"tau must be a number in (0, 1), got {tau!r}")
-    check_count("seed", seed, 0, EvaluationError)
     for name, count in (("window_mult", window_mult), ("breakpoint_limit", breakpoint_limit),
                         ("views_per_teach", views_per_teach)):
         check_count(name, count, 1, EvaluationError)
@@ -334,7 +332,7 @@ def run_protocol(
     pools = {ctx: [c for c in dataset.categories if contexts[c] == ctx] for ctx in ("A", "B")}
     if rho is not None and not (pools["A"] and pools["B"]):
         raise EvaluationError("both contexts must hold at least one category")
-    rng = np.random.default_rng(seed)
+    rng = seeded(seed, EvaluationError)
     for ctx, pool in pools.items():
         pools[ctx] = iter([pool[i] for i in rng.permutation(len(pool))])
     unseen = {label: iter(enumerate(views)) for label, views in dataset.views.items()}
@@ -403,8 +401,7 @@ def pick_rho(alc: float, seed: int = 0) -> int:
     hi = int(np.floor(0.85 * alc))
     if hi < lo:
         raise EvaluationError(f"empty transition interval for ALC = {alc}")
-    rng = np.random.default_rng(seed)
-    return int(rng.integers(lo, hi + 1))
+    return int(seeded(seed, EvaluationError).integers(lo, hi + 1))
 
 
 def replay_accuracies(log: ProtocolLog, window_mult: int = DEFAULT_WINDOW_MULT) -> list:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import JsonRecord, OpenobjError, check_fields, finite_array
+from .errors import JsonRecord, OpenobjError, as_array, check_fields, finite_array
 
 __all__ = [
     "UNKNOWN",
@@ -432,10 +432,7 @@ class BayesMemory(JsonRecord):
 
 
 def _check_histogram(x, name: str = "representation") -> np.ndarray:
-    try:
-        x = np.asarray(x)
-    except ValueError:  # a ragged nesting
-        x = np.asarray(None)
+    x = as_array(x)
     if x.dtype.kind not in "iuf" or x.ndim != 1 or not np.all(np.isfinite(x)) or np.any(x < 0):
         raise LearningError(f"{name} must be a finite non-negative vector")
     return x

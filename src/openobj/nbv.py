@@ -5,12 +5,11 @@ into the one render -> cluster -> entropy -> weight -> sample policy."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OpenobjError, check_count, check_pose
+from .errors import OpenobjError, check_count, check_pose, finite_array, read_json, seeded
 from .pointcloud import PointCloud
 from .segmentation import euclidean_cluster
 
@@ -101,7 +100,7 @@ def render_virtual(
     if len(world) == 0:
         raise NbvError("empty world cloud")
     check_count("resolution", resolution, 1, NbvError)
-    cam = pose.to_camera(world.points)
+    cam = pose.to_camera(finite_array(world.points, (2,), NbvError, "points must be finite"))
     xy = cam[:, :2]
     lo = xy.min(axis=0)
     hi = xy.max(axis=0)
@@ -144,7 +143,7 @@ def select_next_view(candidates, seed: int = 0):
     total = weights.sum()
     if total <= 0:
         raise NbvError("all candidate weights are zero")
-    rng = np.random.default_rng(seed)
+    rng = seeded(seed, NbvError)
     idx = int(np.searchsorted(np.cumsum(weights / total), rng.random(), side="right"))
     return items[min(idx, len(items) - 1)]
 
@@ -153,6 +152,7 @@ def rank_views(world, poses, current, sigma, resolution=DEFAULT_RESOLUTION, seed
     """Entropies of the poses' clustered renders (0.0 for an empty or
     cluster-free render) and the same weighted by travel from ``current``,
     in pose order, and the index sampled by weight (None if all are 0)."""
+    check_count("seed", seed, 0, NbvError)  # used only when some weight is positive
     if not poses:
         raise NbvError("no candidate views")
     entropies, weights = [], []
@@ -170,11 +170,7 @@ def rank_views(world, poses, current, sigma, resolution=DEFAULT_RESOLUTION, seed
 def load_poses(path) -> list:
     """Candidate poses from a JSON list of {rotation (row-major 9),
     translation (3)}."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            raw = json.load(fh)
-    except ValueError as exc:  # not ASCII, or not JSON
-        raise NbvError(f"{path}: not a JSON pose list: {exc}") from None
+    raw = read_json(path, NbvError)
     if not isinstance(raw, list):
         raise NbvError(f"{path}: expected a JSON list of poses")
     poses = []

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import descriptors, evaluation, nbv, representations
 from .descriptors import compute_feature_set, compute_good
-from .errors import OpenobjError, check_count, check_fields
+from .errors import OpenobjError, check_count, check_fields, seeded
 from .learning import (
     BayesMemory,
     InstanceMemory,
@@ -176,7 +176,7 @@ def collect_feature_pool(matrices, cap: int, seed: int) -> np.ndarray:
     stack = np.concatenate(matrices)
     if len(stack) <= cap:
         return stack
-    return stack[np.random.default_rng(seed).choice(len(stack), size=cap, replace=False)]
+    return stack[seeded(seed, RepresentationError).choice(len(stack), size=cap, replace=False)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OpenobjError
+from .errors import OpenobjError, finite_array, read_text
 
 __all__ = [
     "PointCloud",
@@ -125,12 +125,7 @@ def load_pcd(path) -> PointCloud:
     entry must be 1. Each data row holds one value per field, and an rgb
     value is a packed integer in [0, 2^32).
     """
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError:
-        raise PointCloudError(f"{path}: not an ASCII PCD file") from None
-
+    lines = read_text(path, PointCloudError).splitlines()
     fields = None
     declared = None
     data_start = None
@@ -319,6 +314,7 @@ def compute_reference_frame(
     m = len(cloud)
     if m < 3:
         raise PointCloudError("degenerate cloud: need at least 3 points")
+    finite_array(cloud.points, (2,), PointCloudError, "points must be finite")
     c = centroid(cloud)
     centered = cloud.points - c
     cov = (centered.T @ centered) / m

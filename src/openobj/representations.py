@@ -15,7 +15,9 @@ from operator import mul, truediv
 import numpy as np
 from scipy import sparse
 
-from .errors import JsonRecord, OpenobjError, check_count, check_fields, finite_array
+from .errors import (
+    JsonRecord, OpenobjError, as_array, check_count, check_fields, finite_array, seeded,
+)
 from .learning import _exact_sq_norms
 
 __all__ = [
@@ -72,10 +74,7 @@ def _counter(value, shape: tuple, name: str) -> np.ndarray:
             return np.zeros(shape, dtype=np.int64)
         except (ValueError, MemoryError):
             raise RepresentationError(f"{name} of shape {shape} does not fit in memory") from None
-    try:
-        counts = np.asarray(value)
-    except ValueError:  # a ragged nesting
-        counts = np.asarray(None)
+    counts = as_array(value)
     if counts.dtype.kind in "iu":
         counts = counts.astype(np.int64, copy=False)  # a huge uint64 turns negative
     if counts.dtype != np.int64 or counts.shape != shape or counts.min(initial=0) < 0:
@@ -312,7 +311,7 @@ def build_dictionary(pool, v: int = DEFAULT_DICTIONARY_SIZE, seed: int = 0) -> D
         raise RepresentationError("feature pool must have at least one column")
     if n < v:
         raise RepresentationError(f"pool of {n} features cannot fill {v} words")
-    rng = np.random.default_rng(seed)
+    rng = seeded(seed, RepresentationError)
     norms = _exact_sq_norms(pool)
     centers = _kmeans_pp_init(pool, v, rng, norms)
     # the screen's proof needs d u <= 2**-4 and its tally V <= 2**24
@@ -362,10 +361,7 @@ def bow_encode(features, dictionary: Dictionary) -> np.ndarray:
 def _validate_doc(doc, v: int, iters: int) -> np.ndarray:
     """The document as int64 word indices. Each must be an integer in
     [0, v): an integral float such as 4.0 is one, a bool or 1.7 is not."""
-    try:
-        words = np.asarray(doc)
-    except ValueError:  # a ragged nesting
-        words = np.asarray(None)
+    words = as_array(doc)
     # a bool, a string or an int past int64 (an object) is no word index;
     # nan and 1.7 fail the trunc test
     if words.ndim != 1 or words.dtype.kind not in "iuf" or not np.all(words == np.trunc(words)):
@@ -534,6 +530,7 @@ def local_lda_update(
     category's own topic model if there is none. Only that model's
     counters change, and a refused category or document leaves ``models``
     as it was."""
+    check_count("seed", seed, 0, RepresentationError)  # XORed into the category's CRC
     if not isinstance(category, str):
         raise RepresentationError(f"category must be a string, got {category!r}")
     model = models[category] if category in models else TopicModel(

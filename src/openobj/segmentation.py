@@ -12,7 +12,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
-from .errors import OpenobjError, check_count, check_fields
+from .errors import OpenobjError, check_count, check_fields, finite_array, seeded
 from .pointcloud import PointCloud, PointCloudError
 
 __all__ = [
@@ -142,7 +142,7 @@ def ransac_plane(scene: PointCloud, tau: float, iterations: int, seed: int) -> P
     if not 0 < tau < np.inf:
         raise SegmentationError("tau must be positive and finite")
     check_count("iterations", iterations, 1, SegmentationError)
-    rng = np.random.default_rng(seed)
+    rng = seeded(seed, SegmentationError)
     best_count = -1
     best = None
     drawn = 0
@@ -235,7 +235,7 @@ def euclidean_cluster_indices(
     m = len(cloud)
     if m == 0:
         return []
-    tree = cKDTree(cloud.points)
+    tree = cKDTree(finite_array(cloud.points, (2,), SegmentationError, "points must be finite"))
     pairs = tree.query_pairs(r=link_dist, output_type="ndarray")
     if len(pairs):
         gap = np.linalg.norm(cloud.points[pairs[:, 0]] - cloud.points[pairs[:, 1]], axis=1)

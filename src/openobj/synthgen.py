@@ -14,7 +14,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import OpenobjError, check_count, check_fields, check_pose, finite_number
+from .errors import (
+    OpenobjError, _plain, check_count, check_fields, check_pose, finite_number, seeded,
+)
 from .pointcloud import PointCloud, save_pcd
 
 __all__ = [
@@ -193,7 +195,7 @@ _SAMPLERS = {
 
 def generate_view(spec: ShapeSpec) -> PointCloud:
     """Surface-sampled, rigidly posed points with per-axis Gaussian noise."""
-    rng = np.random.default_rng(spec.seed)
+    rng = seeded(spec.seed, SynthgenError)
     pts = _SAMPLERS[spec.kind](rng, spec.dimensions, spec.points)
     pts = pts @ spec.rotation.T + spec.translation
     if spec.noise_sigma > 0:
@@ -232,7 +234,7 @@ def generate_dataset(
     context map.
     """
     check_count("views_per_category", views_per_category, 1, SynthgenError)
-    rng = np.random.default_rng(seed)
+    rng = seeded(seed, SynthgenError)
     dataset = {}
     manifest = {"seed": seed, "views_per_category": views_per_category, "specs": {}}
     if contexts is not None:
@@ -256,7 +258,7 @@ def generate_dataset(
             for i, cloud in enumerate(views):
                 save_pcd(os.path.join(cat_dir, f"view_{i:04d}.pcd"), cloud)
         with open(os.path.join(root, "manifest.json"), "w", encoding="ascii") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
+            json.dump(_plain(manifest), fh, indent=2, sort_keys=True)
             fh.write("\n")
     return dataset
 
@@ -275,7 +277,7 @@ def generate_scene(
     (scattered below the table plane). Object translations in the specs are
     interpreted relative to the table surface.
     """
-    rng = np.random.default_rng(seed)
+    rng = seeded(seed, SynthgenError)
     table_spec = ShapeSpec(
         kind="plate",
         dimensions=table_extent,

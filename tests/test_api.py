@@ -1,17 +1,32 @@
 """Each library module's ``__all__`` lists exactly its public names, each
 frozen parameter record checks every field by the one field rule, each
 JSON record keeps its keys, each record that holds arrays compares by
-identity, and every count argument takes an integer."""
+identity, every count and seed argument takes an integer, the point-cloud
+stages refuse non-finite points, and random streams and JSON reads go
+through the intake rules of ``errors``."""
 
+import ast
 import importlib
 import inspect
 import math
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from openobj.descriptors import DescriptorError, FeatureSet, GoodDescriptor, compute_spin_image
+import openobj
+from openobj.descriptors import (
+    DescriptorError,
+    FeatureSet,
+    GoodDescriptor,
+    compute_feature_set,
+    compute_good,
+    compute_spin_image,
+    estimate_normals,
+)
+from openobj.errors import as_array, read_json, read_text
 from openobj.evaluation import (
     ConfusionMatrix,
     EvaluationError,
@@ -19,6 +34,7 @@ from openobj.evaluation import (
     ProtocolEvent,
     ProtocolLog,
     kfold,
+    pick_rho,
     replay_accuracies,
     run_protocol,
 )
@@ -30,9 +46,9 @@ from openobj.learning import (
     bayes_teach,
     instance_teach,
 )
-from openobj.nbv import CameraPose
-from openobj.pipelines import ConfigError, ExperimentConfig
-from openobj.pointcloud import PointCloud, ReferenceFrame
+from openobj.nbv import CameraPose, NbvError, rank_views, render_virtual, select_next_view
+from openobj.pipelines import ConfigError, ExperimentConfig, collect_feature_pool
+from openobj.pointcloud import PointCloud, PointCloudError, ReferenceFrame, compute_reference_frame
 from openobj.representations import (
     Dictionary,
     RepresentationError,
@@ -41,9 +57,23 @@ from openobj.representations import (
     build_dictionary,
     lda_infer,
     lda_update,
+    local_lda_update,
 )
-from openobj.segmentation import Plane, SegmentationError, SegmentationParams, ransac_plane
-from openobj.synthgen import CategorySpec, ShapeSpec, SynthgenError, generate_dataset
+from openobj.segmentation import (
+    Plane,
+    SegmentationError,
+    SegmentationParams,
+    euclidean_cluster,
+    euclidean_cluster_indices,
+    ransac_plane,
+)
+from openobj.synthgen import (
+    CategorySpec,
+    ShapeSpec,
+    SynthgenError,
+    generate_dataset,
+    generate_scene,
+)
 
 LIBRARY_MODULES = [
     "descriptors", "evaluation", "learning", "nbv", "pipelines", "pointcloud",
@@ -192,3 +222,163 @@ def test_count_arguments_take_integers_from_their_floor(name, least, error, call
     bad = {"fraction": least + 0.5, "bool": True, "below": least - 1}[value]
     with pytest.raises(error, match=f"^{name} must be an integer of at least {least}"):
         call(bad)
+
+
+POSE = CameraPose(np.eye(3), np.zeros(3))
+# (function, its module's error, a call that passes it the seed)
+SEED_ARGUMENTS = [
+    (kfold, EvaluationError, lambda s: kfold(dataset(), 2, pipeline=None, seed=s)),
+    (run_protocol, EvaluationError, lambda s: run_protocol(dataset(), None, seed=s)),
+    (pick_rho, EvaluationError, lambda s: pick_rho(10.0, s)),
+    (select_next_view, NbvError, lambda s: select_next_view([("a", 1.0), ("b", 2.0)], s)),
+    (rank_views, NbvError, lambda s: rank_views(CLOUD, [POSE], POSE, 1.0, seed=s)),
+    (collect_feature_pool, RepresentationError,
+     lambda s: collect_feature_pool([np.eye(4)], 2, s)),
+    (build_dictionary, RepresentationError, lambda s: build_dictionary(np.eye(4), v=2, seed=s)),
+    (local_lda_update, RepresentationError,
+     lambda s: local_lda_update({}, "mug", [0, 1], k=2, v=3, seed=s)),
+    (ransac_plane, SegmentationError, lambda s: ransac_plane(CLOUD, 0.1, 5, s)),
+    (generate_dataset, SynthgenError,
+     lambda s: generate_dataset([CategorySpec("a", "sphere", (0.1,))], 1, seed=s)),
+    (generate_scene, SynthgenError, lambda s: generate_scene([], table_points=50, seed=s)),
+]
+# the records that check their seed field when built: (error, required arguments)
+SEEDED_RECORDS = {
+    ExperimentConfig: (ConfigError, {}),
+    SegmentationParams: (SegmentationError, {}),
+    ShapeSpec: (SynthgenError, SHAPE),
+    TopicModel: (RepresentationError, {"k": 2, "v": 3}),
+}
+NOT_SEEDS = [-1, 1.5, None, True, "0"]
+
+
+@pytest.mark.parametrize("function,error,call", SEED_ARGUMENTS,
+                         ids=[function.__name__ for function, _, _ in SEED_ARGUMENTS])
+@pytest.mark.parametrize("seed", NOT_SEEDS, ids=repr)
+def test_seed_arguments_take_integers_from_zero(function, error, call, seed):
+    with pytest.raises(error, match="^seed must be an integer of at least 0"):
+        call(seed)
+
+
+def seed_parameter(value):
+    """The name of ``value``'s seed parameter, or None."""
+    try:
+        names = inspect.signature(value).parameters
+    except (TypeError, ValueError):
+        return None
+    return next((name for name in names if name.endswith("seed")), None)
+
+
+def test_every_seed_is_checked():
+    public = {getattr(importlib.import_module(f"openobj.{name}"), attr)
+              for name in LIBRARY_MODULES
+              for attr in importlib.import_module(f"openobj.{name}").__all__}
+    seeded = {value for value in public if callable(value) and seed_parameter(value)}
+    assert seeded == {function for function, _, _ in SEED_ARGUMENTS} | set(SEEDED_RECORDS)
+    for record, (error, required) in SEEDED_RECORDS.items():
+        for seed in NOT_SEEDS:
+            with pytest.raises(error, match=seed_parameter(record)):
+                record(**required, **{seed_parameter(record): seed})
+
+
+def cloud_with(value):
+    points = np.random.default_rng(1).uniform(size=(100, 3))
+    points[37, 1] = value
+    return PointCloud(points)
+
+
+# (its module's error, a stage that reads every point)
+NONFINITE_POINTS = [
+    (PointCloudError, compute_reference_frame),
+    (PointCloudError, compute_good),
+    (DescriptorError, estimate_normals),
+    (DescriptorError, compute_feature_set),
+    (SegmentationError, lambda cloud: euclidean_cluster_indices(cloud, 0.1)),
+    (SegmentationError, lambda cloud: euclidean_cluster(cloud, 0.1)),
+    (NbvError, lambda cloud: render_virtual(cloud, POSE)),
+    (NbvError, lambda cloud: rank_views(cloud, [POSE], POSE, 1.0)),
+]
+
+
+@pytest.mark.parametrize("error,stage", NONFINITE_POINTS,
+                         ids=["compute_reference_frame", "compute_good", "estimate_normals",
+                              "compute_feature_set", "euclidean_cluster_indices",
+                              "euclidean_cluster", "render_virtual", "rank_views"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+def test_point_stages_refuse_non_finite_points(error, stage, value):
+    stage(cloud_with(0.5))
+    with pytest.raises(error, match="^points must be finite$"):
+        stage(cloud_with(value))
+
+
+class TestIntakeRules:
+    def test_as_array_reads_a_ragged_nesting_as_none(self):
+        assert as_array([[1, 2], [3]]).tolist() is None
+        assert as_array([[1, 2], [3, 4]]).tolist() == [[1, 2], [3, 4]]
+
+    def test_read_text_refuses_a_non_ascii_file(self, tmp_path):
+        path = tmp_path / "view.txt"
+        path.write_bytes(b"x = 1\n\xff\n")
+        with pytest.raises(SegmentationError, match=f"^{re.escape(str(path))}: not an ASCII file$"):
+            read_text(path, SegmentationError)
+
+    @pytest.mark.parametrize("content,message", [
+        (b"[1, \xff]", "not an ASCII file$"),
+        (b"[1, 2", "not a JSON file: "),
+        (b"1" * 5000, "not a JSON file: "),
+        (b"[" * 100_000, "not a JSON file: "),
+    ], ids=["not-ascii", "not-json", "huge-int", "nested-too-deep"])
+    def test_read_json_raises_one_typed_error(self, tmp_path, content, message):
+        path = tmp_path / "poses.json"
+        path.write_bytes(content)
+        with pytest.raises(NbvError, match=f"^{re.escape(str(path))}: {message}"):
+            read_json(path, NbvError)
+
+    def test_read_json_returns_the_value(self, tmp_path):
+        path = tmp_path / "words.json"
+        path.write_text('{"words": [[1.5, 2]]}')
+        assert read_json(path, NbvError) == {"words": [[1.5, 2]]}
+
+
+# call name -> the only places that may make it: a module, or a module's function
+CALLS_ALLOWED = {
+    "default_rng": {"errors.py", "representations.py:lda_update", "representations.py:lda_infer"},
+    "json.load": {"errors.py"},
+    "json.loads": {"errors.py"},
+}
+
+
+def calls_made(tree, module):
+    """(call name, module, enclosing function) of each call in CALLS_ALLOWED."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                    name = f"{func.value.id}.{func.attr}" if func.value.id == "json" else name
+                if name in CALLS_ALLOWED:
+                    found.append((name, module, function))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            visit(child, inner or function)
+
+    visit(tree, None)
+    return found
+
+
+def test_streams_and_json_reads_go_through_errors():
+    made = []
+    for path in sorted(Path(openobj.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        made += calls_made(tree, path.name)
+        json_imports = [node for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom) and node.module == "json"]
+        assert not json_imports, f"{path.name} imports names from json"
+    stray = [(name, f"{module}:{function}") for name, module, function in made
+             if not {module, f"{module}:{function}"} & CALLS_ALLOWED[name]]
+    assert stray == []
+    assert {("default_rng", "errors.py", "seeded"), ("json.loads", "errors.py", "read_json"),
+            ("default_rng", "representations.py", "lda_update"),
+            ("default_rng", "representations.py", "lda_infer")} <= set(made)

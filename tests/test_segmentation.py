@@ -436,6 +436,18 @@ class TestDetectObjects:
             )
             assert best / len(got) >= 0.95
 
+    def test_a_nan_point_changes_no_candidate(self):
+        # the prism drops the NaN point; the clustering never sees it
+        scene, _ = table_scene()
+        params = SegmentationParams(seed=0)
+        expected = detect_objects(scene, params)
+        points = scene.points.copy()
+        points[100, 2] = np.nan
+        candidates = detect_objects(PointCloud(points), params)
+        assert len(candidates) == len(expected) == 3
+        for got, want in zip(candidates, expected):
+            assert got.cloud.points.tobytes() == want.cloud.points.tobytes()
+
     def test_oversize_cluster_excluded(self):
         # dense 2 m rod above the table: one connected cluster, fails the
         # size bound

@@ -79,6 +79,18 @@ class TestGenerateDataset:
                 fb = b / fa.relative_to(a)
                 assert fa.read_bytes() == fb.read_bytes()
 
+    @pytest.mark.parametrize("numpy_int", ["seed", "views", "points"])
+    def test_manifest_of_numpy_integers(self, tmp_path, numpy_int):
+        def generate(root, wrap):
+            cats = [CategorySpec("ball", "sphere", (0.05,), points=wrap(60, "points"))]
+            generate_dataset(cats, wrap(2, "views"), seed=wrap(3, "seed"), root=str(root))
+            return (root / "manifest.json").read_bytes()
+
+        plain = generate(tmp_path / "plain", lambda value, name: value)
+        wrapped = generate(tmp_path / "numpy",
+                           lambda value, name: np.int64(value) if name == numpy_int else value)
+        assert wrapped == plain
+
     def test_jitter_within_bound(self, tmp_path):
         import json
 
