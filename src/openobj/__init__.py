@@ -11,8 +11,8 @@ Submodules:
 - ``nbv``: viewpoint entropy and next-best-view selection
 - ``synthgen``: deterministic synthetic datasets and scenes
 - ``pipelines``: representation/learner wiring for experiments
-- ``errors``: ``OpenobjError``, the intake rules (seeds, array nestings, text and
-  JSON files), and the records' field rule and JSON rule
+- ``errors``: ``OpenobjError``, one intake rule per input kind (counts, seeds,
+  reals, rotations, nestings, files), and the records' field and JSON rules
 """
 
 from . import (

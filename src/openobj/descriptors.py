@@ -12,7 +12,7 @@ from functools import cmp_to_key
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import OpenobjError, check_count, finite_array, integer
+from .errors import OpenobjError, check_count, check_positive, finite_array
 from .pointcloud import PointCloud, PointCloudError, ReferenceFrame, compute_reference_frame
 
 __all__ = [
@@ -131,10 +131,8 @@ def project_distribution(
     """
     if plane not in _PLANE_AXES:
         raise DescriptorError(f"unknown projection plane {plane!r}")
-    if not integer(n) or n < 2:
-        raise DescriptorError("need an integer number of at least 2 bins per side")
-    if l <= 0:
-        raise DescriptorError("enclosing square side must be positive")
+    check_count("bins per side", n, 2, DescriptorError)
+    check_positive("enclosing square side", l, DescriptorError)
     if len(cloud_in_frame) == 0:
         raise DescriptorError("empty cloud")
     ia, ib = _PLANE_AXES[plane]
@@ -176,7 +174,7 @@ def compute_good(cloud: PointCloud, n: int = DEFAULT_GOOD_BINS) -> GoodDescripto
     """Full global descriptor pipeline for one object view.
 
     The object frame comes from the disambiguated PCA (sign band
-    ``pointcloud.DEFAULT_SIGN_THRESHOLD``); the three
+    ``pointcloud.SIGN_THRESHOLD``); the three
     projections share one centered square whose side is the largest
     bounding-box edge, grown when off-center mass (e.g. cone-like shapes)
     would fall outside it. The highest-entropy projection fills the first
@@ -285,18 +283,18 @@ def compute_spin_image(
     at most _BLOCK_PAIRS pairs (at least one keypoint), which bounds the
     temporaries for large clouds.
     """
-    keypoints = np.asarray(keypoint, dtype=np.float64)
-    normals = np.asarray(normal, dtype=np.float64)
-    if keypoints.shape[-1:] != (3,) or keypoints.ndim > 2 or normals.shape != keypoints.shape:
-        raise DescriptorError("need keypoints and normals of matching shape (3,) or (k, 3)")
+    message = "need finite keypoints and normals of matching shape (3,) or (k, 3)"
+    keypoints, normals = finite_array([keypoint, normal], (2, 3), DescriptorError, message)
+    if keypoints.shape[-1:] != (3,):
+        raise DescriptorError(message)
     if np.any(np.abs(np.linalg.norm(normals, axis=-1) - 1.0) > 1e-9):
         raise DescriptorError("keypoint normal must be unit length")
-    # the bounds ExperimentConfig sets; each check fails for NaN
-    if not 0 < support_length < np.inf:
-        raise DescriptorError("support length must be positive and finite")
+    # the bounds ExperimentConfig sets
+    check_positive("support length", support_length, DescriptorError)
     check_count("image width", image_width, 1, DescriptorError)
-    if not 0 < support_angle <= 180:
-        raise DescriptorError("support angle must lie in (0, 180]")
+    check_positive("support angle", support_angle, DescriptorError)
+    if support_angle > 180:
+        raise DescriptorError(f"support angle must be at most 180, got {support_angle!r}")
     iw = int(image_width)
     sl = float(support_length)
     n_rows, n_cols = iw + 1, 2 * iw + 1
@@ -348,8 +346,7 @@ def compute_feature_set(
     """Spin images over voxel-selected keypoints of an object view, one
     per occupied voxel: the point nearest the voxel's center. Normals come
     from estimate_normals."""
-    if not 0 < voxel < np.inf:
-        raise DescriptorError("voxel size must be positive and finite")
+    check_positive("voxel size", voxel, DescriptorError)
     normals = estimate_normals(cloud)  # raises for an empty cloud
     key_idx = _keypoint_indices(cloud.points, voxel)
     keypoints = cloud.points[key_idx]

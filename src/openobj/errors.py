@@ -1,6 +1,6 @@
 """The base class of every error openobj raises for bad input, one intake
-rule per input kind (a seed, an array nesting, a text or a JSON file), and
-the one field rule and one JSON rule by which records check, save and load."""
+rule per input kind (count, seed, real, rotation, array nesting, text or
+JSON file), and the field and JSON rules by which records check and load."""
 
 import json
 import math
@@ -35,6 +35,18 @@ def check_count(name: str, value, least: int, error) -> None:
     """Raise ``error`` unless ``value`` is an integer of at least ``least``."""
     if not integer(value) or value < least:
         raise error(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def check_finite(name: str, value, error) -> None:
+    """Raise ``error`` unless ``value`` is a finite real number."""
+    if not finite_number(value):
+        raise error(f"{name} must be a finite number, got {value!r}")
+
+
+def check_positive(name: str, value, error) -> None:
+    """Raise ``error`` unless ``value`` is a positive finite real number."""
+    if not (finite_number(value) and value > 0):
+        raise error(f"{name} must be positive and finite, got {value!r}")
 
 
 def seeded(seed, error) -> np.random.Generator:
@@ -89,6 +101,16 @@ def check_pose(record, error) -> None:
         if array.size != math.prod(shape):
             raise error(message)
         object.__setattr__(record, name, array.reshape(shape))
+
+
+def check_rotation(matrix, error, name: str) -> np.ndarray:
+    """``matrix`` as a finite (3, 3) float64 rotation to 1e-9, or raise ``error``."""
+    message = f"{name} must be orthonormal with determinant +1, 3 x 3 and finite"
+    rotation = finite_array(matrix, (2,), error, message)
+    if (rotation.shape != (3, 3) or np.max(np.abs(rotation.T @ rotation - np.eye(3))) > 1e-9
+            or abs(np.linalg.det(rotation) - 1.0) > 1e-9):
+        raise error(message)
+    return rotation
 
 
 # annotation -> (test, what a value must be)

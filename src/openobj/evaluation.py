@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import JsonRecord, OpenobjError, check_count, check_fields, finite_number, seeded
+from .errors import (JsonRecord, OpenobjError, check_count, check_fields, finite_number,
+                     integer, seeded)
 
 __all__ = [
     "ConfusionMatrix",
@@ -69,7 +70,7 @@ class ConfusionMatrix:
     def to_csv(self, path) -> None:
         import csv
 
-        with open(path, "w", newline="", encoding="ascii") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["true\\predicted", *self.labels])
             for label, row in zip(self.labels, self.counts):
@@ -227,10 +228,10 @@ def kfold(
     list of (label, view) pairs. Views of each category are shuffled once
     (seeded) and dealt round-robin into folds, so categories with fewer
     than k views simply miss some folds, which run in order. Deterministic
-    per seed. ``jobs`` must be 1.
+    per seed. ``jobs`` must be the integer 1.
     """
-    if jobs != 1:
-        raise EvaluationError("kfold runs its folds in order: jobs must be 1")
+    if not integer(jobs) or jobs != 1:
+        raise EvaluationError(f"jobs must be 1, as kfold runs its folds in order; got {jobs!r}")
     check_count("k", k, 2, EvaluationError)
     rng = seeded(seed, EvaluationError)
     folds = [[] for _ in range(k)]
@@ -395,8 +396,8 @@ def run_protocol(
 def pick_rho(alc: float, seed: int = 0) -> int:
     """Context transition point: uniform integer in
     [ceil(0.65 alc), floor(0.85 alc)]."""
-    if not abs(alc) < 2**53:  # fails for NaN too; keeps rho within int64
-        raise EvaluationError(f"ALC must be finite and below 2**53, got {alc}")
+    if not (finite_number(alc) and abs(alc) < 2**53):  # keeps rho within int64
+        raise EvaluationError(f"ALC must be finite and below 2**53, got {alc!r}")
     lo = int(np.ceil(0.65 * alc))
     hi = int(np.floor(0.85 * alc))
     if hi < lo:

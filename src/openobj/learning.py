@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import JsonRecord, OpenobjError, as_array, check_fields, finite_array
+from .errors import JsonRecord, OpenobjError, as_array, check_fields, check_finite, finite_array
 
 __all__ = [
     "UNKNOWN",
@@ -377,6 +377,8 @@ def lowest_score(scores: dict, ct: float | None = None) -> Prediction:
     """The lowest of the per-category scores wins, ties to the earliest
     category; with a classification threshold set, a best score above it
     returns UNKNOWN. An empty table means an empty memory and raises."""
+    if ct is not None:
+        check_finite("ct", ct, LearningError)
     if not scores:
         raise LearningError("no categories in memory")
     best_label = min(scores, key=scores.get)

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OpenobjError, check_count, check_pose, finite_array, read_json, seeded
+from .errors import (OpenobjError, check_count, check_pose, check_positive, check_rotation,
+                     finite_array, finite_number, read_json, seeded)
 from .pointcloud import PointCloud
 from .segmentation import euclidean_cluster
 
@@ -38,18 +39,14 @@ class NbvError(OpenobjError):
 @dataclass(frozen=True, eq=False)
 class CameraPose:
     """Camera-to-world rotation and translation; the camera looks along
-    its local +Z axis. The rotation must be orthonormal (max |R^T R - I|
-    at most 1e-9) with determinant +1."""
+    its local +Z axis. The rotation passes ``errors.check_rotation``."""
 
     rotation: np.ndarray
     translation: np.ndarray
 
     def __post_init__(self):
         check_pose(self, NbvError)
-        if np.max(np.abs(self.rotation.T @ self.rotation - np.eye(3))) > 1e-9:
-            raise NbvError("camera rotation must be orthonormal")
-        if abs(np.linalg.det(self.rotation) - 1.0) > 1e-9:
-            raise NbvError("camera rotation must have determinant +1")
+        check_rotation(self.rotation, NbvError, "camera rotation")
 
     def to_camera(self, points: np.ndarray) -> np.ndarray:
         return (np.asarray(points, dtype=np.float64) - self.translation) @ self.rotation
@@ -122,9 +119,10 @@ def render_virtual(
 
 def weighted_entropy(h: float, v: CameraPose, v_c: CameraPose, sigma: float) -> float:
     """Gaussian travel-distance weighting of a view entropy:
-    H / (sigma sqrt(2 pi)) * exp(-|t_v - t_vc|^2 / (2 sigma^2))."""
-    if not 0 < sigma < np.inf:  # refuses NaN too
-        raise NbvError("sigma must be positive and finite")
+    H / (sigma sqrt(2 pi)) * exp(-|t_v - t_vc|^2 / (2 sigma^2)), H >= 0."""
+    if not (finite_number(h) and h >= 0):
+        raise NbvError(f"entropy h must be finite and non-negative, got {h!r}")
+    check_positive("sigma", sigma, NbvError)
     dist_sq = float(np.sum((v.translation - v_c.translation) ** 2))
     weight = np.exp(-dist_sq / (2 * sigma**2)) / (sigma * np.sqrt(2 * np.pi))
     return float(h * weight)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import descriptors, evaluation, nbv, representations
 from .descriptors import compute_feature_set, compute_good
-from .errors import OpenobjError, check_count, check_fields, seeded
+from .errors import OpenobjError, check_count, check_fields, check_positive, seeded
 from .learning import (
     BayesMemory,
     InstanceMemory,
@@ -109,11 +109,10 @@ class ExperimentConfig:
                             ("max_dictionary_pool", 1), ("nbv_resolution", 1)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be at least {least}")
-        for name in ("voxel", "support_length", "alpha", "beta", "sigma_nbv"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if not 0 < self.support_angle <= 180:
-            raise ConfigError("support_angle must lie in (0, 180]")
+        for name in ("voxel", "support_length", "support_angle", "alpha", "beta", "sigma_nbv"):
+            check_positive(name, getattr(self, name), ConfigError)
+        if self.support_angle > 180:
+            raise ConfigError(f"support_angle must be at most 180, got {self.support_angle!r}")
         if not 0 < self.tau < 1:
             raise ConfigError("tau must lie in (0, 1)")
         if self.nocd_mode not in ("A1", "A2"):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OpenobjError, finite_array, read_text
+from .errors import OpenobjError, check_positive, check_rotation, finite_array, read_text
 
 __all__ = [
     "PointCloud",
@@ -29,7 +29,7 @@ __all__ = [
 # Sign threshold (meters) for the axis disambiguation vote. Points closer
 # than this to the candidate plane can flip side between trials and are
 # ignored when counting.
-DEFAULT_SIGN_THRESHOLD = 0.015
+SIGN_THRESHOLD = 0.015
 
 
 class PointCloudError(OpenobjError):
@@ -81,21 +81,18 @@ class ReferenceFrame:
     """Object-centered coordinate system: origin and orthonormal axes.
 
     ``axes`` columns are the X, Y, Z directions expressed in world
-    coordinates; the frame is right-handed (det = +1).
+    coordinates, a right-handed rotation by ``errors.check_rotation``.
     """
 
     origin: np.ndarray
     axes: np.ndarray
 
     def __post_init__(self):
-        origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
-        axes = np.asarray(self.axes, dtype=np.float64).reshape(3, 3)
+        origin = finite_array(self.origin, (1,), PointCloudError, "frame origin must be finite")
+        if origin.shape != (3,):
+            raise PointCloudError("frame origin must hold 3 numbers")
         object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "axes", axes)
-        if not np.allclose(axes.T @ axes, np.eye(3), atol=1e-9):
-            raise PointCloudError("frame axes are not orthonormal")
-        if abs(np.linalg.det(axes) - 1.0) > 1e-9:
-            raise PointCloudError("frame is not right-handed")
+        object.__setattr__(self, "axes", check_rotation(self.axes, PointCloudError, "frame axes"))
 
     def to_local(self, points: np.ndarray) -> np.ndarray:
         """World coordinates -> frame coordinates."""
@@ -217,17 +214,12 @@ def crop_cube(cloud: PointCloud, center, side: float) -> PointCloud:
     A point survives when every |coordinate - center| <= side / 2. NaN
     points are dropped.
     """
-    if not 0 < side < np.inf:
-        raise PointCloudError("cube side must be positive and finite")
+    check_positive("cube side", side, PointCloudError)
     center = np.asarray(center, dtype=np.float64)
     with np.errstate(invalid="ignore"):
         inside = np.all(np.abs(cloud.points - center) <= side / 2.0, axis=1)
     inside &= np.all(np.isfinite(cloud.points), axis=1)
     return cloud.select(inside)
-
-
-def _voxel_indices(points: np.ndarray, voxel: float, origin: np.ndarray) -> np.ndarray:
-    return np.floor((points - origin) / voxel).astype(np.int64)
 
 
 def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
@@ -236,12 +228,10 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     The grid is anchored at the cloud's minimum corner, so results depend
     on translation only through the grid phase.
     """
-    if not 0 < voxel < np.inf:
-        raise PointCloudError("voxel size must be positive and finite")
+    check_positive("voxel size", voxel, PointCloudError)
     if len(cloud) == 0:
         raise PointCloudError("empty cloud")
-    origin = cloud.points.min(axis=0)
-    idx = _voxel_indices(cloud.points, voxel, origin)
+    idx = np.floor((cloud.points - cloud.points.min(axis=0)) / voxel).astype(np.int64)
     # Unique voxel cells in deterministic (lexicographic) order.
     cells, inverse = np.unique(idx, axis=0, return_inverse=True)
     sums = np.zeros((len(cells), 3))
@@ -298,18 +288,16 @@ def _orient_by_skewness(axis: np.ndarray, centered: np.ndarray) -> np.ndarray:
     return axis
 
 
-def compute_reference_frame(
-    cloud: PointCloud, t: float = DEFAULT_SIGN_THRESHOLD
-) -> ReferenceFrame:
+def compute_reference_frame(cloud: PointCloud) -> ReferenceFrame:
     """Unique, repeatable object frame from PCA plus a point-count vote.
 
     The covariance eigenvectors give a provisional frame (X, Y from the two
-    dominant eigenvectors, Z = X x Y). The cloud is expressed in that frame
-    and, per axis, the points with coordinate > t and < -t are counted;
-    S_x is +1 when the positive side has at least as many points, likewise
-    S_y. When s = S_x * S_y is -1 both X and Y are flipped (Z is unchanged
-    by a joint flip). Note the joint rule: S_x = S_y = -1 gives s = +1 and
-    no flip.
+    dominant eigenvectors, Z = X x Y). In that frame, per axis, the points
+    with coordinate > t and < -t, t = SIGN_THRESHOLD, are counted; S_x is
+    +1 when the positive side has at least as many points, likewise S_y.
+    When s = S_x * S_y is -1 both X and Y are flipped (Z is unchanged by a
+    joint flip). Note the joint rule: S_x = S_y = -1 gives s = +1 and no
+    flip.
     """
     m = len(cloud)
     if m < 3:
@@ -335,6 +323,7 @@ def compute_reference_frame(
 
     x_local = centered @ v1
     y_local = centered @ v2
+    t = SIGN_THRESHOLD
     s_x = 1.0 if np.sum(x_local > t) >= np.sum(x_local < -t) else -1.0
     s_y = 1.0 if np.sum(y_local > t) >= np.sum(y_local < -t) else -1.0
     s = s_x * s_y

@@ -15,9 +15,8 @@ from operator import mul, truediv
 import numpy as np
 from scipy import sparse
 
-from .errors import (
-    JsonRecord, OpenobjError, as_array, check_count, check_fields, finite_array, seeded,
-)
+from .errors import (JsonRecord, OpenobjError, as_array, check_count, check_fields,
+                     check_positive, finite_array, seeded)
 from .learning import _exact_sq_norms
 
 __all__ = [
@@ -106,11 +105,9 @@ class TopicModel(JsonRecord):
     def __post_init__(self):
         check_fields(self, RepresentationError)
         for name, least in (("k", 1), ("v", 1), ("rng_seed", 0), ("n_updates", 0)):
-            if getattr(self, name) < least:
-                raise RepresentationError(f"{name} must be at least {least}")
+            check_count(name, getattr(self, name), least, RepresentationError)
         for name in ("alpha", "beta"):
-            if getattr(self, name) <= 0:
-                raise RepresentationError(f"{name} must be positive")
+            check_positive(name, getattr(self, name), RepresentationError)
         counted = self.n_wk is not None or self.n_k is not None
         self.n_wk = _counter(self.n_wk, (self.v, self.k), "n_wk")
         self.n_k = _counter(self.n_k, (self.k,), "n_k")
@@ -146,22 +143,14 @@ class TopicHistogram:
 # ---------------------------------------------------------------------------
 
 def _kmeans_pp_init(pool: np.ndarray, v: int, rng: np.random.Generator, norms) -> np.ndarray:
-    """k-means++ centres, each a pool row. With ``norms`` from
-    _exact_sq_norms a squared distance is (|p|^2 - 2 pool.c) + |c|^2, one
-    matrix-vector product per word: every value is an integer below 2**53,
-    so it is the exact distance, which the sum of squared differences gives
-    too. Otherwise one (n, d) buffer takes every pool - centre difference,
-    in the operations of np.sum((pool - center) ** 2, axis=1)."""
-    if norms is None:
-        diff = np.empty_like(pool)
-
-        def sq_dist(i):
-            np.subtract(pool, pool[i], out=diff)
-            np.square(diff, out=diff)
-            return np.sum(diff, axis=1)
-    else:
-        def sq_dist(i):
-            return (norms - 2 * (pool @ pool[i])) + norms[i]
+    """k-means++ centres, each a pool row. A squared distance is the sum of
+    squared differences, or with ``norms`` from _exact_sq_norms (|p|^2 -
+    2 pool.c) + |c|^2, one matrix-vector product per word: every value is
+    an integer below 2**53, so it is the same exact distance."""
+    def sq_dist(i):
+        if norms is None:
+            return np.sum((pool - pool[i]) ** 2, axis=1)
+        return (norms - 2 * (pool @ pool[i])) + norms[i]
 
     chosen = [rng.integers(len(pool))]
     dist_sq = sq_dist(chosen[0])
@@ -176,24 +165,19 @@ def _kmeans_pp_init(pool: np.ndarray, v: int, rng: np.random.Generator, norms) -
     return pool[chosen]
 
 
-def _sq_distances(pool: np.ndarray, centers: np.ndarray, pool_terms=None) -> np.ndarray:
-    """(n, V) squared distances (|p|^2 - 2 p.c) + |c|^2, built in one
-    (n, V) buffer. ``pool_terms`` is the pool's (2 * pool, |p|^2) when the
-    caller already holds them. An integer pool (a cached spin-image matrix)
-    is taken as float64 first: in uint8, 2 * pool and pool**2 wrap."""
-    if pool_terms is None:
-        pool = np.asarray(pool, dtype=np.float64)
-        pool_terms = 2 * pool, np.sum(pool**2, axis=1)
-    twice_pool, pool_sq = pool_terms
-    d = twice_pool @ centers.T
-    np.subtract(pool_sq[:, None], d, out=d)
+def _sq_distances(pool: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, V) squared distances (|p|^2 - 2 p.c) + |c|^2 in one buffer, with
+    the pool as float64: in uint8 (a cached spin-image matrix) they wrap."""
+    pool = np.asarray(pool, dtype=np.float64)
+    d = (2 * pool) @ centers.T
+    np.subtract(np.sum(pool**2, axis=1)[:, None], d, out=d)
     d += np.sum(centers**2, axis=1)[None, :]
     return d
 
 
-def _assign(pool: np.ndarray, centers: np.ndarray, pool_terms=None) -> np.ndarray:
+def _assign(pool: np.ndarray, centers: np.ndarray) -> np.ndarray:
     # ties go to the lowest center index (argmin)
-    return np.argmin(_sq_distances(pool, centers, pool_terms), axis=1)
+    return np.argmin(_sq_distances(pool, centers), axis=1)
 
 
 # The float32 screen of a Lloyd step. Integers up to 2**24 are float32
@@ -319,8 +303,7 @@ def build_dictionary(pool, v: int = DEFAULT_DICTIONARY_SIZE, seed: int = 0) -> D
         screen = np.ascontiguousarray(pool.T, np.float32), norms.astype(np.float32), np.sqrt(norms)
         step = partial(_screened_assign, pool, screen=screen)
     else:
-        # the pool's factors of every assignment's distances, computed once
-        step = partial(_assign, pool, pool_terms=(2 * pool, np.sum(pool**2, axis=1)))
+        step = partial(_assign, pool)
     ones, columns = np.ones(n), np.arange(n + 1)
     assignment = step(centers)
     for _ in range(_MAX_LLOYD_ITERS):

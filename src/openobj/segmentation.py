@@ -12,7 +12,8 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
-from .errors import OpenobjError, check_count, check_fields, finite_array, seeded
+from .errors import (OpenobjError, check_count, check_fields, check_finite, check_positive,
+                     finite_array, seeded)
 from .pointcloud import PointCloud, PointCloudError
 
 __all__ = [
@@ -38,17 +39,18 @@ PLANE_CONFIDENCE = 0.999
 
 @dataclass(frozen=True, eq=False)
 class Plane:
-    """Plane {p : normal . p + d = 0} with the indices of its inliers in
-    the scene cloud it was fitted to."""
+    """Plane {p : normal . p + d = 0}, finite with a unit normal, with the
+    indices of its inliers in the scene cloud it was fitted to."""
 
     normal: np.ndarray
     d: float
     inlier_indices: np.ndarray
 
     def __post_init__(self):
-        n = np.asarray(self.normal, dtype=np.float64).reshape(3)
-        if abs(np.linalg.norm(n) - 1.0) > 1e-9:
-            raise SegmentationError("plane normal must be unit length")
+        n = finite_array(self.normal, (1,), SegmentationError, "plane normal must be finite")
+        if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > 1e-9:
+            raise SegmentationError("plane normal must be a 3-vector of unit length")
+        finite_array(self.d, (0,), SegmentationError, "plane offset d must be a finite number")
         object.__setattr__(self, "normal", n)
         object.__setattr__(
             self, "inlier_indices", np.asarray(self.inlier_indices, dtype=np.int64)
@@ -89,17 +91,16 @@ class SegmentationParams:
 
     def __post_init__(self):
         check_fields(self, SegmentationError)
+        for name in ("plane_tau", "link_dist"):
+            check_positive(name, getattr(self, name), SegmentationError)
+        for name, least in (("plane_iterations", 1), ("min_pts", 1), ("max_pts", self.min_pts),
+                            ("seed", 0)):
+            check_count(name, getattr(self, name), least, SegmentationError)
         for name, ok, rule in (
-            ("plane_tau", self.plane_tau > 0, "be positive"),
-            ("plane_iterations", self.plane_iterations >= 1, "be at least 1"),
             ("prism_max", self.prism_max > self.prism_min, "exceed prism_min"),
-            ("link_dist", self.link_dist > 0, "be positive"),
-            ("min_pts", self.min_pts >= 1, "be at least 1"),
-            ("max_pts", self.max_pts >= self.min_pts, "be at least min_pts"),
             ("min_size", self.min_size >= 0, "be non-negative"),
             ("max_size", self.max_size >= self.min_size, "be at least min_size"),
             ("edge_margin", self.edge_margin >= 0, "be non-negative"),
-            ("seed", self.seed >= 0, "be non-negative"),
         ):
             if not ok:
                 raise SegmentationError(f"{name} must {rule}")
@@ -127,9 +128,10 @@ def ransac_plane(scene: PointCloud, tau: float, iterations: int, seed: int) -> P
     After each better plane, with inlier ratio w, the draws stop once
     ceil(log(1 - p) / log(1 - w^3)) have been made in all, with
     p = PLANE_CONFIDENCE (Hartley & Zisserman, Multiple View Geometry,
-    4.7.1); w = 1 stops at once. Collinear samples count as draws. The
-    draws are a prefix of the fixed-count stream, so the result is the
-    best plane of the first draws up to the stop.
+    4.7.1); w = 1 stops at once. Collinear samples and samples with a +-inf
+    point count as draws; a +-inf or NaN point is never an inlier. The
+    draws are a prefix of the fixed-count stream, so the result is the best
+    plane of the first draws up to the stop.
 
     Deterministic for a fixed seed; the normal is canonicalized so its
     largest-magnitude component is positive (tables in z-up worlds get an
@@ -139,35 +141,35 @@ def ransac_plane(scene: PointCloud, tau: float, iterations: int, seed: int) -> P
     m = len(pts)
     if m < 3:
         raise SegmentationError("need at least 3 points for a plane")
-    if not 0 < tau < np.inf:
-        raise SegmentationError("tau must be positive and finite")
+    check_positive("tau", tau, SegmentationError)
     check_count("iterations", iterations, 1, SegmentationError)
     rng = seeded(seed, SegmentationError)
     best_count = -1
     best = None
     drawn = 0
     stop = iterations
-    while drawn < stop:
-        i, j, k = rng.choice(m, size=3, replace=False)
-        drawn += 1
-        normal = np.cross(pts[j] - pts[i], pts[k] - pts[i])
-        norm = np.linalg.norm(normal)
-        if norm < 1e-12:
-            continue  # collinear sample
-        normal = normal / norm
-        d = -normal @ pts[i]
-        count = int(np.sum(np.abs(pts @ normal + d) < tau))
-        if count > best_count:
-            best_count = count
-            best = (normal, d)
-            stop = min(iterations, _samples_needed(count / m))
-    if best is None:
-        raise SegmentationError("no plane found: all samples collinear")
-    normal, d = best
-    axis = int(np.argmax(np.abs(normal)))
-    if normal[axis] < 0:
-        normal, d = -normal, -d
-    inliers = np.flatnonzero(np.abs(pts @ normal + d) < tau)
+    with np.errstate(invalid="ignore"):  # inf - inf and inf * 0 of a +-inf point
+        while drawn < stop:
+            i, j, k = rng.choice(m, size=3, replace=False)
+            drawn += 1
+            normal = np.cross(pts[j] - pts[i], pts[k] - pts[i])
+            norm = np.linalg.norm(normal)
+            if norm < 1e-12 or not math.isfinite(norm):
+                continue  # a collinear sample, or one with a +-inf point
+            normal = normal / norm
+            d = -normal @ pts[i]
+            count = int(np.sum(np.abs(pts @ normal + d) < tau))
+            if count > best_count:
+                best_count = count
+                best = (normal, d)
+                stop = min(iterations, _samples_needed(count / m))
+        if best is None:
+            raise SegmentationError("no plane found: all samples collinear")
+        normal, d = best
+        axis = int(np.argmax(np.abs(normal)))
+        if normal[axis] < 0:
+            normal, d = -normal, -d
+        inliers = np.flatnonzero(np.abs(pts @ normal + d) < tau)
     return Plane(normal=normal, d=d, inlier_indices=inliers)
 
 
@@ -207,12 +209,15 @@ def extract_prism(
 ) -> PointCloud:
     """Points whose height above the plane lies in (min_h, max_h) and whose
     projection falls inside the convex hull of the plane inliers."""
-    if not min_h < max_h:
-        raise SegmentationError("min_h must be below max_h")
+    check_finite("min_h", min_h, SegmentationError)
+    check_finite("max_h", max_h, SegmentationError)
+    if not max_h > min_h:
+        raise SegmentationError(f"max_h must exceed min_h, got {max_h!r} and {min_h!r}")
     basis, hull = _table_hull(scene, plane)
-    heights = plane.signed_distance(scene.points)
-    in_band = (heights > min_h) & (heights < max_h)
-    inside = _edge_gap(hull, scene.points @ basis.T) >= -1e-9  # 1e-9 slack
+    with np.errstate(invalid="ignore"):  # inf * 0 of a +-inf point
+        heights = plane.signed_distance(scene.points)
+        in_band = (heights > min_h) & (heights < max_h)
+        inside = _edge_gap(hull, scene.points @ basis.T) >= -1e-9  # 1e-9 slack
     return scene.select(in_band & inside)
 
 
@@ -230,8 +235,10 @@ def euclidean_cluster_indices(
     # 3 MB that the paths which never segment a scene should not carry
     from scipy.sparse.csgraph import connected_components
 
-    if not 0 < link_dist < np.inf:
-        raise SegmentationError("link_dist must be positive and finite")
+    check_positive("link_dist", link_dist, SegmentationError)
+    check_count("min_pts", min_pts, 1, SegmentationError)
+    if max_pts is not None:
+        check_count("max_pts", max_pts, min_pts, SegmentationError)
     m = len(cloud)
     if m == 0:
         return []

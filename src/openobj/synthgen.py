@@ -14,9 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    OpenobjError, _plain, check_count, check_fields, check_pose, finite_number, seeded,
-)
+from .errors import (OpenobjError, _plain, check_count, check_fields, check_finite, check_pose,
+                     finite_number, seeded)
 from .pointcloud import PointCloud, save_pcd
 
 __all__ = [
@@ -277,6 +276,8 @@ def generate_scene(
     (scattered below the table plane). Object translations in the specs are
     interpreted relative to the table surface.
     """
+    check_finite("table_height", table_height, SynthgenError)
+    check_count("n_outliers", n_outliers, 0, SynthgenError)
     rng = seeded(seed, SynthgenError)
     table_spec = ShapeSpec(
         kind="plate",

@@ -1,9 +1,11 @@
 """Each library module's ``__all__`` lists exactly its public names, each
 frozen parameter record checks every field by the one field rule, each
 JSON record keeps its keys, each record that holds arrays compares by
-identity, every count and seed argument takes an integer, the point-cloud
-stages refuse non-finite points, and random streams and JSON reads go
-through the intake rules of ``errors``."""
+identity, every count and seed argument takes an integer, every real
+argument a finite number in its range, every number argument has one of
+these rules, both rotation records refuse the same matrices, the
+point-cloud stages refuse non-finite points, and random streams and JSON
+reads go through the intake rules of ``errors``."""
 
 import ast
 import importlib
@@ -25,6 +27,7 @@ from openobj.descriptors import (
     compute_good,
     compute_spin_image,
     estimate_normals,
+    project_distribution,
 )
 from openobj.errors import as_array, read_json, read_text
 from openobj.evaluation import (
@@ -43,12 +46,29 @@ from openobj.learning import (
     BayesMemory,
     InstanceCategory,
     InstanceMemory,
+    LearningError,
     bayes_teach,
+    classify_instances,
     instance_teach,
+    lowest_score,
 )
-from openobj.nbv import CameraPose, NbvError, rank_views, render_virtual, select_next_view
+from openobj.nbv import (
+    CameraPose,
+    NbvError,
+    rank_views,
+    render_virtual,
+    select_next_view,
+    weighted_entropy,
+)
 from openobj.pipelines import ConfigError, ExperimentConfig, collect_feature_pool
-from openobj.pointcloud import PointCloud, PointCloudError, ReferenceFrame, compute_reference_frame
+from openobj.pointcloud import (
+    PointCloud,
+    PointCloudError,
+    ReferenceFrame,
+    compute_reference_frame,
+    crop_cube,
+    voxel_downsample,
+)
 from openobj.representations import (
     Dictionary,
     RepresentationError,
@@ -65,6 +85,7 @@ from openobj.segmentation import (
     SegmentationParams,
     euclidean_cluster,
     euclidean_cluster_indices,
+    extract_prism,
     ransac_plane,
 )
 from openobj.synthgen import (
@@ -194,29 +215,60 @@ def dataset():
 
 
 CLOUD = PointCloud(np.random.default_rng(0).uniform(size=(20, 3)))
-# (argument, its least value, its module's error, a call that passes it)
+POSE = CameraPose(np.eye(3), np.zeros(3))
+UP = np.array([0.0, 0.0, 1.0])
+# (function, parameter, the message's name for it, its least value, its
+# module's error, a call that passes it)
 COUNT_ARGUMENTS = [
-    ("iters", 1, RepresentationError, lambda n: lda_update(TopicModel(k=2, v=3), [0, 1], n)),
-    ("iters", 1, RepresentationError, lambda n: lda_infer(TopicModel(k=2, v=3), [0, 1], n)),
-    ("dictionary size", 2, RepresentationError,
+    (lda_update, "iters", "iters", 1, RepresentationError,
+     lambda n: lda_update(TopicModel(k=2, v=3), [0, 1], n)),
+    (lda_infer, "iters", "iters", 1, RepresentationError,
+     lambda n: lda_infer(TopicModel(k=2, v=3), [0, 1], n)),
+    (build_dictionary, "v", "dictionary size", 2, RepresentationError,
      lambda n: build_dictionary(np.eye(4), v=n)),
-    ("k", 2, EvaluationError, lambda n: kfold(dataset(), n, pipeline=None)),
-    ("window_mult", 1, EvaluationError, lambda n: run_protocol(dataset(), None, window_mult=n)),
-    ("breakpoint_limit", 1, EvaluationError,
+    (kfold, "k", "k", 2, EvaluationError, lambda n: kfold(dataset(), n, pipeline=None)),
+    (run_protocol, "window_mult", "window_mult", 1, EvaluationError,
+     lambda n: run_protocol(dataset(), None, window_mult=n)),
+    (run_protocol, "breakpoint_limit", "breakpoint_limit", 1, EvaluationError,
      lambda n: run_protocol(dataset(), None, breakpoint_limit=n)),
-    ("views_per_teach", 1, EvaluationError,
+    (run_protocol, "views_per_teach", "views_per_teach", 1, EvaluationError,
      lambda n: run_protocol(dataset(), None, views_per_teach=n)),
-    ("window_mult", 1, EvaluationError, lambda n: replay_accuracies(ProtocolLog(), n)),
-    ("views_per_category", 1, SynthgenError,
+    (replay_accuracies, "window_mult", "window_mult", 1, EvaluationError,
+     lambda n: replay_accuracies(ProtocolLog(), n)),
+    (generate_dataset, "views_per_category", "views_per_category", 1, SynthgenError,
      lambda n: generate_dataset([CategorySpec("a", "sphere", (0.1,))], n)),
-    ("iterations", 1, SegmentationError, lambda n: ransac_plane(CLOUD, 0.1, n, 0)),
-    ("image width", 1, DescriptorError,
-     lambda n: compute_spin_image(CLOUD, np.zeros(3), np.array([0.0, 0.0, 1.0]), n)),
+    (ransac_plane, "iterations", "iterations", 1, SegmentationError,
+     lambda n: ransac_plane(CLOUD, 0.1, n, 0)),
+    (compute_spin_image, "image_width", "image width", 1, DescriptorError,
+     lambda n: compute_spin_image(CLOUD, np.zeros(3), UP, n)),
+    (compute_feature_set, "image_width", "image width", 1, DescriptorError,
+     lambda n: compute_feature_set(CLOUD, image_width=n)),
+    (project_distribution, "n", "bins per side", 2, DescriptorError,
+     lambda n: project_distribution(CLOUD, "XoY", 3.0, n)),
+    (compute_good, "n", "bins per side", 2, DescriptorError, lambda n: compute_good(CLOUD, n)),
+    (run_protocol, "rho", "rho", 1, EvaluationError,
+     lambda n: run_protocol(dataset(), None, rho=n)),
+    (render_virtual, "resolution", "resolution", 1, NbvError,
+     lambda n: render_virtual(CLOUD, POSE, n)),
+    (collect_feature_pool, "cap", "cap", 1, RepresentationError,
+     lambda n: collect_feature_pool([np.eye(4)], n, 0)),
+    (local_lda_update, "iters", "iters", 1, RepresentationError,
+     lambda n: local_lda_update({}, "mug", [0, 1], n, k=2, v=3)),
+    (euclidean_cluster_indices, "min_pts", "min_pts", 1, SegmentationError,
+     lambda n: euclidean_cluster_indices(CLOUD, 0.1, n)),
+    (euclidean_cluster_indices, "max_pts", "max_pts", 1, SegmentationError,
+     lambda n: euclidean_cluster_indices(CLOUD, 0.1, 1, n)),
+    (euclidean_cluster, "min_pts", "min_pts", 1, SegmentationError,
+     lambda n: euclidean_cluster(CLOUD, 0.1, n)),
+    (euclidean_cluster, "max_pts", "max_pts", 1, SegmentationError,
+     lambda n: euclidean_cluster(CLOUD, 0.1, 1, n)),
+    (generate_scene, "n_outliers", "n_outliers", 0, SynthgenError,
+     lambda n: generate_scene([], table_points=50, n_outliers=n)),
 ]
 
 
-@pytest.mark.parametrize("name,least,error,call", COUNT_ARGUMENTS,
-                         ids=[f"{name}-{error.__name__}" for name, _, error, _ in COUNT_ARGUMENTS])
+@pytest.mark.parametrize("name,least,error,call", [entry[2:] for entry in COUNT_ARGUMENTS],
+                         ids=[f"{entry[2]}-{entry[4].__name__}" for entry in COUNT_ARGUMENTS])
 @pytest.mark.parametrize("value", ["fraction", "bool", "below"])
 def test_count_arguments_take_integers_from_their_floor(name, least, error, call, value):
     bad = {"fraction": least + 0.5, "bool": True, "below": least - 1}[value]
@@ -224,7 +276,132 @@ def test_count_arguments_take_integers_from_their_floor(name, least, error, call
         call(bad)
 
 
-POSE = CameraPose(np.eye(3), np.zeros(3))
+# what no real argument takes, and the values refused by one that must be
+# positive, by one that may be any finite number, and by one that may be None
+NOT_REALS = (True, "1", None, math.nan, math.inf)
+NOT_POSITIVE = (*NOT_REALS, 0.0, -1.0)
+NOT_FINITE = (*NOT_REALS, -math.inf)
+NOT_OPTIONAL_REALS = (True, "1", math.nan, math.inf, -math.inf)
+PLANE = Plane(normal=UP, d=0.0, inlier_indices=[0, 1, 2])
+# (function, parameter, the message's name for it, its module's error, a
+# call that passes it, the values it refuses)
+REAL_ARGUMENTS = [
+    (crop_cube, "side", "cube side", PointCloudError,
+     lambda x: crop_cube(CLOUD, np.zeros(3), x), NOT_POSITIVE),
+    (voxel_downsample, "voxel", "voxel size", PointCloudError,
+     lambda x: voxel_downsample(CLOUD, x), NOT_POSITIVE),
+    (ransac_plane, "tau", "tau", SegmentationError,
+     lambda x: ransac_plane(CLOUD, x, 5, 0), NOT_POSITIVE),
+    (euclidean_cluster_indices, "link_dist", "link_dist", SegmentationError,
+     lambda x: euclidean_cluster_indices(CLOUD, x), NOT_POSITIVE),
+    (euclidean_cluster, "link_dist", "link_dist", SegmentationError,
+     lambda x: euclidean_cluster(CLOUD, x), NOT_POSITIVE),
+    (extract_prism, "min_h", "min_h", SegmentationError,
+     lambda x: extract_prism(CLOUD, PLANE, x, 0.5), NOT_FINITE),
+    (extract_prism, "max_h", "max_h", SegmentationError,
+     lambda x: extract_prism(CLOUD, PLANE, 0.0, x), (*NOT_FINITE, 0.0)),
+    (compute_spin_image, "support_length", "support length", DescriptorError,
+     lambda x: compute_spin_image(CLOUD, np.zeros(3), UP, support_length=x), NOT_POSITIVE),
+    (compute_spin_image, "support_angle", "support angle", DescriptorError,
+     lambda x: compute_spin_image(CLOUD, np.zeros(3), UP, support_angle=x),
+     (*NOT_POSITIVE, 180.5)),
+    (compute_feature_set, "voxel", "voxel size", DescriptorError,
+     lambda x: compute_feature_set(CLOUD, voxel=x), NOT_POSITIVE),
+    (compute_feature_set, "support_length", "support length", DescriptorError,
+     lambda x: compute_feature_set(CLOUD, support_length=x), NOT_POSITIVE),
+    (compute_feature_set, "support_angle", "support angle", DescriptorError,
+     lambda x: compute_feature_set(CLOUD, support_angle=x), (*NOT_POSITIVE, 180.5)),
+    (project_distribution, "l", "enclosing square side", DescriptorError,
+     lambda x: project_distribution(CLOUD, "XoY", x, 2), NOT_POSITIVE),
+    (weighted_entropy, "sigma", "sigma", NbvError,
+     lambda x: weighted_entropy(1.0, POSE, POSE, x), NOT_POSITIVE),
+    (weighted_entropy, "h", "entropy h", NbvError,
+     lambda x: weighted_entropy(x, POSE, POSE, 1.0), (*NOT_FINITE, -1.0)),
+    (local_lda_update, "alpha", "alpha", RepresentationError,
+     lambda x: local_lda_update({}, "mug", [0, 1], k=2, v=3, alpha=x), NOT_POSITIVE),
+    (local_lda_update, "beta", "beta", RepresentationError,
+     lambda x: local_lda_update({}, "mug", [0, 1], k=2, v=3, beta=x), NOT_POSITIVE),
+    (lowest_score, "ct", "ct", LearningError,
+     lambda x: lowest_score({"mug": 1.0}, x), NOT_OPTIONAL_REALS),
+    (classify_instances, "ct", "ct", LearningError,
+     lambda x: classify_instances(np.zeros(3), InstanceMemory(), "nn_fixed", ct=x),
+     NOT_OPTIONAL_REALS),
+    (run_protocol, "tau", "tau", EvaluationError,
+     lambda x: run_protocol(dataset(), None, tau=x), (*NOT_POSITIVE, 1.0)),
+    (pick_rho, "alc", "ALC", EvaluationError, lambda x: pick_rho(x), (*NOT_FINITE, 2.0**53)),
+    (kfold, "jobs", "jobs", EvaluationError,
+     lambda x: kfold(dataset(), 2, pipeline=None, jobs=x), (*NOT_POSITIVE, 2)),
+    (generate_scene, "table_height", "table_height", SynthgenError,
+     lambda x: generate_scene([], table_height=x, table_points=50), NOT_FINITE),
+]
+
+
+@pytest.mark.parametrize("name,error,call,refused", [entry[2:] for entry in REAL_ARGUMENTS],
+                         ids=[f"{entry[0].__name__}-{entry[1]}" for entry in REAL_ARGUMENTS])
+def test_real_arguments_take_finite_numbers_in_their_range(name, error, call, refused):
+    for value in refused:
+        with pytest.raises(error, match=f"^{name} must"):
+            call(value)
+
+
+# int- or float-annotated parameters that no table above holds, and why
+UNTABLED_NUMBERS = {
+    (local_lda_update, "k"): "builds a new category's TopicModel, whose k field refuses it",
+    (local_lda_update, "v"): "builds a new category's TopicModel, whose v field refuses it",
+    (generate_scene, "table_points"): "builds the table's ShapeSpec, whose points field checks it",
+}
+
+
+def test_every_number_argument_has_a_rule():
+    numbers = set()
+    for module_name in LIBRARY_MODULES:
+        module = importlib.import_module(f"openobj.{module_name}")
+        for attr in module.__all__:
+            value = getattr(module, attr)
+            if not inspect.isfunction(value):
+                continue
+            for name, parameter in inspect.signature(value).parameters.items():
+                if str(parameter.annotation).removesuffix(" | None") in ("int", "float"):
+                    numbers.add((value, name))
+    tabled = ({entry[:2] for entry in COUNT_ARGUMENTS + REAL_ARGUMENTS}
+              | {(function, "seed") for function, _, _ in SEED_ARGUMENTS})
+    assert numbers - tabled == set(UNTABLED_NUMBERS)
+
+
+NOT_ROTATIONS = {
+    "shear": [[1.0, 1, 0], [0, 1, 0], [0, 0, 1]],
+    "scale": np.diag([2.0, 0.5, 1.0]),
+    "off-by-2e-9": np.eye(3) + np.diag([2e-9, -2e-9, 0.0]),
+    "reflection": np.diag([1.0, 1.0, -1.0]),
+}
+# record -> (its module's error, its matrix's name, a build from (matrix, origin))
+ROTATION_RECORDS = {
+    "CameraPose": (NbvError, "camera rotation", lambda r, t: CameraPose(r, t)),
+    "ReferenceFrame": (PointCloudError, "frame axes", lambda r, t: ReferenceFrame(t, r)),
+}
+
+
+@pytest.mark.parametrize("record", ROTATION_RECORDS)
+@pytest.mark.parametrize("case", NOT_ROTATIONS)
+def test_rotation_records_refuse_the_same_matrices(record, case):
+    error, name, build = ROTATION_RECORDS[record]
+    build(np.eye(3) + np.diag([4e-10, -4e-10, 0.0]), np.zeros(3))  # rounding is accepted
+    with pytest.raises(error, match=f"^{name} must be orthonormal with determinant \\+1"):
+        build(NOT_ROTATIONS[case], np.zeros(3))
+
+
+@pytest.mark.parametrize("record", ROTATION_RECORDS)
+@pytest.mark.parametrize("part", ["matrix", "origin"])
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=repr)
+def test_rotation_records_refuse_non_finite_numbers(record, part, value):
+    error, _, build = ROTATION_RECORDS[record]
+    bad = np.zeros(3)
+    bad[1] = value
+    with pytest.raises(error, match="finite"):
+        if part == "matrix":
+            build(np.eye(3) + np.diag(bad), np.zeros(3))
+        else:
+            build(np.eye(3), bad)
 # (function, its module's error, a call that passes it the seed)
 SEED_ARGUMENTS = [
     (kfold, EvaluationError, lambda s: kfold(dataset(), 2, pipeline=None, seed=s)),

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -319,6 +320,20 @@ class TestCv:
                     "--representation", "good", "--good-bins", "5", "--folds", "4")
             outs.append((out / "metrics.json").read_text())
         assert outs[0] == outs[1]
+
+    def test_non_ascii_category_name(self, small_dataset, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(small_dataset, data)
+        (data / "manifest.json").unlink()  # its context map names the old category
+        first = sorted(p.name for p in data.iterdir() if p.is_dir())[0]
+        (data / first).rename(data / "bo\u00eete")
+        out = tmp_path / "cv"
+        assert run_cli("cv", str(data), "--out-dir", str(out), "--seed", "2",
+                       "--representation", "good", "--good-bins", "5", "--folds", "4") == 0
+        with open(out / "confusion.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert "bo\u00eete" in rows[0] and "bo\u00eete" in [row[0] for row in rows[1:]]
+        assert sum(int(x) for row in rows[1:] for x in row[1:]) == 36
 
     def test_ct_rejected_before_loading(self, small_dataset, tmp_path, capsys):
         # a CV confusion matrix has no UNKNOWN column

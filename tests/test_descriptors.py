@@ -1,6 +1,7 @@
 """Global descriptor and spin-image feature extraction."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -128,7 +129,7 @@ class TestComputeGood:
     def test_fractional_bin_count_rejected(self, n):
         cloud = skewed_object()
         assert len(compute_good(cloud, n=np.int64(5))) == 75
-        with pytest.raises(DescriptorError, match="integer number of at least 2 bins"):
+        with pytest.raises(DescriptorError, match="^bins per side must be an integer of at least 2"):
             compute_good(cloud, n=n)
 
     def test_blocks_are_distributions(self):
@@ -273,6 +274,15 @@ class TestKeypoints:
 
 
 class TestSpinImage:
+    @pytest.mark.parametrize("keypoint,normal", [
+        ([0.0, 0.0, 0.0], [math.nan] * 3),
+        ([0.0, math.nan, 0.0], [0.0, 0.0, 1.0]),
+    ], ids=["nan-normal", "nan-keypoint"])
+    def test_nan_keypoint_or_normal_refused(self, keypoint, normal):
+        cloud = PointCloud([[0, 0, 0.03]])
+        with pytest.raises(DescriptorError, match="^need finite keypoints and normals"):
+            compute_spin_image(cloud, keypoint, normal, 4, 0.05)
+
     def test_neighbor_on_normal_axis(self):
         cloud = PointCloud([[0, 0, 0.03]])
         img = compute_spin_image(cloud, [0, 0, 0], [0, 0, 1], 4, 0.05)

@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -253,6 +254,16 @@ class TestRansacPlane:
         assert plane.normal[2] > 0
 
 
+class TestPlane:
+    def test_nan_normal_refused(self):
+        with pytest.raises(SegmentationError, match="^plane normal must be finite$"):
+            Plane(normal=[math.nan] * 3, d=0.0, inlier_indices=[0, 1, 2])
+
+    def test_nan_offset_refused(self):
+        with pytest.raises(SegmentationError, match="^plane offset d must be a finite number"):
+            Plane(normal=[0.0, 0.0, 1.0], d=math.nan, inlier_indices=[0, 1, 2])
+
+
 class TestExtractPrism:
     def plane_with_hull(self):
         xs, ys = np.meshgrid(np.linspace(-0.5, 0.5, 11), np.linspace(-0.5, 0.5, 11))
@@ -436,14 +447,19 @@ class TestDetectObjects:
             )
             assert best / len(got) >= 0.95
 
-    def test_a_nan_point_changes_no_candidate(self):
-        # the prism drops the NaN point; the clustering never sees it
+    @pytest.mark.parametrize("axis,value", [(2, math.nan), (1, math.inf), (1, -math.inf)],
+                             ids=["nan", "inf", "-inf"])
+    def test_a_non_finite_point_changes_no_candidate(self, axis, value):
+        # it is never a plane inlier nor in the prism, so the clustering
+        # never sees it; a plane sample holding +-inf is skipped; no step warns
         scene, _ = table_scene()
         params = SegmentationParams(seed=0)
         expected = detect_objects(scene, params)
         points = scene.points.copy()
-        points[100, 2] = np.nan
-        candidates = detect_objects(PointCloud(points), params)
+        points[100, axis] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            candidates = detect_objects(PointCloud(points), params)
         assert len(candidates) == len(expected) == 3
         for got, want in zip(candidates, expected):
             assert got.cloud.points.tobytes() == want.cloud.points.tobytes()
