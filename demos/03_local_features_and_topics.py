@@ -3,17 +3,14 @@
 over voxel keypoints, a k-means visual-word dictionary, bag-of-words
 counts and per-category topic models."""
 
+import zlib
+
 import numpy as np
 
 from openobj.descriptors import compute_feature_set
 from openobj.pipelines import collect_feature_pool
-from openobj.representations import (
-    bow_encode,
-    build_dictionary,
-    lda_infer,
-    local_lda_update,
-    phi,
-)
+from openobj.representations import (TopicModel, bow_encode, build_dictionary, lda_infer,
+                                     lda_update, phi)
 from openobj.synthgen import CategorySpec, generate_dataset
 
 data = generate_dataset(
@@ -42,14 +39,17 @@ print(f"dictionary: {dictionary.size} words of dimension {dictionary.words.shape
 counts = bow_encode(sample, dictionary)
 print(f"bag-of-words counts (sum = {counts.sum()}): {counts}")
 
-# Per-category topic models, updated incrementally one view at a time.
+# Per-category topic models, updated incrementally one view at a time;
+# each is seeded by its label's CRC-32, as the local-LDA learner seeds them.
 models = {}
 for name, matrices in features.items():
+    models[name] = TopicModel(k=6, v=dictionary.size, scope=name,
+                              rng_seed=zlib.crc32(name.encode()) ^ 1)
     for matrix in matrices[:4]:
         words = np.argmin(
             np.linalg.norm(matrix[:, None] - dictionary.words[None], axis=2), axis=1
         )
-        local_lda_update(models, name, words, k=6, v=dictionary.size, seed=1)
+        lda_update(models[name], words)
 
 held_out = features["box"][5]
 words = np.argmin(

@@ -49,6 +49,12 @@ def check_positive(name: str, value, error) -> None:
         raise error(f"{name} must be positive and finite, got {value!r}")
 
 
+def check_fraction(name: str, value, error) -> None:
+    """Raise ``error`` unless ``value`` is a real number in the open interval (0, 1)."""
+    if not (finite_number(value) and 0 < value < 1):
+        raise error(f"{name} must be a number in (0, 1), got {value!r}")
+
+
 def seeded(seed, error) -> np.random.Generator:
     """The random stream of ``seed``, an integer of at least 0, or raise ``error``."""
     check_count("seed", seed, 0, error)

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (JsonRecord, OpenobjError, check_count, check_fields, finite_number,
-                     integer, seeded)
+from .errors import (JsonRecord, OpenobjError, check_count, check_fields, check_fraction,
+                     finite_number, integer, seeded)
 
 __all__ = [
     "ConfusionMatrix",
@@ -322,8 +322,7 @@ def run_protocol(
         check_count("rho", rho, 1, EvaluationError)
         if dataset.contexts is None:
             raise EvaluationError("context protocol needs a context map")
-    if not (finite_number(tau) and 0 < tau < 1):
-        raise EvaluationError(f"tau must be a number in (0, 1), got {tau!r}")
+    check_fraction("tau", tau, EvaluationError)
     for name, count in (("window_mult", window_mult), ("breakpoint_limit", breakpoint_limit),
                         ("views_per_teach", views_per_teach)):
         check_count(name, count, 1, EvaluationError)

@@ -36,6 +36,7 @@ __all__ = [
     "chi2",
     "bayes_teach",
     "bayes_classify",
+    "check_label",
     "log_posterior",
     "LearningError",
 ]
@@ -135,11 +136,19 @@ def _instance(x) -> np.ndarray:
     return checked
 
 
+def check_label(label) -> None:
+    """Raise ``LearningError`` unless the category label is a string."""
+    if not isinstance(label, str):
+        raise LearningError(f"label must be a string, got {label!r}")
+
+
 def _load_categories(categories, kind) -> dict:
     """A memory's categories by label, each a ``kind`` record; one given in
     its JSON form is loaded."""
     if not isinstance(categories, Mapping):
         raise LearningError("categories must map labels to categories")
+    for label in categories:
+        check_label(label)
     return {label: cat if isinstance(cat, kind) else kind.from_json_dict(cat)
             for label, cat in categories.items()}
 
@@ -163,8 +172,9 @@ class InstanceMemory(JsonRecord):
 def instance_teach(memory: InstanceMemory, label: str, x) -> InstanceMemory:
     """Store one instance under its label; a new label (or an empty
     category) starts a category, filed only if it is as wide as every
-    stored instance. ``x`` is checked once, before anything is stored. No
-    ICD is computed here: ``icd`` reads it when asked."""
+    stored instance. ``label`` and ``x`` are checked once, before anything
+    is stored. No ICD is computed here: ``icd`` reads it when asked."""
+    check_label(label)
     category = memory.categories.get(label)
     if category is not None and category.width is not None:
         category.add(x)  # its width is the memory's
@@ -448,6 +458,7 @@ def bayes_teach(memory: BayesMemory, label: str, x) -> BayesMemory:
     of the memory's accumulators. Priors and conditionals follow from the
     counters, so teaching order cannot matter.
     """
+    check_label(label)
     x = _check_histogram(x)
     known = next(iter(memory.categories.values()), None)
     if known is not None and known.accumulators.shape != x.shape:

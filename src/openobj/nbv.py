@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (OpenobjError, check_count, check_pose, check_positive, check_rotation,
-                     finite_array, finite_number, read_json, seeded)
+from .errors import (OpenobjError, check_count, check_finite, check_pose, check_positive,
+                     check_rotation, finite_array, finite_number, read_json, seeded)
 from .pointcloud import PointCloud
 from .segmentation import euclidean_cluster
 
@@ -55,8 +55,8 @@ class CameraPose:
 @dataclass(frozen=True)
 class SegmentedScene:
     """Cluster decomposition of a rendered view. Cluster area is its
-    visible point count; total_area defaults to the sum but may be larger
-    when the scene holds non-cluster points."""
+    visible point count; total_area, a finite number, defaults to the sum
+    but may be larger when the scene holds non-cluster points."""
 
     clusters: tuple
     total_area: float | None = None
@@ -65,6 +65,8 @@ class SegmentedScene:
         clusters = tuple(self.clusters)
         object.__setattr__(self, "clusters", clusters)
         covered = float(sum(len(c) for c in clusters))
+        if self.total_area is not None:
+            check_finite("total_area", self.total_area, NbvError)
         total = covered if self.total_area is None else float(self.total_area)
         if total < covered:
             raise NbvError("total area cannot undercut the cluster areas")

@@ -15,33 +15,19 @@ cross-validation builds one per fold from training views only.
 from __future__ import annotations
 
 import weakref
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import descriptors, evaluation, nbv, representations
 from .descriptors import compute_feature_set, compute_good
-from .errors import OpenobjError, check_count, check_fields, check_positive, seeded
-from .learning import (
-    BayesMemory,
-    InstanceMemory,
-    LearningError,
-    _compact_counts,
-    bayes_classify,
-    bayes_teach,
-    classify_instances,
-    instance_teach,
-)
-from .representations import (
-    Dictionary,
-    RepresentationError,
-    TopicModel,
-    _assign,
-    bow_encode,
-    build_dictionary,
-    lda_infer,
-    local_lda_update,
-)
+from .errors import (OpenobjError, check_count, check_fields, check_fraction, check_positive,
+                     seeded)
+from .learning import (BayesMemory, InstanceMemory, LearningError, _compact_counts, bayes_classify,
+                       bayes_teach, check_label, classify_instances, instance_teach)
+from .representations import (Dictionary, RepresentationError, TopicModel, _assign, bow_encode,
+                              build_dictionary, lda_infer, lda_update)
 
 __all__ = [
     "ExperimentConfig",
@@ -107,14 +93,12 @@ class ExperimentConfig:
                             ("topics", 1), ("gibbs_iters", 1), ("folds", 2), ("window_mult", 1),
                             ("breakpoint_limit", 1), ("views_per_teach", 1), ("seed", 0),
                             ("max_dictionary_pool", 1), ("nbv_resolution", 1)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be at least {least}")
+            check_count(name, getattr(self, name), least, ConfigError)
         for name in ("voxel", "support_length", "support_angle", "alpha", "beta", "sigma_nbv"):
             check_positive(name, getattr(self, name), ConfigError)
         if self.support_angle > 180:
             raise ConfigError(f"support_angle must be at most 180, got {self.support_angle!r}")
-        if not 0 < self.tau < 1:
-            raise ConfigError("tau must lie in (0, 1)")
+        check_fraction("tau", self.tau, ConfigError)
         if self.nocd_mode not in ("A1", "A2"):
             raise ConfigError("nocd_mode must be A1 or A2")
 
@@ -196,7 +180,9 @@ class Learner:
 
     The topic encoders keep their models in ``models``, keyed by
     TopicModel.scope: {"shared": model} from construction for lda, one
-    model per taught category, in teach order, for local_lda.
+    model per taught category, in teach order, for local_lda, each built
+    by ``_new_model``. A teach checks its label before it touches a model
+    or the memory.
     """
 
     def __init__(self, config: ExperimentConfig, dictionary: Dictionary | None = None,
@@ -213,11 +199,19 @@ class Learner:
         self.metric = "chi2" if rep in ("lda", "local_lda") else "L2"
         self.models: dict[str, TopicModel] = {}
         if rep == "lda":
-            self.models["shared"] = TopicModel(k=config.topics, v=dictionary.size,
-                                               alpha=config.alpha, beta=config.beta,
-                                               rng_seed=config.seed)
+            self.models["shared"] = self._new_model("shared")
+
+    def _new_model(self, scope: str) -> TopicModel:
+        """An empty topic model for ``scope``, seeded by config.seed for
+        lda's shared model and by the CRC-32 of the label XOR config.seed
+        for a local_lda category's."""
+        c = self.config
+        seed = c.seed if c.representation == "lda" else zlib.crc32(scope.encode()) ^ c.seed
+        return TopicModel(k=c.topics, v=self.dictionary.size, alpha=c.alpha, beta=c.beta,
+                          scope=scope, rng_seed=seed)
 
     def teach(self, category, cloud):
+        check_label(category)
         x = self._encode(cloud, category)
         if self.bayes:
             bayes_teach(self.memory, category, x)
@@ -238,10 +232,10 @@ class Learner:
     def _encode(self, cloud, category=None):
         """The view as the memory stores it. Teaching (a ``category``) first
         folds the view into models[scope], whose scope is "shared" for lda
-        and the category for local_lda, which creates the model on first
-        contact; the view is then inferred against that model. A local_lda
-        query is a mapping from each category to the view in that
-        category's topic space."""
+        and the category for local_lda, whose model is built on first
+        contact and stored once the view is folded in; the view is then
+        inferred against that model. A local_lda query is a mapping from
+        each category to the view in that category's topic space."""
         rep = self.config.representation
         if rep == "good":
             return self.features.good(cloud)
@@ -254,9 +248,8 @@ class Learner:
             return {label: self._topics(doc, model) for label, model in self.models.items()}
         scope = category if rep == "local_lda" else "shared"
         if category is not None:
-            c = self.config
-            local_lda_update(self.models, scope, doc, iters=c.gibbs_iters, k=c.topics,
-                             v=self.dictionary.size, alpha=c.alpha, beta=c.beta, seed=c.seed)
+            model = self.models.get(scope) or self._new_model(scope)
+            self.models[scope] = lda_update(model, doc, self.config.gibbs_iters)
         return self._topics(doc, self.models[scope])
 
     def _doc(self, cloud):

@@ -212,10 +212,13 @@ def crop_cube(cloud: PointCloud, center, side: float) -> PointCloud:
     """Keep points inside the axis-aligned cube of the given side length.
 
     A point survives when every |coordinate - center| <= side / 2. NaN
-    points are dropped.
+    points are dropped; the center must be 3 finite numbers.
     """
     check_positive("cube side", side, PointCloudError)
-    center = np.asarray(center, dtype=np.float64)
+    message = "cube center must be 3 finite numbers"
+    center = finite_array(center, (1,), PointCloudError, message)
+    if center.shape != (3,):
+        raise PointCloudError(message)
     with np.errstate(invalid="ignore"):
         inside = np.all(np.abs(cloud.points - center) <= side / 2.0, axis=1)
     inside &= np.all(np.isfinite(cloud.points), axis=1)

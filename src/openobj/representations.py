@@ -5,7 +5,6 @@ shared topic models trained by collapsed Gibbs sampling.
 
 from __future__ import annotations
 
-import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
@@ -27,7 +26,6 @@ __all__ = [
     "bow_encode",
     "lda_update",
     "lda_infer",
-    "local_lda_update",
     "phi",
     "RepresentationError",
 ]
@@ -496,32 +494,6 @@ def lda_infer(model: TopicModel, doc, iters: int = DEFAULT_GIBBS_ITERS) -> Topic
     counts = _simultaneous_sweeps(model, doc, iters, rng)
     theta = (counts + alpha) / (len(doc) + k * alpha) if len(doc) else np.full(k, 1.0 / k)
     return TopicHistogram(theta=theta, counts=counts)
-
-
-def local_lda_update(
-    models: dict,
-    category: str,
-    doc,
-    iters: int = DEFAULT_GIBBS_ITERS,
-    k: int = DEFAULT_TOPICS,
-    v: int = DEFAULT_DICTIONARY_SIZE,
-    alpha: float = DEFAULT_ALPHA,
-    beta: float = DEFAULT_BETA,
-    seed: int = 0,
-) -> dict:
-    """Fold a document into models[category], first creating the
-    category's own topic model if there is none. Only that model's
-    counters change, and a refused category or document leaves ``models``
-    as it was."""
-    check_count("seed", seed, 0, RepresentationError)  # XORed into the category's CRC
-    if not isinstance(category, str):
-        raise RepresentationError(f"category must be a string, got {category!r}")
-    model = models[category] if category in models else TopicModel(
-        k=k, v=v, alpha=alpha, beta=beta, scope=category,
-        rng_seed=zlib.crc32(category.encode()) ^ seed,
-    )
-    models[category] = lda_update(model, doc, iters)
-    return models
 
 
 def phi(model: TopicModel) -> np.ndarray:

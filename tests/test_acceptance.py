@@ -49,7 +49,7 @@ from openobj.nbv import (
 )
 from openobj.pipelines import ExperimentConfig, make_cv_pipeline
 from openobj.pointcloud import PointCloud, voxel_downsample
-from openobj.representations import TopicModel, lda_infer, lda_update, local_lda_update, phi
+from openobj.representations import TopicModel, lda_infer, lda_update, phi
 from openobj.segmentation import SegmentationParams, detect_objects, euclidean_cluster_indices
 from openobj.synthgen import CategorySpec, ShapeSpec, generate_dataset, generate_scene, generate_view, random_rotation
 
@@ -313,11 +313,12 @@ def test_criterion_06_lda_contracts():
         assert np.array_equal(model.n_wk, wk) and np.array_equal(model.n_k, nk)
         assert model.n_updates == updates
 
-        models = {}
-        local_lda_update(models, "a", [0, 1, 2], k=3, v=6)
-        frozen = models["a"].n_wk.copy()
-        local_lda_update(models, "b", [3, 4, 5], k=3, v=6)
-        assert np.array_equal(models["a"].n_wk, frozen)
+        # per-category models: teaching one leaves another as it was
+        a, b = TopicModel(k=3, v=6, scope="a"), TopicModel(k=3, v=6, scope="b")
+        lda_update(a, [0, 1, 2])
+        frozen = a.to_json_dict()
+        lda_update(b, [3, 4, 5])
+        assert a.to_json_dict() == frozen
 
         hits = 0
         for seed in range(10):

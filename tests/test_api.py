@@ -77,7 +77,6 @@ from openobj.representations import (
     build_dictionary,
     lda_infer,
     lda_update,
-    local_lda_update,
 )
 from openobj.segmentation import (
     Plane,
@@ -252,8 +251,6 @@ COUNT_ARGUMENTS = [
      lambda n: render_virtual(CLOUD, POSE, n)),
     (collect_feature_pool, "cap", "cap", 1, RepresentationError,
      lambda n: collect_feature_pool([np.eye(4)], n, 0)),
-    (local_lda_update, "iters", "iters", 1, RepresentationError,
-     lambda n: local_lda_update({}, "mug", [0, 1], n, k=2, v=3)),
     (euclidean_cluster_indices, "min_pts", "min_pts", 1, SegmentationError,
      lambda n: euclidean_cluster_indices(CLOUD, 0.1, n)),
     (euclidean_cluster_indices, "max_pts", "max_pts", 1, SegmentationError,
@@ -317,10 +314,6 @@ REAL_ARGUMENTS = [
      lambda x: weighted_entropy(1.0, POSE, POSE, x), NOT_POSITIVE),
     (weighted_entropy, "h", "entropy h", NbvError,
      lambda x: weighted_entropy(x, POSE, POSE, 1.0), (*NOT_FINITE, -1.0)),
-    (local_lda_update, "alpha", "alpha", RepresentationError,
-     lambda x: local_lda_update({}, "mug", [0, 1], k=2, v=3, alpha=x), NOT_POSITIVE),
-    (local_lda_update, "beta", "beta", RepresentationError,
-     lambda x: local_lda_update({}, "mug", [0, 1], k=2, v=3, beta=x), NOT_POSITIVE),
     (lowest_score, "ct", "ct", LearningError,
      lambda x: lowest_score({"mug": 1.0}, x), NOT_OPTIONAL_REALS),
     (classify_instances, "ct", "ct", LearningError,
@@ -346,8 +339,6 @@ def test_real_arguments_take_finite_numbers_in_their_range(name, error, call, re
 
 # int- or float-annotated parameters that no table above holds, and why
 UNTABLED_NUMBERS = {
-    (local_lda_update, "k"): "builds a new category's TopicModel, whose k field refuses it",
-    (local_lda_update, "v"): "builds a new category's TopicModel, whose v field refuses it",
     (generate_scene, "table_points"): "builds the table's ShapeSpec, whose points field checks it",
 }
 
@@ -412,8 +403,6 @@ SEED_ARGUMENTS = [
     (collect_feature_pool, RepresentationError,
      lambda s: collect_feature_pool([np.eye(4)], 2, s)),
     (build_dictionary, RepresentationError, lambda s: build_dictionary(np.eye(4), v=2, seed=s)),
-    (local_lda_update, RepresentationError,
-     lambda s: local_lda_update({}, "mug", [0, 1], k=2, v=3, seed=s)),
     (ransac_plane, SegmentationError, lambda s: ransac_plane(CLOUD, 0.1, 5, s)),
     (generate_dataset, SynthgenError,
      lambda s: generate_dataset([CategorySpec("a", "sphere", (0.1,))], 1, seed=s)),

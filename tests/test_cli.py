@@ -98,7 +98,7 @@ class TestTypedValues:
     def test_negative_seed_or_bound_exits_one(self, tmp_path, capsys, argv, name):
         assert run_cli(*argv, "--out-dir", str(tmp_path / "out")) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and f"{name} must be at least" in err
+        assert err.startswith("error:") and f"{name} must be an integer of at least" in err
         assert "Traceback" not in err and not (tmp_path / "out").exists()
 
     def test_context_split_from_file(self, tmp_path):

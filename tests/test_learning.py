@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -905,6 +906,30 @@ def bayes_memory(taught):
         for x in xs:
             bayes_teach(mem, lab, x)
     return mem
+
+
+class TestLabelRule:
+    """Both memories take a category label only as a string, by one rule."""
+
+    @pytest.mark.parametrize("label", [5, None, ("mug",), b"mug"], ids=repr)
+    @pytest.mark.parametrize("memory,teach", [(InstanceMemory, instance_teach),
+                                              (BayesMemory, bayes_teach)])
+    def test_teach_refuses_a_label_that_is_not_a_string(self, memory, teach, label):
+        mem = memory()
+        teach(mem, "mug", np.array([1, 2]))
+        before = mem.to_json_dict()
+        with pytest.raises(LearningError,
+                           match=f"^label must be a string, got {re.escape(repr(label))}$"):
+            teach(mem, label, np.array([1, 2]))
+        assert mem.to_json_dict() == before
+
+    @pytest.mark.parametrize("memory,category", [
+        (InstanceMemory, InstanceCategory("mug", [np.ones(2)])),
+        (BayesMemory, BayesCategory(n_k=1, accumulators=np.ones(2))),
+    ])
+    def test_memory_refuses_a_label_that_is_not_a_string(self, memory, category):
+        with pytest.raises(LearningError, match="^label must be a string, got 5$"):
+            memory({5: category})
 
 
 class TestPerCategoryQueries:

@@ -55,6 +55,11 @@ class TestViewpointEntropy:
         scene = SegmentedScene(clusters=(cluster(20), cluster(20, 1.0)), total_area=80)
         assert viewpoint_entropy(scene) > 0
 
+    @pytest.mark.parametrize("total", ["x", np.nan, np.inf, True], ids=repr)
+    def test_total_area_must_be_a_finite_number(self, total):
+        with pytest.raises(NbvError, match="^total_area must be a finite number"):
+            SegmentedScene(clusters=(cluster(20),), total_area=total)
+
     def test_uniform_area_scaling_invariance(self):
         # tripling every cluster (and hence the total) keeps the fractions
         clusters = tuple(cluster(8 * (i + 1), i) for i in range(3))

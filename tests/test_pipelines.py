@@ -6,6 +6,8 @@ import dataclasses
 import inspect
 import json
 import math
+import re
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openobj.descriptors import compute_feature_set, compute_good
-from openobj.evaluation import LabeledDataset, kfold, metrics, run_protocol
+from openobj.evaluation import EvaluationError, LabeledDataset, kfold, metrics, run_protocol
 from openobj.nbv import render_virtual
 from openobj import descriptors, learning, pipelines, representations
 from openobj.learning import (
@@ -41,9 +43,14 @@ from openobj.representations import (
     build_dictionary,
     lda_infer,
     lda_update,
-    local_lda_update,
 )
 from openobj.synthgen import CategorySpec, generate_dataset
+
+# every representation x learner pair a config accepts
+PAIRS = [(rep, mem) for rep in REPRESENTATIONS for mem in LEARNERS
+         if (rep, mem) != ("spinset", "bayes")]
+# a small, fast setting of the encoders
+SMALL = {"voxel": 0.025, "dictionary_size": 20, "topics": 8, "gibbs_iters": 10}
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +92,8 @@ class TestConfig:
     @pytest.mark.parametrize("name", ["window_mult", "breakpoint_limit", "views_per_teach"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_teacher_counts_must_be_positive(self, name, value):
-        with pytest.raises(ConfigError, match=f"{name} must be at least 1"):
+        message = f"^{name} must be an integer of at least 1, got {value}$"
+        with pytest.raises(ConfigError, match=message):
             ExperimentConfig(**{name: value})
 
     @pytest.mark.parametrize("name,least", [
@@ -93,8 +101,20 @@ class TestConfig:
     ])
     def test_seed_and_sizes_have_a_floor(self, name, least):
         ExperimentConfig(**{name: least})
-        with pytest.raises(ConfigError, match=f"{name} must be at least {least}"):
+        message = f"^{name} must be an integer of at least {least}, got {least - 1}$"
+        with pytest.raises(ConfigError, match=message):
             ExperimentConfig(**{name: least - 1})
+
+    @pytest.mark.parametrize("name,value", [
+        ("tau", 0.0), ("tau", 1.0), ("tau", -0.5), ("window_mult", 0), ("breakpoint_limit", -1),
+        ("views_per_teach", 0), ("seed", -1),
+    ])
+    def test_config_and_protocol_refuse_a_value_in_one_message(self, tiny_dataset, name, value):
+        with pytest.raises(ConfigError) as config_error:
+            ExperimentConfig(**{name: value})
+        with pytest.raises(EvaluationError) as protocol_error:
+            run_protocol(tiny_dataset, None, **{name: value})
+        assert str(config_error.value) == str(protocol_error.value)
 
     @pytest.mark.parametrize("name,value", [
         ("image_width", 2.5), ("good_bins", 5.5), ("topics", 3.7), ("seed", 1.0),
@@ -125,7 +145,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("name", ["max_dictionary_pool", "seed"])
     def test_dictionary_build_never_sees_a_negative_value(self, tiny_dataset, name):
-        with pytest.raises(ConfigError, match=f"^{name} must be at least"):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer of at least"):
             build_dictionary_from_clouds(tiny_dataset.views["box"], ExperimentConfig(**{name: -1}))
 
     def test_dictionary_required(self):
@@ -155,12 +175,6 @@ DEFAULT_WIRING = [
     (TopicModel, "beta", "beta"),
     (lda_update, "iters", "gibbs_iters"),
     (lda_infer, "iters", "gibbs_iters"),
-    (local_lda_update, "iters", "gibbs_iters"),
-    (local_lda_update, "k", "topics"),
-    (local_lda_update, "v", "dictionary_size"),
-    (local_lda_update, "alpha", "alpha"),
-    (local_lda_update, "beta", "beta"),
-    (local_lda_update, "seed", "seed"),
     (run_protocol, "tau", "tau"),
     (run_protocol, "window_mult", "window_mult"),
     (run_protocol, "breakpoint_limit", "breakpoint_limit"),
@@ -244,10 +258,7 @@ class TestLearnerWrappers:
         assert strict.classify(box) == "box"
         assert strict.classify(sphere) == UNKNOWN
 
-    @pytest.mark.parametrize("representation,learner", [
-        (rep, mem) for rep in REPRESENTATIONS for mem in LEARNERS
-        if (rep, mem) != ("spinset", "bayes")
-    ])
+    @pytest.mark.parametrize("representation,learner", PAIRS)
     def test_classify_before_teach_raises(self, tiny_dataset, representation, learner):
         cfg = ExperimentConfig(
             representation=representation, learner=learner, voxel=0.025,
@@ -417,6 +428,76 @@ class TestLearnerWrappers:
             assert update.call_count == 0
             assert [c.args[0] for c in infer.call_args_list] == list(learner.models.values())
             assert infer.call_count == (1 if lda else 3)
+
+    @pytest.mark.parametrize("representation,learner", PAIRS)
+    @pytest.mark.parametrize("label", [5, None, ("mug",)], ids=repr)
+    def test_refused_label_changes_nothing(self, tiny_dataset, representation, learner, label):
+        # the label is checked before the view reaches a model or the memory
+        cfg = ExperimentConfig(representation=representation, learner=learner, **SMALL)
+        views = tiny_dataset.views
+        dictionary = None
+        if representation in ("bow", "lda", "local_lda"):
+            dictionary = build_dictionary_from_clouds([v[0] for v in views.values()], cfg)
+        learner = build_learner(cfg, dictionary)
+        learner.teach("box", views["box"][0])
+
+        def state():
+            return (learner.memory.to_json_dict(),
+                    {scope: model.to_json_dict() for scope, model in learner.models.items()})
+
+        before = state()
+        message = f"^label must be a string, got {re.escape(repr(label))}$"
+        with pytest.raises(LearningError, match=message):
+            learner.teach(label, views["sphere"][0])
+        assert state() == before
+
+    @pytest.mark.parametrize("representation", ["lda", "local_lda"])
+    def test_each_topic_model_is_built_once_from_the_config(self, tiny_dataset, representation):
+        # lda's shared model is built with the learner and seeded by the
+        # config's seed; a local_lda category's model is built on its first
+        # teach, seeded by its label's CRC-32 XOR the config's seed, and
+        # later teaches of other categories leave it as it was
+        cfg = ExperimentConfig(representation=representation, alpha=0.5, beta=0.2, seed=3,
+                               **SMALL)
+        views = tiny_dataset.views
+        dictionary = build_dictionary_from_clouds([v[0] for v in views.values()], cfg)
+        learner = build_learner(cfg, dictionary)
+        lda = representation == "lda"
+        for i, label in enumerate(["sphere", "box", "sphere"]):
+            learner.teach(label, views[label][i])
+        frozen = {scope: model.to_json_dict() for scope, model in learner.models.items()}
+        learner.teach("cone", views["cone"][0])
+        for scope, model in learner.models.items():
+            assert model.scope == scope
+            assert (model.k, model.v, model.alpha, model.beta) == (8, 20, 0.5, 0.2)
+            assert model.rng_seed == (3 if lda else zlib.crc32(scope.encode()) ^ 3)
+            assert model.n_updates == (4 if lda else 1 + (scope == "sphere"))
+            if not lda and scope != "cone":
+                assert model.to_json_dict() == frozen[scope]
+        assert list(learner.models) == (["shared"] if lda else ["sphere", "box", "cone"])
+
+    @pytest.mark.parametrize("representation", ["lda", "local_lda"])
+    def test_topic_models_resume_from_json(self, tiny_dataset, representation):
+        # a learner whose models are saved and loaded midway teaches and
+        # answers as one that kept them
+        cfg = ExperimentConfig(representation=representation, **SMALL)
+        views = tiny_dataset.views
+        dictionary = build_dictionary_from_clouds([v[0] for v in views.values()], cfg)
+        whole, resumed = build_learner(cfg, dictionary), build_learner(cfg, dictionary)
+        for label in views:
+            whole.teach(label, views[label][0])
+            resumed.teach(label, views[label][0])
+        saved = json.dumps({scope: m.to_json_dict() for scope, m in resumed.models.items()})
+        resumed.models = {scope: TopicModel.from_json_dict(data)
+                          for scope, data in json.loads(saved).items()}
+        for label in views:
+            whole.teach(label, views[label][1])
+            resumed.teach(label, views[label][1])
+        assert ({scope: m.to_json_dict() for scope, m in resumed.models.items()}
+                == {scope: m.to_json_dict() for scope, m in whole.models.items()})
+        assert resumed.memory.to_json_dict() == whole.memory.to_json_dict()
+        for cloud in (views[label][5] for label in views):
+            assert resumed.classify(cloud) == whole.classify(cloud)
 
 
 class TestCvPipeline:

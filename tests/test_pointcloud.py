@@ -137,6 +137,12 @@ class TestCropCube:
         expected = [p for p in pts if all(abs(p[i] - center[i]) <= side / 2 for i in range(3))]
         np.testing.assert_allclose(kept.points, np.asarray(expected))
 
+    @pytest.mark.parametrize("center", ["ab", (0.0, 0.0), (0.0, np.nan, 0.0)], ids=repr)
+    def test_center_must_be_three_finite_numbers(self, center):
+        cloud = PointCloud(np.random.default_rng(0).uniform(-0.5, 0.5, size=(50, 3)))
+        with pytest.raises(PointCloudError, match="^cube center must be 3 finite numbers$"):
+            crop_cube(cloud, center, 2.0)
+
     @pytest.mark.parametrize("side", [0.0, -1.0, np.nan, np.inf])
     def test_side_outside_zero_to_infinity_rejected(self, side):
         with pytest.raises(PointCloudError, match="cube side must be positive and finite"):

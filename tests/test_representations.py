@@ -20,7 +20,6 @@ from openobj.representations import (
     build_dictionary,
     lda_infer,
     lda_update,
-    local_lda_update,
     phi,
 )
 
@@ -430,10 +429,32 @@ class TestLdaUpdate:
                 hits += 1
         assert hits >= 9
 
-    def test_out_of_range_word(self):
+    @pytest.mark.parametrize("doc", [[0, 3], [-1]])
+    def test_out_of_range_word(self, doc):
         model = TopicModel(k=2, v=3, rng_seed=0)
-        with pytest.raises(RepresentationError):
-            lda_update(model, [0, 3])
+        before = model.to_json_dict()
+        with pytest.raises(RepresentationError, match="^word index out of vocabulary range$"):
+            lda_update(model, doc)
+        assert model.to_json_dict() == before
+
+    def test_models_of_disjoint_vocabularies_separate(self):
+        # two models, each taught one word range: a held-out document is
+        # closer (chi-squared on theta) to its own model's documents than
+        # to the other model's
+        from openobj.learning import chi2
+
+        models = {scope: TopicModel(k=4, v=6, scope=scope, rng_seed=seed)
+                  for scope, seed in (("a", 1), ("b", 2))}
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            lda_update(models["a"], rng.integers(0, 3, size=20))
+            lda_update(models["b"], rng.integers(3, 6, size=20))
+        test_a = rng.integers(0, 3, size=20)
+        ref_a = lda_infer(models["a"], test_a).theta
+        proto_a = lda_infer(models["a"], rng.integers(0, 3, size=20)).theta
+        cross_a = lda_infer(models["b"], test_a).theta
+        proto_b = lda_infer(models["b"], rng.integers(3, 6, size=20)).theta
+        assert chi2(ref_a, proto_a) < chi2(cross_a, proto_b)
 
 
 class TestLdaInfer:
@@ -600,49 +621,6 @@ class TestTopicHistogramChecks:
         assert hist.counts.tolist() == [1, 3]
 
 
-class TestLocalLda:
-    def test_new_category_creates_model(self):
-        models = {}
-        local_lda_update(models, "mug", [0, 1, 2], k=3, v=5)
-        assert set(models) == {"mug"}
-        assert models["mug"].scope == "mug"
-
-    @pytest.mark.parametrize("category,doc", [(5, [0]), (None, [0]), (("mug",), [0]),
-                                              ("bowl", [0.5]), ("bowl", [9])])
-    def test_refused_teach_leaves_models(self, category, doc):
-        models = {}
-        local_lda_update(models, "mug", [0, 1, 2], k=3, v=5)
-        before = {c: m.to_json_dict() for c, m in models.items()}
-        with pytest.raises(RepresentationError):
-            local_lda_update(models, category, doc, k=3, v=5)
-        assert {c: m.to_json_dict() for c, m in models.items()} == before
-
-    def test_isolation_between_categories(self):
-        models = {}
-        local_lda_update(models, "mug", [0, 0, 1], k=3, v=5)
-        wk = models["mug"].n_wk.copy()
-        local_lda_update(models, "plate", [3, 4, 4], k=3, v=5)
-        np.testing.assert_array_equal(models["mug"].n_wk, wk)
-
-    def test_disjoint_vocabulary_separation(self):
-        # categories taught on disjoint words: held-out docs are closer
-        # (chi-squared on theta) to their own category's model
-        from openobj.learning import chi2
-
-        models = {}
-        rng = np.random.default_rng(9)
-        for _ in range(5):
-            local_lda_update(models, "a", rng.integers(0, 3, size=20), k=4, v=6, seed=1)
-            local_lda_update(models, "b", rng.integers(3, 6, size=20), k=4, v=6, seed=1)
-        test_a = rng.integers(0, 3, size=20)
-        ref_a = lda_infer(models["a"], test_a).theta
-        # compare against an in-vocabulary doc of each category
-        proto_a = lda_infer(models["a"], rng.integers(0, 3, size=20)).theta
-        cross_a = lda_infer(models["b"], test_a).theta
-        proto_b = lda_infer(models["b"], rng.integers(3, 6, size=20)).theta
-        assert chi2(ref_a, proto_a) < chi2(cross_a, proto_b)
-
-
 class TestPhi:
     def test_fresh_model_uniform(self):
         model = TopicModel(k=3, v=5, rng_seed=0)
@@ -666,14 +644,16 @@ class TestPhi:
 class TestSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(11)
-        models = {}
-        local_lda_update(models, "mug", rng.integers(0, 5, size=12), k=3, v=5)
-        local_lda_update(models, "bowl", rng.integers(0, 5, size=9), k=3, v=5)
+        models = {scope: TopicModel(k=3, v=5, scope=scope, rng_seed=seed)
+                  for scope, seed in (("mug", 4), ("bowl", 5))}
+        lda_update(models["mug"], rng.integers(0, 5, size=12))
+        lda_update(models["bowl"], rng.integers(0, 5, size=9))
         text = json.dumps({c: m.to_json_dict() for c, m in models.items()}, sort_keys=True)
         back = {c: TopicModel.from_json_dict(d) for c, d in json.loads(text).items()}
         assert set(back) == set(models)
         for name in models:
             np.testing.assert_array_equal(back[name].n_wk, models[name].n_wk)
+            assert back[name].scope == name
             assert back[name].rng_seed == models[name].rng_seed
             assert back[name].n_updates == models[name].n_updates
 
